@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +271,25 @@ class TestSimulate:
         assert code == 0
         meta, cols = _read_table(out)
         assert meta["csi_samples"] == "1000"
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+class TestSimulateGolden:
+    """``simulate --d-range 8:20`` report bytes, pinned on the small scenario."""
+
+    @pytest.mark.parametrize(
+        "golden, extra",
+        [
+            ("simulate_d8-20.tsv", []),
+            ("simulate_d8-20_csi1000.tsv", ["--csi-samples", "1000"]),
+        ],
+    )
+    def test_report_bytes(self, tmp_path, fast_args, golden, extra):
+        out = tmp_path / golden
+        assert run(["simulate", "--d-range", "8:20", *extra, "--out", str(out), *fast_args]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 class TestSweep:

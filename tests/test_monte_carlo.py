@@ -4,13 +4,17 @@ import pytest
 from xtalk_quant.analytic_bounds import bound_main_per_tone
 from xtalk_quant.errors import TargetUnreachable
 from xtalk_quant.monte_carlo import (
+    _MC_E2_STREAM,
     CsiErrorModel,
     TrialConfig,
+    _draw_e1,
+    _stream,
     min_bits_empirical,
     run_trials,
     run_trials_with_csi_error,
 )
 from xtalk_quant.precoding import E2_UNIFORM, PerturbationSpec
+from xtalk_quant.rate_analysis import loss_arrays
 from xtalk_quant.reports import render_table
 
 
@@ -82,6 +86,61 @@ class TestRunTrials:
                 for u in range(small_ensemble.p):
                     bound = bound_main_per_tone(snap.p, snap.r, d, snrs[u, k])
                     assert max(0.0, rep.per_tone[u, k]) <= bound
+
+
+def _reference_one_word_length(ensemble, budget, config, d, csi=None):
+    """The engine's original per-word-length path, kept as the oracle: draw the
+    uniforms again, form Q @ (2^-d U) (minus E1 inv(Q + E1) with CSI error),
+    then the full loss kernel; worst case per tone and across band trials."""
+    p, n, seed = ensemble.p, config.n_trials, config.spec.seed
+    psd = budget.psd_linear(p)
+    per_tone = np.empty((p, ensemble.grid.count))
+    joint = np.zeros((n, p))
+    for k, snap in enumerate(ensemble.snapshots):
+        snr = budget.snr(snap)
+        q_mat = snap.q_matrix()
+        base = _stream(seed, _MC_E2_STREAM, k).uniform(-1.0, 1.0, size=(2, n, p, p))
+        delta = q_mat[None, :, :] @ (2.0 ** (-d) * (base[0] + 1j * base[1]))
+        if csi is not None:
+            e1 = _draw_e1(seed, k, n, p, snr, csi.n_samples)
+            delta = delta - e1 @ np.linalg.inv(q_mat[None, :, :] + e1)
+        losses = loss_arrays(snr, budget.gap, psd, delta)["loss"]
+        per_tone[:, k] = losses.max(axis=0)
+        joint += losses
+    spacing = ensemble.grid.spacing
+    return per_tone, per_tone.sum(axis=1) * spacing, (joint * spacing).max(axis=0)
+
+
+class TestOneDrawServesEveryWordLength:
+    """Reports from one shared draw are bitwise equal to a fresh draw per d."""
+
+    def _check(self, reports, ensemble, budget, config, d_values, csi=None):
+        assert [rep.d_bits for rep in reports] == list(d_values)
+        for rep in reports:
+            per_tone, per_bin, joint = _reference_one_word_length(
+                ensemble, budget, config, rep.d_bits, csi
+            )
+            assert np.array_equal(rep.per_tone, per_tone), rep.d_bits
+            assert np.array_equal(rep.band_per_bin, per_bin), rep.d_bits
+            assert np.array_equal(rep.band_joint, joint), rep.d_bits
+
+    def test_quantization_only_d_1_to_32(self, small_ensemble, small_budget):
+        cfg = _config(1, n=100)
+        d_values = range(1, 33)
+        reports = [
+            run_trials(small_ensemble, small_budget, _config(d, n=100)) for d in d_values
+        ]
+        self._check(reports, small_ensemble, small_budget, cfg, d_values)
+
+    def test_with_csi_error(self, small_ensemble, small_budget):
+        cfg = _config(1, n=100)
+        csi = CsiErrorModel(n_samples=1000)
+        d_values = (6, 10, 14, 20)
+        reports = [
+            run_trials_with_csi_error(small_ensemble, small_budget, _config(d, n=100), csi)
+            for d in d_values
+        ]
+        self._check(reports, small_ensemble, small_budget, cfg, d_values, csi)
 
 
 class TestCsiTrials:
