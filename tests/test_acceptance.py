@@ -37,6 +37,7 @@ from xtalk_quant.monte_carlo import (
     TrialConfig,
     min_bits_empirical,
     run_trials,
+    run_trials_sweep,
     run_trials_with_csi_error,
 )
 from xtalk_quant.precoding import E2_UNIFORM, PerturbationSpec
@@ -115,12 +116,12 @@ def test_criterion_2_bound_domination(reference_ensemble, reference_budget):
     violations = 0
     band_ok = True
     min_margin = np.inf
-    for d in range(8, 21):
-        cfg = TrialConfig(
-            n_trials=1000,
-            spec=PerturbationSpec(d_bits=d, e2_model=E2_UNIFORM, seed=REF_SEED),
-        )
-        rep = run_trials(reference_ensemble, reference_budget, cfg)
+    cfg = TrialConfig(
+        n_trials=1000,
+        spec=PerturbationSpec(d_bits=8, e2_model=E2_UNIFORM, seed=REF_SEED),
+    )
+    for rep in run_trials_sweep(reference_ensemble, reference_budget, cfg, range(8, 21)):
+        d = rep.d_bits
         bounds = np.array(
             [
                 [bound_main_per_tone(p, r[k], d, snr[u, k]) for k in range(grid.count)]

@@ -272,6 +272,26 @@ class TestSimulate:
         meta, cols = _read_table(out)
         assert meta["csi_samples"] == "1000"
 
+    def test_scenario_csi_samples_matches_flag(self, tmp_path):
+        scen = Scenario(users=4, decimation=208, seed=5, n_trials=20)
+        plain, with_csi = tmp_path / "plain.json", tmp_path / "csi.json"
+        scen.save(plain)
+        scen.csi_samples = 1000
+        scen.save(with_csi)
+        by_flag, by_scenario = tmp_path / "flag.tsv", tmp_path / "scen.tsv"
+        argv = ["simulate", "--d-range", "10:12"]
+        assert run([*argv, "--config", str(plain), "--csi-samples", "1000", "--out", str(by_flag)]) == 0
+        assert run([*argv, "--config", str(with_csi), "--out", str(by_scenario)]) == 0
+        assert by_scenario.read_bytes() == by_flag.read_bytes()
+        meta, _ = _read_table(by_scenario)
+        assert meta["csi_samples"] == "1000"
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_invalid_thread_count_exit_2(self, monkeypatch, capsys, fast_args, value):
+        monkeypatch.setenv("XTALK_THREADS", value)
+        assert run(["simulate", "--n-trials", "3", *fast_args]) == 2
+        assert "XTALK_THREADS" in capsys.readouterr().err
+
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -8,14 +8,17 @@ from xtalk_quant.monte_carlo import (
     CsiErrorModel,
     TrialConfig,
     _draw_e1,
+    _invert_with_resampling,
     _stream,
     min_bits_empirical,
     run_trials,
+    run_trials_sweep,
     run_trials_with_csi_error,
 )
 from xtalk_quant.precoding import E2_UNIFORM, PerturbationSpec
-from xtalk_quant.rate_analysis import loss_arrays
+from xtalk_quant.rate_analysis import LinkBudget, loss_arrays
 from xtalk_quant.reports import render_table
+from xtalk_quant.units import LN2
 
 
 def _config(d, n=200, seed=42, statistic="worst_case", q=None, zero=False):
@@ -127,20 +130,26 @@ class TestOneDrawServesEveryWordLength:
     def test_quantization_only_d_1_to_32(self, small_ensemble, small_budget):
         cfg = _config(1, n=100)
         d_values = range(1, 33)
-        reports = [
-            run_trials(small_ensemble, small_budget, _config(d, n=100)) for d in d_values
-        ]
+        reports = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
         self._check(reports, small_ensemble, small_budget, cfg, d_values)
 
     def test_with_csi_error(self, small_ensemble, small_budget):
         cfg = _config(1, n=100)
         csi = CsiErrorModel(n_samples=1000)
         d_values = (6, 10, 14, 20)
-        reports = [
-            run_trials_with_csi_error(small_ensemble, small_budget, _config(d, n=100), csi)
-            for d in d_values
-        ]
+        reports = run_trials_sweep(small_ensemble, small_budget, cfg, d_values, csi=csi)
         self._check(reports, small_ensemble, small_budget, cfg, d_values, csi)
+
+    @pytest.mark.parametrize("csi", [None, CsiErrorModel(n_samples=1000)])
+    def test_two_threads_match_one(self, small_ensemble, small_budget, monkeypatch, csi):
+        cfg = _config(1, n=100)
+        d_values = (8, 12, 16)
+        one = run_trials_sweep(small_ensemble, small_budget, cfg, d_values, csi=csi)
+        monkeypatch.setenv("XTALK_THREADS", "2")
+        two = run_trials_sweep(small_ensemble, small_budget, cfg, d_values, csi=csi)
+        for a, b in zip(one, two):
+            for name in ("per_tone", "rate_per_tone", "band_per_bin", "band_joint", "band_rate"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
 
 
 class TestCsiTrials:
@@ -161,6 +170,22 @@ class TestCsiTrials:
             small_ensemble, small_budget, cfg, CsiErrorModel(n_samples=100)
         )
         assert joint.band_per_bin.max() > quant.band_per_bin.max()
+
+
+class TestResampling:
+    def test_resampler_has_its_own_stream(self, small_ensemble, small_budget):
+        snap = small_ensemble.snapshots[0]
+        q_mat, snr, p = snap.q_matrix(), small_budget.snr(snap), small_ensemble.p
+        seed, n_samples = 42, 1000
+        e1 = _draw_e1(seed, 0, 3, p, snr, n_samples)
+        e1[1] = -q_mat  # Q + E1 = 0: trial 1 must be resampled
+        failures = []
+        _invert_with_resampling(q_mat, e1, snr, n_samples, seed, 0, 5, failures)
+        assert failures == [(0, 1, 0)]
+        assert np.all(np.isfinite(e1[1])) and not np.array_equal(e1[1], -q_mat)
+        # the resample must not replay the primary E1 draws of another seed
+        other_seed = _draw_e1(seed ^ 0x5EED, 0, 1, p, snr, n_samples)[0]
+        assert not np.array_equal(e1[1], other_seed)
 
 
 class TestUserSubset:
@@ -192,6 +217,16 @@ class TestUnequalPsdDomination:
             for u in range(small_ensemble.p):
                 bound = bound_main_per_tone(snap.p, snap.r, d, snr[u, k], rho=rho)
                 assert max(0.0, rep.per_tone[u, k]) <= bound
+
+
+class TestPerUserRate:
+    def test_eta_per_tone_divides_by_each_users_rate(self, small_ensemble):
+        budget = LinkBudget([-58.0, -60.0, -63.0, -66.0], -140.0, 10.7, small_ensemble.grid)
+        rep = run_trials(small_ensemble, budget, _config(10, n=50))
+        rate = np.log1p(budget.snr_matrix(small_ensemble) / budget.gap) / LN2
+        assert np.array_equal(rep.rate_per_tone, rate)
+        assert np.array_equal(rep.eta_per_tone, rep.per_tone / rate)
+        assert np.array_equal(rep.band_rate, rate.sum(axis=1) * small_ensemble.grid.spacing)
 
 
 class TestWernerDecayDomination:
