@@ -267,6 +267,47 @@ class TestChannelFiles:
             load_channel(path)
         assert err.value.tone == 1
 
+    @staticmethod
+    def _doc_with_bad_tones(mutate):
+        """Three p=2 identity tones; ``mutate`` spoils the records of tones 1 and 2."""
+        tones = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]] for _ in range(3)]
+        for k in (1, 2):
+            mutate(tones[k])
+        return {
+            "format_version": 1,
+            "kind": "xtalk-quant-channel",
+            "p": 2,
+            "tone_count": 3,
+            "f_start": 0.0,
+            "spacing": 1.0,
+            "tones": tones,
+        }
+
+    BAD_RECORDS = {
+        "entry_count": lambda rec: rec.pop(),
+        "pair_length": lambda rec: rec[1].append(0.0),
+        "string_component": lambda rec: rec.__setitem__(1, ["1.0", 0.0]),
+        "string_entry": lambda rec: rec.__setitem__(1, "1.0"),
+        "null_component": lambda rec: rec.__setitem__(1, [None, 0.0]),
+        "null_entry": lambda rec: rec.__setitem__(1, None),
+        "nan_entry": lambda rec: rec.__setitem__(2, [float("nan"), 0.0]),
+        "zero_diagonal": lambda rec: rec.__setitem__(3, [0.0, 0.0]),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(BAD_RECORDS))
+    def test_bad_record_names_first_tone(self, tmp_path, defect):
+        from xtalk_quant.cli import run
+        from xtalk_quant.errors import XtalkError
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self._doc_with_bad_tones(self.BAD_RECORDS[defect])))
+        with pytest.raises(XtalkError) as err:
+            load_channel(path)
+        assert err.value.tone == 1
+        if defect == "zero_diagonal":
+            assert isinstance(err.value, SingularDiagonal)
+        assert run(["inspect-channel", "--in", str(path)]) in (2, 3)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -286,6 +286,31 @@ class TestSimulate:
         meta, _ = _read_table(by_scenario)
         assert meta["csi_samples"] == "1000"
 
+    def test_skip_failures_tolerates_a_forced_resample(self, tmp_path, fast_args, monkeypatch):
+        """A singular Q + E1 in one trial is resampled; without --skip-failures
+        that is an error (exit 3), with it the report is written."""
+        real_inv = np.linalg.inv
+        calls = {"single": 0}
+
+        def inv(m):
+            if m.ndim > 2:  # the batched inverse: make the engine invert trial by trial
+                raise np.linalg.LinAlgError("forced")
+            calls["single"] += 1
+            if calls["single"] == 1:  # the first trial of the first tone is "singular"
+                raise np.linalg.LinAlgError("forced")
+            return real_inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        argv = ["simulate", "--n-trials", "3", "--csi-samples", "1000", *fast_args]
+        strict, tolerant = tmp_path / "strict.tsv", tmp_path / "tolerant.tsv"
+        assert run([*argv, "--out", str(strict)]) == 3
+        assert not strict.exists()
+        calls["single"] = 0
+        assert run([*argv, "--skip-failures", "--out", str(tolerant)]) == 0
+        meta, cols = _read_table(tolerant)
+        assert meta["csi_samples"] == "1000"
+        assert len(cols["d_bits"]) == 1
+
     @pytest.mark.parametrize("value", ["two", "0", "-3"])
     def test_invalid_thread_count_exit_2(self, monkeypatch, capsys, fast_args, value):
         monkeypatch.setenv("XTALK_THREADS", value)
@@ -310,6 +335,54 @@ class TestSimulateGolden:
         out = tmp_path / golden
         assert run(["simulate", "--d-range", "8:20", *extra, "--out", str(out), *fast_args]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+class TestReportGoldens:
+    """Report, stdout and channel-file bytes of every subcommand, pinned on the
+    small scenario.  A golden changes only with an argued behaviour change."""
+
+    CASES = [
+        ("synth-channel.json", ["synth-channel", "--out", "{out}", "{fast}"], "out"),
+        ("inspect-channel.txt", ["inspect-channel", "--in", "{chan}"], "stdout"),
+        ("analyze_normalize.tsv", ["analyze", "--normalize", "--out", "{out}", "{fast}"], "out"),
+        (
+            "analyze_uniform_csi1000.tsv",
+            ["analyze", "--config", "{uniform_csi}", "--normalize", "--out", "{out}"],
+            "out",
+        ),
+        ("bound_all.tsv", ["bound", "--which", "all", "--out", "{out}", "{fast}"], "out"),
+        ("design-bits_relative.txt", ["design-bits", "--target-relative", "0.01", "{fast}"], "stdout"),
+        ("design-bits_tone.txt", ["design-bits", "--target-tone", "0.1", "{fast}"], "stdout"),
+        (
+            "design-bits_tone_5MHz.txt",
+            ["design-bits", "--target-tone", "0.1", "--freq", "5e6", "{fast}"],
+            "stdout",
+        ),
+        (
+            "sweep.tsv",
+            ["sweep", "--lengths", "300,600,900,5000", "--target-relative", "0.01",
+             "--out", "{out}", "{fast}"],
+            "out",
+        ),
+    ]
+
+    @pytest.mark.parametrize("golden, argv, source", CASES, ids=[c[0] for c in CASES])
+    def test_bytes(self, tmp_path, fast_args, capsys, golden, argv, source):
+        chan = tmp_path / "chan.json"
+        assert run(["synth-channel", "--out", str(chan), *fast_args]) == 0
+        uniform_csi = tmp_path / "uniform_csi.json"
+        Scenario(
+            users=4, decimation=208, seed=5, e2_model="uniform_random", csi_samples=1000
+        ).save(uniform_csi)
+        out = tmp_path / golden
+        subs = {"{out}": str(out), "{chan}": str(chan), "{uniform_csi}": str(uniform_csi)}
+        full = []
+        for arg in argv:
+            full.extend(fast_args if arg == "{fast}" else [subs.get(arg, arg)])
+        capsys.readouterr()
+        assert run(full) == 0
+        got = out.read_bytes() if source == "out" else capsys.readouterr().out.encode()
+        assert got == (GOLDEN_DIR / golden).read_bytes()
 
 
 class TestSweep:
