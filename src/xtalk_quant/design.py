@@ -26,7 +26,7 @@ from .analytic_bounds import (
     bound_relative,
     min_admissible_bits,
 )
-from .errors import BitDepthTooSmall, InvalidParams, TargetUnreachable
+from .errors import BitDepthTooSmall, InvalidParams, TargetUnreachable, XtalkError
 from .units import LN2, SQRT2
 
 MAX_BITS = 64
@@ -202,8 +202,8 @@ def sweep_bits_vs_loop_length(
     """bits_for_relative_loss across loop lengths (plot data for bits-vs-length).
 
     The template is re-anchored per length (attenuation linear in length,
-    dominance slope like sqrt(length)); per-length failures are recorded in
-    the row and the sweep continues.
+    dominance slope like sqrt(length)); the package's typed per-length
+    failures are recorded in the row and the sweep continues.
     """
     if not lengths_m:
         raise InvalidParams("need at least one loop length")
@@ -221,7 +221,7 @@ def sweep_bits_vs_loop_length(
                     zeta_ell=params.zeta_ell,
                 )
             )
-        except Exception as exc:  # record and continue: sweep rows are independent
+        except XtalkError as exc:  # record and continue: sweep rows are independent
             rows.append(
                 SweepRow(
                     length_m=float(ell),

@@ -187,3 +187,14 @@ class TestSweep:
     def test_empty_lengths_rejected(self):
         with pytest.raises(InvalidParams):
             sweep_bits_vs_loop_length([], reference_werner_params(), 0.01, 300.0)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only the package's own typed failures become table rows; a bug must not
+        from xtalk_quant import design
+
+        def broken(params, tau):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(design, "bits_for_relative_loss", broken)
+        with pytest.raises(TypeError):
+            sweep_bits_vs_loop_length([300.0], reference_werner_params(), 0.01, 300.0)
