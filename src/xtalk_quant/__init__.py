@@ -14,7 +14,6 @@ from .channel_model import (
     load_channel,
     row_dominance,
     save_channel,
-    save_matrix_set,
     synthesize_channel,
 )
 from .precoding import (
@@ -25,7 +24,6 @@ from .precoding import (
     ideal_precoder,
     make_bundle,
     quantize_precoder,
-    uniform_error_matrix,
 )
 from .rate_analysis import (
     BandLoss,

@@ -1,7 +1,8 @@
 """Werner-model channel synthesis, measured-channel loading, and parameter fits.
 
 A vectored binder of ``p`` twisted pairs is described per tone by a complex
-``p x p`` matrix ``H(f)``.  The direct paths sit on the diagonal ``D``, the
+``p x p`` matrix ``H(f)``; a ``ChannelEnsemble`` holds every tone of a grid as
+one ``(tones, p, p)`` stack.  The direct paths sit on the diagonal ``D``, the
 far-end crosstalk (FEXT) on the off-diagonal part ``F = H - diag(D)``.  The
 synthetic model used throughout:
 
@@ -20,14 +21,16 @@ SNR decay constant.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
+from . import streams
 from .errors import (
     DominanceViolation,
     InsufficientData,
@@ -44,16 +47,6 @@ DEFAULT_K_MEAN_SLOPE = 4.5e-20
 DEFAULT_K_SIGMA_LOG = 1.0
 
 CHANNEL_FORMAT_VERSION = 1
-
-_K_STREAM = 0
-_PHASE_STREAM = 1
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based generator: child streams keyed by position, not call order."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
 
 
 @dataclass(frozen=True)
@@ -150,88 +143,94 @@ class RowDominanceFit:
     gamma2: float
     max_residual: float = 0.0
 
-    def value(self, freq):
-        return self.gamma1 + self.gamma2 * np.asarray(freq, dtype=float)
 
-
-def row_dominance(h: np.ndarray) -> float:
-    """max_i sum_{j != i} |h_ij| / |h_ii| (Gersgorin-style dominance measure)."""
+def row_dominance(h: np.ndarray) -> np.ndarray:
+    """max_i sum_{j != i} |h_ij| / |h_ii| of each (..., p, p) matrix
+    (Gersgorin-style dominance measure)."""
     a = np.abs(np.asarray(h))
-    diag = np.diagonal(a)
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
     if np.any(diag == 0.0):
         raise SingularDiagonal("zero diagonal entry")
-    off = a.sum(axis=1) - diag
-    return float(np.max(off / diag))
+    off = a.sum(axis=-1) - diag
+    return np.max(off / diag, axis=-1)
 
 
 @dataclass(frozen=True)
 class ChannelSnapshot:
-    """One tone: H plus its diagonal/off-diagonal split and dominance value."""
+    """One tone of an ensemble: its frequency and views into the stacks."""
 
     freq: float
     H: np.ndarray
     D: np.ndarray
-    F: np.ndarray
     r: float
-
-    @classmethod
-    def from_matrix(cls, freq: float, H: np.ndarray, tone: int = -1) -> "ChannelSnapshot":
-        H = np.asarray(H, dtype=complex)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise InvalidParams(f"channel matrix must be square, got {H.shape}")
-        if not np.all(np.isfinite(H.view(float))):
-            raise InvalidParams("non-finite channel entry")
-        D = np.diagonal(H).copy()
-        if np.any(D == 0.0):
-            raise SingularDiagonal(
-                f"zero diagonal entry at tone {tone} (f={freq} Hz)", tone=tone
-            )
-        F = H.copy()
-        np.fill_diagonal(F, 0.0)
-        return cls(freq=freq, H=H, D=D, F=F, r=row_dominance(H))
-
-    @property
-    def p(self) -> int:
-        return self.H.shape[0]
-
-    def q_matrix(self) -> np.ndarray:
-        """I + D^{-1} F, the row-normalized channel."""
-        return np.eye(self.p) + self.F / self.D[:, None]
 
 
 @dataclass(frozen=True)
 class ChannelEnsemble:
-    """Per-tone snapshots over a grid, plus provenance."""
+    """The channel matrices of every tone of a grid as one (tones, p, p) stack.
+
+    ``D``, ``r`` and ``Q`` are derived from ``H`` for all tones at once, on
+    first use.  A single tone is an ensemble over a one-tone grid.
+    """
 
     grid: ToneGrid
-    snapshots: tuple
+    H: np.ndarray
     source: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.snapshots) != self.grid.count:
-            raise InvalidParams(
-                f"{len(self.snapshots)} snapshots for a {self.grid.count}-tone grid"
-            )
+        H = np.asarray(self.H, dtype=complex)
+        if H.ndim != 3 or H.shape[1] != H.shape[2]:
+            raise InvalidParams(f"channel stack must have shape (tones, p, p), got {H.shape}")
+        if H.shape[0] != self.grid.count:
+            raise InvalidParams(f"{H.shape[0]} channel matrices for a {self.grid.count}-tone grid")
+        nonfinite = ~np.isfinite(H).all(axis=(1, 2))
+        zero_diag = (np.diagonal(H, axis1=1, axis2=2) == 0.0).any(axis=1)
+        bad = np.flatnonzero(nonfinite | zero_diag)
+        if bad.size:
+            k = int(bad[0])
+            where = f"tone {k} (f={self.grid.freq(k)} Hz)"
+            if nonfinite[k]:
+                raise InvalidParams(f"non-finite channel entry at {where}", tone=k)
+            raise SingularDiagonal(f"zero diagonal entry at {where}", tone=k)
+        object.__setattr__(self, "H", H)
 
     @property
     def p(self) -> int:
-        return self.snapshots[0].p
+        return self.H.shape[1]
 
     @property
     def freqs(self) -> np.ndarray:
         return self.grid.freqs
 
-    @property
-    def r_values(self) -> np.ndarray:
-        return np.array([s.r for s in self.snapshots])
+    @cached_property
+    def D(self) -> np.ndarray:
+        """(tones, p) direct-path gains d_ii(f)."""
+        return np.diagonal(self.H, axis1=1, axis2=2).copy()
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """(tones,) row dominance r(H(f))."""
+        return row_dominance(self.H)
 
     @property
     def r_max(self) -> float:
-        return float(np.max(self.r_values))
+        return float(np.max(self.r))
 
-    def diag_matrix(self) -> np.ndarray:
-        """(p, tones) array of direct-path gains d_ii(f)."""
-        return np.stack([s.D for s in self.snapshots], axis=1)
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """(tones, p, p) row-normalized channel I + D^{-1} F."""
+        F = self.H.copy()
+        idx = np.arange(self.p)
+        F[:, idx, idx] = 0.0
+        return np.eye(self.p) + F / self.D[:, :, None]
+
+    @property
+    def snapshots(self) -> tuple:
+        """Per-tone views, for reading one tone at a time."""
+        return tuple(
+            ChannelSnapshot(freq=f, H=h, D=d, r=r)
+            for f, h, d, r in zip(self.freqs.tolist(), self.H, self.D, self.r.tolist())
+        )
 
 
 def synthesize_channel(
@@ -255,30 +254,23 @@ def synthesize_channel(
     sigma = params.k_sigma_log
     mean_k = params.k_mean_slope * params.loop_length_m
     mu = math.log(mean_k) - 0.5 * sigma * sigma
-    k_gain = _stream(seed, _K_STREAM).lognormal(mu, sigma, size=(p, p))
+    k_gain = streams.stream(seed, streams.K_GAINS).lognormal(mu, sigma, size=(p, p))
     sqrt_k = np.sqrt(k_gain)
     agg = params.aggregate
 
-    snapshots = []
-    for k, f in enumerate(grid.freqs):
-        il = math.exp(-agg * math.sqrt(f))
-        mag = sqrt_k * (f * il)
-        np.fill_diagonal(mag, il)
-        if phases == "zero":
-            H = mag.astype(complex)
-        else:
-            ph = _stream(seed, _PHASE_STREAM, k).uniform(0.0, 2.0 * math.pi, size=(p, p))
-            H = mag * np.exp(1j * ph)
-        snap = ChannelSnapshot.from_matrix(f, H, tone=k)
-        if dominance_ceiling is not None and snap.r > dominance_ceiling:
-            msg = (
-                f"r(H)={snap.r:.4f} exceeds ceiling {dominance_ceiling} "
-                f"at tone {k} (f={f:.0f} Hz)"
-            )
-            if fail_on_dominance:
-                raise DominanceViolation(msg)
-            warnings.warn(msg)
-        snapshots.append(snap)
+    freqs = grid.freqs
+    il = np.array([math.exp(-agg * math.sqrt(f)) for f in freqs])
+    mag = sqrt_k * (freqs * il)[:, None, None]
+    idx = np.arange(p)
+    mag[:, idx, idx] = il[:, None]
+    if phases == "zero":
+        H = mag.astype(complex)
+    else:
+        ph = np.stack([
+            streams.stream(seed, streams.PHASES, k).uniform(0.0, 2.0 * math.pi, size=(p, p))
+            for k in range(grid.count)
+        ])
+        H = mag * np.exp(1j * ph)
 
     source = {
         "kind": "synthesized",
@@ -290,7 +282,17 @@ def synthesize_channel(
         "k_mean_slope": params.k_mean_slope,
         "k_sigma_log": params.k_sigma_log,
     }
-    return ChannelEnsemble(grid=grid, snapshots=tuple(snapshots), source=source)
+    ensemble = ChannelEnsemble(grid=grid, H=H, source=source)
+    if dominance_ceiling is not None:
+        for k in np.flatnonzero(ensemble.r > dominance_ceiling):
+            msg = (
+                f"r(H)={ensemble.r[k]:.4f} exceeds ceiling {dominance_ceiling} "
+                f"at tone {k} (f={freqs[k]:.0f} Hz)"
+            )
+            if fail_on_dominance:
+                raise DominanceViolation(msg)
+            warnings.warn(msg)
+    return ensemble
 
 
 def calibrate_k_mean_slope(
@@ -321,7 +323,7 @@ def fit_row_dominance(ensemble: ChannelEnsemble) -> RowDominanceFit:
     f = ensemble.freqs
     if f.size < 2:
         raise InsufficientData("need at least two tones to fit a line")
-    r = ensemble.r_values
+    r = ensemble.r
     design = np.column_stack([np.ones_like(f), f])
     coef, *_ = np.linalg.lstsq(design, r, rcond=None)
     resid = r - design @ coef
@@ -337,7 +339,7 @@ def fit_alpha(ensemble: ChannelEnsemble) -> float:
 
     Pooled over users and tones, slope-only (the model has no intercept).
     """
-    mags = np.abs(ensemble.diag_matrix())
+    mags = np.abs(np.ascontiguousarray(ensemble.D.T))  # (p, tones)
     if np.any(mags == 0.0):
         raise SingularDiagonal("zero diagonal magnitude")
     if np.any(mags > 1.0 + 1e-12):
@@ -352,46 +354,48 @@ def fit_alpha(ensemble: ChannelEnsemble) -> float:
 
 
 def save_channel(ensemble: ChannelEnsemble, path) -> None:
-    """Write the documented JSON channel format (lossless for float64)."""
-    save_matrix_set(path, ensemble.grid, [s.H for s in ensemble.snapshots])
+    """Write the documented JSON channel format (lossless for float64).
 
-
-def save_matrix_set(path, grid: ToneGrid, matrices: Sequence[np.ndarray]) -> None:
-    """Write any per-tone p x p matrix collection in the channel-file grammar.
-
-    Used e.g. to export computed precoders; ``load_channel`` reads the result
-    back (its nonzero-diagonal check holds for any sane precoder).
+    Any (tones, p, p) stack travels in this grammar, computed precoders too:
+    build a ``ChannelEnsemble`` over it (its diagonal must be nonzero).
     """
-    if len(matrices) != grid.count:
-        raise InvalidParams(f"{len(matrices)} matrices for a {grid.count}-tone grid")
-    p = int(np.asarray(matrices[0]).shape[0])
-    tones = []
-    for m in matrices:
-        flat = np.asarray(m, dtype=complex).reshape(-1)
-        if flat.size != p * p:
-            raise InvalidParams("inconsistent matrix sizes in set")
-        tones.append([[float(z.real), float(z.imag)] for z in flat])
-    doc = {
+    grid = ensemble.grid
+    head = json.dumps({
         "format_version": CHANNEL_FORMAT_VERSION,
         "kind": "xtalk-quant-channel",
-        "p": p,
+        "p": ensemble.p,
         "tone_count": grid.count,
         "f_start": grid.f_start,
         "spacing": grid.spacing,
-        "tones": tones,
-    }
+    })
+    # one record of [re, im] pairs per tone, encoded one tone at a time
+    pairs = ensemble.H.view(float).reshape(grid.count, -1, 2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "tones": [')
+        for k, rec in enumerate(pairs):
+            fh.write(", " if k else "")
+            fh.write(json.dumps(rec.tolist()))
+        fh.write("]}\n")
 
 
 def load_channel(path) -> ChannelEnsemble:
-    """Parse a channel file; errors carry the offending tone index."""
+    """Parse a channel file; errors carry the first offending tone index.
+
+    Malformed records (wrong entry count, a pair that is not two numbers) are
+    reported before non-finite entries and zero diagonals.
+    """
+    # The parse allocates ~p^2 lists per tone, none of them cyclic: pausing
+    # the cyclic collector meanwhile saves it scanning them over and over.
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    finally:
+        if gc_enabled:
+            gc.enable()
 
     for key in ("format_version", "p", "tone_count", "f_start", "spacing", "tones"):
         if key not in doc:
@@ -411,18 +415,31 @@ def load_channel(path) -> ChannelEnsemble:
     grid = ToneGrid(f_start, f_start + (n - 1) * spacing + 0.5 * spacing, spacing)
     if grid.count != n:
         raise ParseError("grid reconstruction mismatch")
+    H = _tone_stack(doc["tones"], n, p)
+    return ChannelEnsemble(grid=grid, H=H, source={"kind": "loaded", "path": str(path)})
 
-    snapshots = []
-    for k, rec in enumerate(doc["tones"]):
-        if len(rec) != p * p:
-            raise ParseError(
-                f"tone {k}: expected {p * p} entries, got {len(rec)}", tone=k
-            )
-        try:
-            flat = np.array([complex(re, im) for re, im in rec])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"tone {k}: malformed [re, im] pair", tone=k) from exc
-        snapshots.append(ChannelSnapshot.from_matrix(grid.freq(k), flat.reshape(p, p), tone=k))
-    return ChannelEnsemble(
-        grid=grid, snapshots=tuple(snapshots), source={"kind": "loaded", "path": str(path)}
-    )
+
+def _number_pairs(records, shape: tuple) -> np.ndarray | None:
+    """``records`` as a float array of ``shape``, or None unless every entry is
+    a JSON number (np.asarray alone would take "1.0" and turn null into nan)."""
+    try:
+        arr = np.asarray(records)
+    except (ValueError, OverflowError):  # ragged, or an integer beyond 64 bits
+        return None
+    if arr.dtype.kind not in "biuf" or arr.shape != shape:
+        return None
+    return np.ascontiguousarray(arr, dtype=float)
+
+
+def _tone_stack(tones: list, n: int, p: int) -> np.ndarray:
+    """(n, p, p) complex stack from the per-tone [re, im] records."""
+    arr = _number_pairs(tones, (n, p * p, 2))
+    if arr is None:
+        for k, rec in enumerate(tones):
+            if _number_pairs(rec, (p * p, 2)) is None:
+                raise ParseError(
+                    f"tone {k}: expected {p * p} [re, im] number pairs", tone=k
+                )
+        raise ParseError("tone records do not form one numeric array")
+    # .view pairs the floats exactly as complex(re, im) does
+    return arr.view(complex).reshape(n, p, p)

@@ -133,7 +133,7 @@ def cmd_synth_channel(args) -> int:
     ensemble = scen.ensemble()
     save_channel(ensemble, args.out)
     fit = fit_row_dominance(ensemble)
-    r = ensemble.r_values
+    r = ensemble.r
     print(f"wrote {args.out}: p={ensemble.p}, tones={ensemble.grid.count}")
     print(
         f"r(H): min={r.min():.4g} max={r.max():.4g}; "
@@ -147,7 +147,7 @@ def cmd_inspect_channel(args) -> int:
     ensemble = load_channel(getattr(args, "in"))
     fit = fit_row_dominance(ensemble)
     agg = fit_alpha(ensemble)
-    r = ensemble.r_values
+    r = ensemble.r
     print(f"p={ensemble.p} tones={ensemble.grid.count}")
     print(
         f"grid: f_start={ensemble.grid.f_start} spacing={ensemble.grid.spacing} "
@@ -166,32 +166,18 @@ def cmd_analyze(args) -> int:
     ensemble = scen.ensemble()
     budget = scen.budget(ensemble.grid)
     spec = scen.perturbation()
-    deltas = []
-    for k, snap in enumerate(ensemble.snapshots):
-        bundle = make_bundle(
-            snap, spec, snr_per_user=budget.snr(snap) if spec.e1_samples else None,
-            normalize=args.normalize, stream_key=k,
-        )
-        deltas.append(bundle.delta)
-    report = build_report(budget, ensemble, deltas)
+    snr = budget.snr(ensemble) if spec.e1_samples else None
+    bundle = make_bundle(ensemble, spec, snr=snr, normalize=args.normalize)
+    report = build_report(budget, ensemble, bundle.delta)
 
     meta = {"scenario_hash": scenario_hash(scen.to_dict()), "d_bits": spec.d_bits}
-    rate_perturbed = report.rate_perturbed
-    rows = []
-    for u in range(ensemble.p):
-        for k, f in enumerate(ensemble.freqs):
-            rows.append(
-                (
-                    u,
-                    f,
-                    report.rate[u, k],
-                    rate_perturbed[u, k],
-                    report.loss[u, k],
-                    report.a[u, k],
-                    report.q[u, k],
-                    report.k[u, k],
-                )
-            )
+    columns = (report.rate, report.rate_perturbed, report.loss, report.a, report.q, report.k)
+    freqs = ensemble.freqs.tolist()
+    rows = [
+        (u, f, *values)
+        for u in range(ensemble.p)
+        for f, *values in zip(freqs, *(col[u].tolist() for col in columns))
+    ]
     band_rows = [
         ("band", b.user, b.rate, b.loss, b.eta) for b in report.band
     ]
@@ -235,7 +221,7 @@ def cmd_bound(args) -> int:
     soft = args.which == "all"  # blank inapplicable cells instead of failing
     snr = budget.snr_matrix(ensemble)
     worst_snr = snr.max(axis=0)
-    r = ensemble.r_values
+    r = ensemble.r
     r_max = ensemble.r_max
     bw = ensemble.grid.bandwidth
     ratio_max = budget.psd_ratio_max(ensemble.p)
@@ -330,7 +316,7 @@ def cmd_design_bits(args) -> int:
         best = None
         for k in tones:
             res = bits_for_tone_loss(
-                ensemble.p, ensemble.snapshots[k].r, float(snr[:, k].max()), args.target_tone
+                ensemble.p, float(ensemble.r[k]), float(snr[:, k].max()), args.target_tone
             )
             if best is None or res.d_bits > best.d_bits:
                 best = res

@@ -2,7 +2,15 @@
 
 
 class XtalkError(Exception):
-    """Base class for all xtalk-quant errors."""
+    """Base class for all xtalk-quant errors.
+
+    ``tone`` is the index of the offending tone when one tone is at fault
+    (a channel-file record, a channel matrix), else -1.
+    """
+
+    def __init__(self, message: str = "", tone: int = -1):
+        super().__init__(message)
+        self.tone = tone
 
 
 class InvalidParams(XtalkError):
@@ -18,22 +26,12 @@ class DominanceViolation(XtalkError):
 
 
 class ParseError(XtalkError):
-    """A channel or config file could not be parsed.
-
-    Carries the offending tone index (or -1 for header-level problems).
-    """
-
-    def __init__(self, message: str, tone: int = -1):
-        super().__init__(message)
-        self.tone = tone
+    """A channel or config file could not be parsed (``tone`` is -1 for
+    header-level problems)."""
 
 
 class SingularDiagonal(XtalkError):
     """A channel matrix has a zero diagonal entry."""
-
-    def __init__(self, message: str, tone: int = -1):
-        super().__init__(message)
-        self.tone = tone
 
 
 class InsufficientData(XtalkError):

@@ -11,11 +11,12 @@ Band figures come in two flavors:
   rectangle-rule sum) - the "maximal loss" convention;
 * ``band_joint``: per-trial band integral first, statistic across trials.
 
-Randomness is counter-based: each (purpose, tone) pair owns a Philox stream
-keyed by the seed, so results do not depend on evaluation order or thread
-count.  The uniform base variates U do not depend on the word length: E2 is
-2^-d U.  That gives common random numbers, which keeps the empirical worst
-case monotone in d, and it lets one draw serve every word length of a sweep.
+Randomness is counter-based (:mod:`xtalk_quant.streams`): each (purpose,
+tone) pair owns a Philox stream keyed by the seed, so results do not depend
+on evaluation order or thread count.  The uniform base variates U do not
+depend on the word length: E2 is 2^-d U.  That gives common random numbers,
+which keeps the empirical worst case monotone in d, and it lets one draw
+serve every word length of a sweep.
 Per tone, ``run_trials_sweep`` draws U (and the CSI error E1) once, forms
 Q U (and E1 inv(Q + E1)) once, and with E1 absent also the O(p^2) part of
 the loss kernel once; each d then costs O(n p), since Delta(d) = 2^-d Q U
@@ -32,15 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import streams
 from .channel_model import ChannelEnsemble
 from .errors import InvalidParams, SingularChannel, TargetUnreachable
 from .precoding import PerturbationSpec
 from .rate_analysis import LinkBudget, interference_terms, loss_arrays, loss_from_terms
-from .units import SQRT2
-
-_MC_E2_STREAM = 10
-_MC_E1_STREAM = 11
-_MC_E1_RESAMPLE_STREAM = 12
 
 WORST_CASE = "worst_case"
 MEAN = "mean"
@@ -108,12 +105,6 @@ class TrialReport:
         return self.per_tone / self.rate_per_tone
 
 
-def _stream(seed: int, purpose: int, tone: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(purpose, tone)))
-    )
-
-
 def _reduce(losses: np.ndarray, config: TrialConfig) -> np.ndarray:
     """(trials, p) -> (p,) per the configured statistic."""
     if config.statistic == WORST_CASE:
@@ -148,9 +139,7 @@ def _draw_e2(seed: int, tone: int, n: int, p: int, zero: bool) -> np.ndarray:
     """Base variates U, real/imag parts uniform on [-1, 1]; E2 = 2^-d U."""
     if zero:
         return np.zeros((n, p, p), dtype=complex)
-    rng = _stream(seed, _MC_E2_STREAM, tone)
-    base = rng.uniform(-1.0, 1.0, size=(2, n, p, p))
-    return base[0] + 1j * base[1]
+    return streams.uniform_complex(streams.stream(seed, streams.MC_E2, tone), (n, p, p))
 
 
 def run_trials(ensemble: ChannelEnsemble, budget: LinkBudget, config: TrialConfig) -> TrialReport:
@@ -196,18 +185,18 @@ def run_trials_sweep(
     gap = budget.gap
     n_tones = ensemble.grid.count
     scales = [2.0 ** (-d) for d in d_values]
+    snr_all = budget.snr(ensemble)
 
     def one_tone(k: int):
-        snap = ensemble.snapshots[k]
-        snr = budget.snr(snap)
-        q_mat = snap.q_matrix()
+        snr = snr_all[k]
+        q_mat = ensemble.Q[k]
         qu = q_mat[None, :, :] @ _draw_e2(seed, k, n, p, config.zero_errors)
         failures: list = []
         if csi is None:
             cross, dii = interference_terms(qu, psd_lin)
             outs = (loss_from_terms(snr, gap, cross * (s * s), s * dii) for s in scales)
         else:
-            e1 = _draw_e1(seed, k, n, p, snr, csi.n_samples)
+            e1 = streams.csi_error(streams.stream(seed, streams.MC_E1, k), snr, csi.n_samples, (n,))
             m_inv = _invert_with_resampling(
                 q_mat, e1, snr, csi.n_samples, seed, k, retry_cap, failures
             )
@@ -257,13 +246,6 @@ def run_trials_sweep(
     return reports
 
 
-def _draw_e1(seed: int, tone: int, n: int, p: int, snr: np.ndarray, n_samples: int) -> np.ndarray:
-    rng = _stream(seed, _MC_E1_STREAM, tone)
-    sigma = np.sqrt(1.0 / (n_samples * snr))[:, None]
-    z = rng.standard_normal((2, n, p, p))
-    return sigma * (z[0] + 1j * z[1]) / SQRT2
-
-
 def _invert_with_resampling(
     q_mat: np.ndarray,
     e1: np.ndarray,
@@ -280,10 +262,8 @@ def _invert_with_resampling(
         return np.linalg.inv(q_mat[None, :, :] + e1)
     except np.linalg.LinAlgError:
         pass
-    p = q_mat.shape[0]
     out = np.empty_like(e1)
-    resampler = _stream(seed, _MC_E1_RESAMPLE_STREAM, tone)
-    sigma = np.sqrt(1.0 / (n_samples * snr))[:, None]
+    resampler = streams.stream(seed, streams.MC_E1_RESAMPLE, tone)
     for t in range(e1.shape[0]):
         for attempt in range(retry_cap + 1):
             try:
@@ -295,8 +275,7 @@ def _invert_with_resampling(
                     raise SingularChannel(
                         f"tone {tone} trial {t} singular after {retry_cap} resamples"
                     )
-                z = resampler.standard_normal((2, p, p))
-                e1[t] = sigma * (z[0] + 1j * z[1]) / SQRT2
+                e1[t] = streams.csi_error(resampler, snr, n_samples)
     return out
 
 

@@ -11,18 +11,19 @@ equivalent channel D (I + Delta) with
 
     Delta = (I + D^{-1}F) E2 - E1 (I + D^{-1}F + E1)^{-1}.
 
-Everything here is pure and per tone; batching over tones or trials lives in
-:mod:`xtalk_quant.monte_carlo`.
+Everything here is pure and works on whole tone stacks: the channel is a
+``ChannelEnsemble`` and matrices are (tones, p, p) arrays, each tone computed
+independently.  Batching over trials lives in :mod:`xtalk_quant.monte_carlo`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import ChannelSnapshot
+from . import streams
+from .channel_model import ChannelEnsemble
 from .errors import InvalidParams, NumericalError, RangeError, SingularChannel
 from .units import SQRT2
 
@@ -31,9 +32,6 @@ IDENTITY_CHECK_TOL = 1e-10
 
 E2_DETERMINISTIC = "deterministic_rounding"
 E2_UNIFORM = "uniform_random"
-
-_E2_STREAM = 2
-_E1_STREAM = 3
 
 
 @dataclass(frozen=True)
@@ -65,183 +63,177 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class QuantizedPrecoder:
+    """Quantized stack, its error E2 and the per-tone block scale."""
+
     p_quantized: np.ndarray
     e2: np.ndarray
-    scale: float = 1.0
+    scale: np.ndarray
 
 
 @dataclass(frozen=True)
 class PrecoderBundle:
+    """Stacks over tones; ``e1`` is None without an estimation-error model."""
+
     p_ideal: np.ndarray
     p_perturbed: np.ndarray
-    e1: np.ndarray
+    e1: np.ndarray | None
     e2: np.ndarray
     delta: np.ndarray
-    scale: float = 1.0
+    scale: np.ndarray
 
 
-def ideal_precoder(snapshot: ChannelSnapshot, cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """Solve H P = diag(D) with one refinement step; refuse ill-conditioned tones."""
-    H = snapshot.H
+def ideal_precoder(channel: ChannelEnsemble, cond_limit: float = COND_LIMIT) -> np.ndarray:
+    """Solve H P = diag(D) on every tone with one refinement step; refuse
+    ill-conditioned tones (the first one found raises)."""
+    H = channel.H
     cond = np.linalg.cond(H)
-    if not np.isfinite(cond) or cond > cond_limit:
+    bad = np.flatnonzero(~(cond <= cond_limit))  # also catches nan
+    if bad.size:
+        k = int(bad[0])
+        freq = channel.grid.freq(k)
         raise SingularChannel(
-            f"channel condition estimate {cond:.3e} exceeds {cond_limit:.1e} "
-            f"at f={snapshot.freq} Hz",
-            freq=snapshot.freq,
+            f"channel condition estimate {cond[k]:.3e} exceeds {cond_limit:.1e} "
+            f"at f={freq} Hz",
+            freq=freq,
         )
-    rhs = np.diag(snapshot.D)
+    rhs = np.zeros_like(H)
+    idx = np.arange(channel.p)
+    rhs[:, idx, idx] = channel.D
     P = np.linalg.solve(H, rhs)
     P += np.linalg.solve(H, rhs - H @ P)
     return P
 
 
-def uniform_error_matrix(p: int, d_bits: int, rng: np.random.Generator) -> np.ndarray:
-    """E2 with i.i.d. real/imag components uniform on [-2^-d, 2^-d]."""
-    q = 2.0 ** (-d_bits)
-    return q * (
-        rng.uniform(-1.0, 1.0, size=(p, p)) + 1j * rng.uniform(-1.0, 1.0, size=(p, p))
-    )
-
-
-def _power_of_two_scale(P: np.ndarray) -> float:
-    m = max(np.max(np.abs(P.real)), np.max(np.abs(P.imag)), 1.0)
-    return float(2.0 ** math.ceil(math.log2(m))) if m > 1.0 else 1.0
-
-
 def quantize_precoder(
-    P: np.ndarray, spec: PerturbationSpec, normalize: bool = False, stream_key: int = 0
+    P: np.ndarray, spec: PerturbationSpec, normalize: bool = False
 ) -> QuantizedPrecoder:
-    """Represent each real/imag component with ``d_bits`` fractional bits.
+    """Represent each real/imag component of a (..., p, p) stack with
+    ``d_bits`` fractional bits.
 
     Deterministic rounding maps each component to the nearest multiple of
     2^-d (error <= 2^-d-1); the uniform model adds i.i.d. errors on
-    [-2^-d, 2^-d].  Entries must lie in the unit box; with ``normalize`` the
-    matrix is pre-divided by a power-of-two block scale instead (the reported
-    ``e2`` is the error of the *deployed* precoder, i.e. already rescaled).
-    Callers quantizing many matrices under one seed pass a distinct
-    ``stream_key`` (e.g. the tone index) per matrix.
+    [-2^-d, 2^-d], drawn for matrix k of the stack from stream (E2, k).
+    Entries must lie in the unit box; with ``normalize`` a matrix that leaves
+    it is pre-divided by the smallest power of two that brings it back
+    instead (the reported ``e2`` is the error of the *deployed* precoder,
+    i.e. already rescaled).
     """
     P = np.asarray(P, dtype=complex)
-    scale = 1.0
-    work = P
-    box = max(np.max(np.abs(P.real)), np.max(np.abs(P.imag)))
-    if box > 1.0:
-        if not normalize:
-            raise RangeError(
-                f"precoder entry magnitude {box:.6f} outside the unit box; "
-                "pass normalize=True to apply block scaling"
-            )
-        scale = _power_of_two_scale(P)
-        work = P / scale
+    box = np.maximum(np.abs(P.real).max(axis=(-2, -1)), np.abs(P.imag).max(axis=(-2, -1)))
+    outside = box > 1.0
+    if np.any(outside) and not normalize:
+        k = int(np.flatnonzero(outside)[0])
+        raise RangeError(
+            f"precoder entry magnitude {box.flat[k]:.6f} outside the unit box "
+            f"(matrix {k}); pass normalize=True to apply block scaling"
+        )
+    mant, expo = np.frexp(box)
+    scale = np.where(outside, np.ldexp(1.0, expo - (mant == 0.5)), 1.0)
+    work = np.where(outside[..., None, None], P / scale[..., None, None], P)
 
     if spec.e2_model == E2_DETERMINISTIC:
         s = 2.0**spec.d_bits
         pq = (np.round(work.real * s) + 1j * np.round(work.imag * s)) / s
     else:
-        rng = np.random.Generator(
-            np.random.Philox(
-                np.random.SeedSequence(entropy=spec.seed, spawn_key=(_E2_STREAM, stream_key))
-            )
-        )
-        pq = work + uniform_error_matrix(P.shape[0], spec.d_bits, rng)
+        p = P.shape[-1]
+        u = np.stack([
+            streams.uniform_complex(streams.stream(spec.seed, streams.E2, k), (p, p))
+            for k in range(box.size)
+        ])
+        pq = work + spec.step * u.reshape(P.shape)
 
-    pq = pq * scale
+    pq = pq * scale[..., None, None]
     return QuantizedPrecoder(p_quantized=pq, e2=pq - P, scale=scale)
 
 
 def build_delta(
-    snapshot: ChannelSnapshot,
+    channel: ChannelEnsemble,
     e1: np.ndarray | None,
     e2: np.ndarray,
     check_tol: float = IDENTITY_CHECK_TOL,
 ) -> np.ndarray:
-    """Equivalent-channel perturbation for given error matrices.
+    """Equivalent-channel perturbation of every tone for given error stacks.
 
     Also re-derives H P~ = D (I + Delta) from scratch and fails loudly if the
-    identity does not hold to ``check_tol`` (relative to max |d_ii|).
+    identity does not hold to ``check_tol`` (relative to max |d_ii|) on some
+    tone.
     """
-    Q = snapshot.q_matrix()
-    p = snapshot.p
+    Q = channel.Q
+    eye = np.eye(channel.p)
     e2 = np.asarray(e2, dtype=complex)
     if e1 is None or not np.any(e1):
         delta = Q @ e2
-        p_perturbed = _solve_matrix(Q, np.eye(p), snapshot.freq) + e2
+        p_perturbed = _solve(channel, Q, eye) + e2
     else:
         e1 = np.asarray(e1, dtype=complex)
-        m = Q + e1
-        m_inv = _solve_matrix(m, np.eye(p), snapshot.freq)
+        m_inv = _solve(channel, Q + e1, eye)
         delta = Q @ e2 - e1 @ m_inv
         p_perturbed = m_inv + e2
 
-    lhs = snapshot.H @ p_perturbed
-    rhs = snapshot.D[:, None] * (np.eye(p) + delta)
-    err = np.max(np.abs(lhs - rhs)) / np.max(np.abs(snapshot.D))
-    if not err < check_tol:
+    lhs = channel.H @ p_perturbed
+    rhs = channel.D[:, :, None] * (eye + delta)
+    err = np.max(np.abs(lhs - rhs), axis=(1, 2)) / np.max(np.abs(channel.D), axis=1)
+    bad = np.flatnonzero(~(err < check_tol))
+    if bad.size:
+        k = int(bad[0])
         raise NumericalError(
-            f"equivalent-channel identity violated: residual {err:.3e} at "
-            f"f={snapshot.freq} Hz"
+            f"equivalent-channel identity violated: residual {err[k]:.3e} at "
+            f"f={channel.grid.freq(k)} Hz"
         )
     return delta
 
 
-def _solve_matrix(m: np.ndarray, rhs: np.ndarray, freq: float) -> np.ndarray:
+def _solve(channel: ChannelEnsemble, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the (tones, p, p) systems; the first singular or non-finite tone raises."""
     try:
         out = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChannel(f"singular system at f={freq} Hz", freq=freq) from exc
-    if not np.all(np.isfinite(out.view(float))):
-        raise SingularChannel(f"non-finite solve at f={freq} Hz", freq=freq)
+    except np.linalg.LinAlgError:
+        out = np.full(m.shape, np.nan, dtype=complex)
+        for k, mk in enumerate(m):  # find the singular tone
+            try:
+                out[k] = np.linalg.solve(mk, rhs)
+            except np.linalg.LinAlgError:
+                break
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+    if bad.size:
+        freq = channel.grid.freq(int(bad[0]))
+        raise SingularChannel(f"singular system at f={freq} Hz", freq=freq)
     return out
 
 
-def delta_entry_bound(snapshot: ChannelSnapshot, d_bits: int) -> float:
-    """2^(-d+1/2) (1 + r): entrywise ceiling on Delta under quantization only."""
-    return SQRT2 * 2.0 ** (-d_bits) * (1.0 + snapshot.r)
-
-
-def gaussian_csi_error(
-    snr_per_user: np.ndarray, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """E1 with row-i entries complex Gaussian, variance 1/(n_samples*SNR_i)."""
-    p = snr_per_user.shape[0]
-    sigma = np.sqrt(1.0 / (n_samples * snr_per_user))[:, None]
-    z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-    return sigma * z / SQRT2
+def delta_entry_bound(channel: ChannelEnsemble, d_bits: int) -> np.ndarray:
+    """2^(-d+1/2) (1 + r) per tone: entrywise ceiling on Delta under
+    quantization only."""
+    return SQRT2 * 2.0 ** (-d_bits) * (1.0 + channel.r)
 
 
 def make_bundle(
-    snapshot: ChannelSnapshot,
+    channel: ChannelEnsemble,
     spec: PerturbationSpec,
-    snr_per_user: np.ndarray | None = None,
+    snr: np.ndarray | None = None,
     normalize: bool = False,
-    stream_key: int = 0,
 ) -> PrecoderBundle:
-    """Ideal precoder, its perturbation per ``spec``, and the resulting Delta.
+    """Ideal precoders, their perturbation per ``spec``, and the resulting
+    Delta, for every tone.
 
-    With an estimation-error model the quantizer acts on the *estimated*
-    precoder (I + D^{-1}F + E1)^{-1}, matching the additive error split.
-    ``stream_key`` decorrelates random draws across tones under one seed.
+    With an estimation-error model (``snr``: the (tones, p) raw SNR) the
+    quantizer acts on the *estimated* precoder (I + D^{-1}F + E1)^{-1},
+    matching the additive error split; tone k's E1 comes from stream (E1, k).
     """
-    p_ideal = ideal_precoder(snapshot)
+    p_ideal = ideal_precoder(channel)
+    e1 = None
+    p_estimated = p_ideal
     if spec.e1_samples is not None:
-        if snr_per_user is None:
-            raise InvalidParams("snr_per_user required for the estimation-error model")
-        rng = np.random.Generator(
-            np.random.Philox(
-                np.random.SeedSequence(entropy=spec.seed, spawn_key=(_E1_STREAM, stream_key))
-            )
-        )
-        e1 = gaussian_csi_error(snr_per_user, spec.e1_samples, rng)
-        p_estimated = _solve_matrix(
-            snapshot.q_matrix() + e1, np.eye(snapshot.p), snapshot.freq
-        )
-    else:
-        e1 = np.zeros_like(p_ideal)
-        p_estimated = p_ideal
+        if snr is None:
+            raise InvalidParams("snr required for the estimation-error model")
+        e1 = np.stack([
+            streams.csi_error(streams.stream(spec.seed, streams.E1, k), snr[k], spec.e1_samples)
+            for k in range(channel.grid.count)
+        ])
+        p_estimated = _solve(channel, channel.Q + e1, np.eye(channel.p))
 
-    quant = quantize_precoder(p_estimated, spec, normalize=normalize, stream_key=stream_key)
-    delta = build_delta(snapshot, e1 if np.any(e1) else None, quant.e2)
+    quant = quantize_precoder(p_estimated, spec, normalize=normalize)
+    delta = build_delta(channel, e1, quant.e2)
     return PrecoderBundle(
         p_ideal=p_ideal,
         p_perturbed=quant.p_quantized,

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel_model import ChannelEnsemble, ChannelSnapshot, ToneGrid
+from .channel_model import ChannelEnsemble, ToneGrid
 from .errors import InvalidBudget, NumericalError, RelativeLossUndefined
 from .units import LN2, db_to_linear
 
@@ -67,14 +67,15 @@ class LinkBudget:
     def noise_linear(self) -> float:
         return float(db_to_linear(self.noise_dbm_hz))
 
-    def snr(self, snapshot: ChannelSnapshot) -> np.ndarray:
-        """Raw (gap-free) linear SNR_i = P_i |d_ii|^2 / noise, per user."""
-        p_lin = self.psd_linear(snapshot.p)
-        return p_lin * np.abs(snapshot.D) ** 2 / self.noise_linear()
+    def snr(self, channel) -> np.ndarray:
+        """Raw (gap-free) linear SNR_i = P_i |d_ii|^2 / noise of ``channel``
+        (an ensemble or one of its snapshots), shaped like its ``D``."""
+        p_lin = self.psd_linear(channel.D.shape[-1])
+        return p_lin * np.abs(channel.D) ** 2 / self.noise_linear()
 
     def snr_matrix(self, ensemble: ChannelEnsemble) -> np.ndarray:
         """(p, tones) raw SNR array."""
-        return np.stack([self.snr(s) for s in ensemble.snapshots], axis=1)
+        return np.ascontiguousarray(self.snr(ensemble).T)
 
     def psd_ratio_max(self, p: int) -> float:
         """max_i max_{j != i} P_j / P_i (1 under equal PSDs)."""
@@ -129,9 +130,9 @@ class LossReport:
         return self.rate - self.loss
 
 
-def rate_ideal(budget: LinkBudget, snapshot: ChannelSnapshot, user: int) -> float:
-    """Crosstalk-free rate log2(1 + SNR_i/Gamma) in bits/s/Hz."""
-    snr = budget.snr(snapshot)[user]
+def rate_ideal(budget: LinkBudget, channel: ChannelEnsemble, user: int, tone: int = 0) -> float:
+    """Crosstalk-free rate log2(1 + SNR_i/Gamma) in bits/s/Hz at one tone."""
+    snr = budget.snr(channel)[tone, user]
     return float(np.log1p(snr / budget.gap) / LN2)
 
 
@@ -184,15 +185,16 @@ def loss_from_terms(snr: np.ndarray, gap: float, cross: np.ndarray, dii: np.ndar
 
 
 def loss_exact(
-    budget: LinkBudget, snapshot: ChannelSnapshot, delta: np.ndarray, user: int
+    budget: LinkBudget, channel: ChannelEnsemble, delta: np.ndarray, user: int, tone: int = 0
 ) -> ToneLoss:
-    """Exact rate loss of one user at one tone; negative values (gains) kept."""
+    """Exact rate loss of one user at one tone (``delta`` is that tone's
+    p x p perturbation); negative values (gains) kept."""
     delta = np.asarray(delta, dtype=complex)
-    if not np.all(np.isfinite(delta.view(float))):
+    if not np.all(np.isfinite(delta)):
         raise InvalidBudget("Delta must be finite")
-    out = loss_arrays(budget.snr(snapshot), budget.gap, budget.psd_linear(snapshot.p), delta)
+    out = loss_arrays(budget.snr(channel)[tone], budget.gap, budget.psd_linear(channel.p), delta)
     return ToneLoss(
-        freq=snapshot.freq,
+        freq=channel.grid.freq(tone),
         user=user,
         rate=float(out["rate"][user]),
         rate_perturbed=float(out["rate"][user] - out["loss"][user]),
@@ -207,7 +209,7 @@ def loss_exact(
 def loss_band(
     budget: LinkBudget,
     ensemble: ChannelEnsemble,
-    deltas: Sequence[np.ndarray],
+    deltas: np.ndarray,
     user: int,
 ) -> BandLoss:
     """Rectangle-rule band rate/loss for one user; eta = loss / rate."""
@@ -228,34 +230,23 @@ def band_row(report: LossReport, user: int) -> BandLoss:
 
 
 def build_report(
-    budget: LinkBudget, ensemble: ChannelEnsemble, deltas: Sequence[np.ndarray]
+    budget: LinkBudget, ensemble: ChannelEnsemble, deltas: np.ndarray
 ) -> LossReport:
-    """Exact losses for all users over all tones of the ensemble."""
-    if len(deltas) != ensemble.grid.count:
-        raise InvalidBudget(
-            f"{len(deltas)} Delta matrices for {ensemble.grid.count} tones"
-        )
-    p = ensemble.p
+    """Exact losses for all users over all tones; ``deltas`` is (tones, p, p)."""
+    deltas = np.asarray(deltas, dtype=complex)
     n = ensemble.grid.count
-    rate = np.empty((p, n))
-    loss = np.empty((p, n))
-    a = np.empty((p, n))
-    q = np.empty((p, n))
-    kk = np.empty((p, n))
-    psd_lin = budget.psd_linear(p)
-    for k, snap in enumerate(ensemble.snapshots):
-        out = loss_arrays(budget.snr(snap), budget.gap, psd_lin, np.asarray(deltas[k]))
-        rate[:, k] = out["rate"]
-        loss[:, k] = out["loss"]
-        a[:, k] = out["a"]
-        q[:, k] = out["q"]
-        kk[:, k] = out["k"]
-    report = LossReport(grid=ensemble.grid, rate=rate, loss=loss, a=a, q=q, k=kk)
+    if deltas.shape[:1] != (n,):
+        raise InvalidBudget(f"{len(deltas)} Delta matrices for {n} tones")
+    p = ensemble.p
+    out = loss_arrays(budget.snr(ensemble), budget.gap, budget.psd_linear(p), deltas)
+    # (p, tones) arrays, laid out as the band sums below expect
+    cols = {key: np.ascontiguousarray(out[key].T) for key in ("rate", "loss", "a", "q", "k")}
+    report = LossReport(grid=ensemble.grid, **cols)
     for user in range(p):
         try:
             report.band.append(band_row(report, user))
-        except RelativeLossUndefined:
+        except RelativeLossUndefined as exc:
             report.band.append(
-                BandLoss(user=user, rate=0.0, loss=float(loss[user].sum() * ensemble.grid.spacing), eta=float("nan"))
+                BandLoss(user=user, rate=0.0, loss=exc.absolute_loss, eta=float("nan"))
             )
     return report

@@ -47,8 +47,3 @@ def render_table(
     for row in rows:
         lines.append("\t".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def write_table(path, *args, **kwargs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_table(*args, **kwargs))

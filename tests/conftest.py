@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xtalk_quant.channel_model import ToneGrid, WernerParams, synthesize_channel
+from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid, WernerParams, synthesize_channel
 from xtalk_quant.rate_analysis import LinkBudget
 
 REF_SEED = 20080330
@@ -50,13 +50,17 @@ def small_budget(small_ensemble):
     )
 
 
-def random_dominant_snapshot(rng: np.random.Generator, p: int, r_target: float, freq: float = 1e6):
-    """Random complex matrix with unit-ish diagonal and row dominance <= r_target."""
-    from xtalk_quant.channel_model import ChannelSnapshot
+def one_tone(freq: float, H) -> ChannelEnsemble:
+    """A single tone: the ensemble over a one-tone grid at ``freq``."""
+    return ChannelEnsemble(ToneGrid.single_tone(freq), np.asarray(H, dtype=complex)[None])
 
+
+def random_dominant_tone(rng: np.random.Generator, p: int, r_target: float, freq: float = 1e6):
+    """One tone of a random complex matrix with unit-ish diagonal and row
+    dominance <= r_target."""
     off = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
     np.fill_diagonal(off, 0.0)
     scale = r_target / max(np.abs(off).sum(axis=1).max(), 1e-30)
     diag_phase = np.exp(1j * rng.uniform(0, 2 * np.pi, p))
     H = np.diag(diag_phase) + scale * off
-    return ChannelSnapshot.from_matrix(freq, H)
+    return one_tone(freq, H)

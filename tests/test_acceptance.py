@@ -52,7 +52,7 @@ from conftest import (
     REF_SNR0,
     REF_SNR_DECAY,
     reference_params,
-    random_dominant_snapshot,
+    random_dominant_tone,
 )
 
 GAP = 10 ** (REF_GAP_DB / 10.0)
@@ -80,7 +80,7 @@ def test_criterion_1_exact_formula_oracle():
     worst = 0.0
     for i in range(1000):
         p = (2, 4, 10)[i % 3]
-        snap = random_dominant_snapshot(rng, p, float(rng.uniform(0.0, 0.8)))
+        snap = random_dominant_tone(rng, p, float(rng.uniform(0.0, 0.8)))
         psd = rng.uniform(-70.0, -50.0, p)
         budget = LinkBudget(psd, -140.0, float(rng.uniform(0.0, 12.0)), grid)
         delta = 2.0 ** -rng.integers(2, 18) * (
@@ -90,7 +90,7 @@ def test_criterion_1_exact_formula_oracle():
         got = loss_exact(budget, snap, delta, u).loss
         plin = 10.0 ** (psd / 10.0)
         nlin = 1e-14
-        dii2 = abs(snap.D[u]) ** 2
+        dii2 = abs(snap.D[0, u]) ** 2
         sig = plin[u] * dii2 * abs(1.0 + delta[u, u]) ** 2
         intf = sum(plin[j] * dii2 * abs(delta[u, j]) ** 2 for j in range(p) if j != u)
         oracle = math.log2(1.0 + plin[u] * dii2 / (budget.gap * nlin)) - math.log2(
@@ -109,7 +109,7 @@ def test_criterion_2_bound_domination(reference_ensemble, reference_budget):
     """1000 uniform trials per d in 8..20: per-tone and band bounds never crossed."""
     t0 = time.monotonic()
     snr = reference_budget.snr_matrix(reference_ensemble)
-    r = reference_ensemble.r_values
+    r = reference_ensemble.r
     r_max = reference_ensemble.r_max
     p = reference_ensemble.p
     grid = reference_ensemble.grid

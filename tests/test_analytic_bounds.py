@@ -114,24 +114,27 @@ class TestDominationChain:
 
         rng = np.random.default_rng(21)
         d = 9
-        for snap in small_ensemble.snapshots[::6]:
-            snr = small_budget.snr(snap)
-            q_mat = snap.q_matrix()
+        p = small_ensemble.p
+        for k in range(0, small_ensemble.grid.count, 6):
+            snr = small_budget.snr(small_ensemble)[k]
+            q_mat = small_ensemble.Q[k]
+            r = float(small_ensemble.r[k])
             for _ in range(40):
                 e2 = 2.0**-d * (
-                    rng.uniform(-1, 1, (snap.p, snap.p))
-                    + 1j * rng.uniform(-1, 1, (snap.p, snap.p))
+                    rng.uniform(-1, 1, (p, p))
+                    + 1j * rng.uniform(-1, 1, (p, p))
                 )
                 delta = q_mat @ e2
-                for u in range(snap.p):
+                for u in range(p):
                     t_actual = float(np.max(np.abs(delta[u])))
-                    exact = max(0.0, loss_exact(small_budget, snap, delta, u).loss)
-                    general = bound_general_per_tone(snap.p, 1.0, t_actual, snr[u])
-                    main = bound_main_per_tone(snap.p, snap.r, d, snr[u])
+                    rec = loss_exact(small_budget, small_ensemble, delta, u, tone=k)
+                    exact = max(0.0, rec.loss)
+                    general = bound_general_per_tone(p, 1.0, t_actual, snr[u])
+                    main = bound_main_per_tone(p, r, d, snr[u])
                     assert exact <= general + 1e-12
                     assert general <= main + 1e-12
-                    if snap.r <= 1.0:
-                        assert main <= bound_simplified_per_tone(snap.p, snap.r, d, snr[u]) + 1e-12
+                    if r <= 1.0:
+                        assert main <= bound_simplified_per_tone(p, r, d, snr[u]) + 1e-12
 
 
 class TestAsymptotics:

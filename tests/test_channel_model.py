@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from xtalk_quant.channel_model import (
     ChannelEnsemble,
-    ChannelSnapshot,
     ToneGrid,
     WernerParams,
     calibrate_k_mean_slope,
@@ -77,16 +76,24 @@ class TestSynthesis:
             assert np.array_equal(sa.H, sb.H)
 
     def test_split_reconstruction_is_exact(self, small_ensemble):
-        for snap in small_ensemble.snapshots:
-            assert np.array_equal(np.diag(snap.D) + snap.F, snap.H)
-            assert np.all(np.diagonal(snap.F) == 0.0)
+        H, D, Q = small_ensemble.H, small_ensemble.D, small_ensemble.Q
+        assert np.array_equal(np.diagonal(H, axis1=1, axis2=2), D)
+        off = ~np.eye(small_ensemble.p, dtype=bool)
+        assert np.array_equal(Q[:, off], (H / D[:, :, None])[:, off])
+        assert np.all(Q[:, ~off] == 1.0)
+
+    def test_snapshots_view_the_stack(self, small_ensemble):
+        for k, snap in enumerate(small_ensemble.snapshots):
+            assert snap.freq == small_ensemble.grid.freq(k)
+            assert np.array_equal(snap.H, small_ensemble.H[k])
+            assert np.array_equal(snap.D, small_ensemble.D[k])
+            assert snap.r == small_ensemble.r[k]
 
     def test_r_nondecreasing_in_frequency(self):
         # flat K and zero phases make r(f) exactly linear in f
         grid = ToneGrid(1e5, 20e6, 1e6)
         ens = synthesize_channel(reference_params(p=5), grid, seed=5, phases="zero")
-        r = ens.r_values
-        assert np.all(np.diff(r) >= 0)
+        assert np.all(np.diff(ens.r) >= 0)
 
     def test_dominance_ceiling(self):
         grid = ToneGrid.single_tone(30e6)
@@ -126,20 +133,27 @@ class TestRowDominance:
         H = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
         with pytest.raises(SingularDiagonal):
             row_dominance(H)
-        with pytest.raises(SingularDiagonal):
-            ChannelSnapshot.from_matrix(1e6, H, tone=4)
+        with pytest.raises(SingularDiagonal) as err:
+            ChannelEnsemble(ToneGrid.single_tone(1e6), H[None])
+        assert err.value.tone == 0
+
+    def test_batched_equals_per_matrix(self):
+        rng = np.random.default_rng(12)
+        H = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4)) + 3 * np.eye(4)
+        assert np.array_equal(row_dominance(H), [row_dominance(h) for h in H])
+
+
+def _upper_ensemble(freqs, rs):
+    """p=2 tones [[1, r], [0, 1]], whose r(H) is exactly r."""
+    H = np.array([[[1.0, r], [0.0, 1.0]] for r in rs], dtype=complex)
+    spacing = freqs[1] - freqs[0]
+    grid = ToneGrid(freqs[0], freqs[-1] + 0.5 * spacing, spacing)
+    return ChannelEnsemble(grid=grid, H=H, source={"kind": "loaded", "path": "synthetic"})
 
 
 def _line_ensemble(gamma1, gamma2, freqs):
-    """p=2 snapshots whose r(H(f)) equals gamma1 + gamma2 f exactly."""
-    snaps = []
-    for f in freqs:
-        r = gamma1 + gamma2 * f
-        H = np.array([[1.0, r], [0.0, 1.0]], dtype=complex)
-        snaps.append(ChannelSnapshot.from_matrix(f, H))
-    spacing = freqs[1] - freqs[0]
-    grid = ToneGrid(freqs[0], freqs[-1] + 0.5 * spacing, spacing)
-    return ChannelEnsemble(grid=grid, snapshots=tuple(snaps), source={"kind": "loaded", "path": "synthetic"})
+    """p=2 tones whose r(H(f)) equals gamma1 + gamma2 f exactly."""
+    return _upper_ensemble(freqs, [gamma1 + gamma2 * f for f in freqs])
 
 
 class TestFits:
@@ -163,12 +177,7 @@ class TestFits:
         freqs = np.linspace(1e5, 30e6, 60)
         noise = rng.uniform(-1e-3, 1e-3, freqs.size)
         rs = 0.2 + 2e-8 * freqs + noise
-        snaps = []
-        for f, r in zip(freqs, rs):
-            H = np.array([[1.0, r], [0.0, 1.0]], dtype=complex)
-            snaps.append(ChannelSnapshot.from_matrix(f, H))
-        grid = ToneGrid(freqs[0], freqs[-1] + 0.5 * (freqs[1] - freqs[0]), freqs[1] - freqs[0])
-        ens = ChannelEnsemble(grid=grid, snapshots=tuple(snaps), source={})
+        ens = _upper_ensemble(freqs, rs)
         fit = fit_row_dominance(ens)
         # independent solve of the 2x2 normal equations
         n = freqs.size
@@ -219,16 +228,15 @@ class TestChannelFiles:
             assert a.r == b.r
 
     def test_matrix_set_export_round_trip(self, tmp_path, small_ensemble):
-        # precoder matrices travel in the same grammar as channels
-        from xtalk_quant.channel_model import save_matrix_set
+        # a precoder stack travels in the same grammar as channels
         from xtalk_quant.precoding import ideal_precoder
 
-        precoders = [ideal_precoder(s) for s in small_ensemble.snapshots]
+        precoders = ideal_precoder(small_ensemble)
         path = tmp_path / "precoders.json"
-        save_matrix_set(path, small_ensemble.grid, precoders)
+        save_channel(ChannelEnsemble(small_ensemble.grid, precoders), path)
         back = load_channel(path)
-        for orig, snap in zip(precoders, back.snapshots):
-            assert np.array_equal(orig, snap.H)
+        assert np.array_equal(back.freqs, small_ensemble.freqs)
+        assert np.array_equal(back.H, precoders)
 
     def test_identity_file(self, tmp_path):
         doc = {
@@ -243,10 +251,9 @@ class TestChannelFiles:
         path = tmp_path / "id.json"
         path.write_text(json.dumps(doc))
         ens = load_channel(path)
-        snap = ens.snapshots[0]
-        assert snap.r == 0.0
-        assert np.array_equal(snap.D, np.ones(2, dtype=complex))
-        assert np.all(snap.F == 0.0)
+        assert np.array_equal(ens.r, [0.0])
+        assert np.array_equal(ens.D, np.ones((1, 2), dtype=complex))
+        assert np.array_equal(ens.Q, np.eye(2)[None])
 
     def test_zero_diagonal_names_tone(self, tmp_path):
         doc = {

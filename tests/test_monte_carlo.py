@@ -3,13 +3,11 @@ import pytest
 
 from xtalk_quant.analytic_bounds import bound_main_per_tone
 from xtalk_quant.errors import TargetUnreachable
+from xtalk_quant import streams
 from xtalk_quant.monte_carlo import (
-    _MC_E2_STREAM,
     CsiErrorModel,
     TrialConfig,
-    _draw_e1,
     _invert_with_resampling,
-    _stream,
     min_bits_empirical,
     run_trials,
     run_trials_sweep,
@@ -87,8 +85,12 @@ class TestRunTrials:
             rep = run_trials(small_ensemble, small_budget, _config(d, n=300))
             for k, snap in enumerate(small_ensemble.snapshots):
                 for u in range(small_ensemble.p):
-                    bound = bound_main_per_tone(snap.p, snap.r, d, snrs[u, k])
+                    bound = bound_main_per_tone(small_ensemble.p, snap.r, d, snrs[u, k])
                     assert max(0.0, rep.per_tone[u, k]) <= bound
+
+
+def _draw_e1(seed, tone, n, snr, n_samples):
+    return streams.csi_error(streams.stream(seed, streams.MC_E1, tone), snr, n_samples, (n,))
 
 
 def _reference_one_word_length(ensemble, budget, config, d, csi=None):
@@ -101,11 +103,14 @@ def _reference_one_word_length(ensemble, budget, config, d, csi=None):
     joint = np.zeros((n, p))
     for k, snap in enumerate(ensemble.snapshots):
         snr = budget.snr(snap)
-        q_mat = snap.q_matrix()
-        base = _stream(seed, _MC_E2_STREAM, k).uniform(-1.0, 1.0, size=(2, n, p, p))
+        q_mat = ensemble.Q[k]
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(10, k)))
+        )
+        base = rng.uniform(-1.0, 1.0, size=(2, n, p, p))
         delta = q_mat[None, :, :] @ (2.0 ** (-d) * (base[0] + 1j * base[1]))
         if csi is not None:
-            e1 = _draw_e1(seed, k, n, p, snr, csi.n_samples)
+            e1 = _draw_e1(seed, k, n, snr, csi.n_samples)
             delta = delta - e1 @ np.linalg.inv(q_mat[None, :, :] + e1)
         losses = loss_arrays(snr, budget.gap, psd, delta)["loss"]
         per_tone[:, k] = losses.max(axis=0)
@@ -174,17 +179,16 @@ class TestCsiTrials:
 
 class TestResampling:
     def test_resampler_has_its_own_stream(self, small_ensemble, small_budget):
-        snap = small_ensemble.snapshots[0]
-        q_mat, snr, p = snap.q_matrix(), small_budget.snr(snap), small_ensemble.p
+        q_mat, snr = small_ensemble.Q[0], small_budget.snr(small_ensemble)[0]
         seed, n_samples = 42, 1000
-        e1 = _draw_e1(seed, 0, 3, p, snr, n_samples)
+        e1 = _draw_e1(seed, 0, 3, snr, n_samples)
         e1[1] = -q_mat  # Q + E1 = 0: trial 1 must be resampled
         failures = []
         _invert_with_resampling(q_mat, e1, snr, n_samples, seed, 0, 5, failures)
         assert failures == [(0, 1, 0)]
         assert np.all(np.isfinite(e1[1])) and not np.array_equal(e1[1], -q_mat)
         # the resample must not replay the primary E1 draws of another seed
-        other_seed = _draw_e1(seed ^ 0x5EED, 0, 1, p, snr, n_samples)[0]
+        other_seed = _draw_e1(seed ^ 0x5EED, 0, 1, snr, n_samples)[0]
         assert not np.array_equal(e1[1], other_seed)
 
 
@@ -215,7 +219,7 @@ class TestUnequalPsdDomination:
         rep = run_trials(small_ensemble, budget, _config(d, n=300))
         for k, snap in enumerate(small_ensemble.snapshots):
             for u in range(small_ensemble.p):
-                bound = bound_main_per_tone(snap.p, snap.r, d, snr[u, k], rho=rho)
+                bound = bound_main_per_tone(small_ensemble.p, snap.r, d, snr[u, k], rho=rho)
                 assert max(0.0, rep.per_tone[u, k]) <= bound
 
 

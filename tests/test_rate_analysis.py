@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xtalk_quant.channel_model import ChannelSnapshot, ToneGrid
+from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid
 from xtalk_quant.errors import InvalidBudget, RelativeLossUndefined
 from xtalk_quant.rate_analysis import (
     LinkBudget,
@@ -15,11 +15,11 @@ from xtalk_quant.rate_analysis import (
     rate_ideal,
 )
 
-from conftest import random_dominant_snapshot
+from conftest import one_tone, random_dominant_tone
 
 
-def _flat_snapshot(p=2, freq=1e6, gain=1.0):
-    return ChannelSnapshot.from_matrix(freq, gain * np.eye(p))
+def _flat_tone(p=2, freq=1e6, gain=1.0):
+    return one_tone(freq, gain * np.eye(p))
 
 
 def _budget(psd=-60.0, noise=-140.0, gap_db=10.7, grid=None):
@@ -28,15 +28,15 @@ def _budget(psd=-60.0, noise=-140.0, gap_db=10.7, grid=None):
 
 class TestRateIdeal:
     def test_zero_snr(self):
-        snap = _flat_snapshot(gain=1.0)
+        snap = _flat_tone(gain=1.0)
         budget = _budget(psd=-140.0, noise=-140.0, gap_db=0.0)
         # SNR = 1 at 0 dB gap -> exactly 1 bit; scale the gain to zero the SNR
         assert rate_ideal(budget, snap, 0) == 1.0
-        tiny = ChannelSnapshot.from_matrix(1e6, np.eye(2) * 1e-300)
+        tiny = one_tone(1e6, np.eye(2) * 1e-300)
         assert rate_ideal(budget, tiny, 0) == pytest.approx(0.0, abs=1e-250)
 
     def test_sixty_db_with_reference_gap(self):
-        snap = _flat_snapshot()
+        snap = _flat_tone()
         budget = _budget(psd=-80.0, noise=-140.0)  # SNR = 60 dB
         expected = math.log2(1.0 + 10.0**4.93)
         assert rate_ideal(budget, snap, 0) == pytest.approx(expected, rel=1e-12)
@@ -60,7 +60,7 @@ class TestRateIdeal:
 
 class TestLossExact:
     def test_zero_delta(self):
-        snap = _flat_snapshot(p=3)
+        snap = _flat_tone(p=3)
         budget = _budget()
         rec = loss_exact(budget, snap, np.zeros((3, 3)), 1)
         assert rec.q == 1.0
@@ -69,7 +69,7 @@ class TestLossExact:
 
     def test_full_cancellation(self):
         # Delta_ii = -1 wipes the direct path: loss equals the whole rate
-        snap = _flat_snapshot(p=2)
+        snap = _flat_tone(p=2)
         budget = _budget()
         delta = np.diag([-1.0, 0.0]).astype(complex)
         rec = loss_exact(budget, snap, delta, 0)
@@ -81,7 +81,7 @@ class TestLossExact:
         worst = 0.0
         for _ in range(200):
             p = int(rng.choice([2, 4, 10]))
-            snap = random_dominant_snapshot(rng, p, float(rng.uniform(0, 0.8)))
+            snap = random_dominant_tone(rng, p, float(rng.uniform(0, 0.8)))
             psd = rng.uniform(-70, -50, p)
             budget = LinkBudget(psd, -140.0, float(rng.uniform(0, 12)), grid)
             delta = 2.0 ** -rng.integers(2, 16) * (
@@ -93,7 +93,7 @@ class TestLossExact:
             plin = 10.0 ** (psd / 10.0)
             nlin = 10.0 ** (-140.0 / 10.0)
             gap = budget.gap
-            dii2 = abs(snap.D[u]) ** 2
+            dii2 = abs(snap.D[0, u]) ** 2
             sig = plin[u] * dii2 * abs(1.0 + delta[u, u]) ** 2
             intf = sum(
                 plin[j] * dii2 * abs(delta[u, j]) ** 2 for j in range(p) if j != u
@@ -106,7 +106,7 @@ class TestLossExact:
 
     def test_gap_independence_of_a_and_q(self):
         rng = np.random.default_rng(7)
-        snap = random_dominant_snapshot(rng, 4, 0.3)
+        snap = random_dominant_tone(rng, 4, 0.3)
         delta = 1e-3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         grid = ToneGrid.single_tone(1e6)
         recs = [
@@ -119,7 +119,7 @@ class TestLossExact:
 
     def test_offdiagonal_scaling_monotonicity(self):
         rng = np.random.default_rng(11)
-        snap = random_dominant_snapshot(rng, 4, 0.3)
+        snap = random_dominant_tone(rng, 4, 0.3)
         budget = _budget()
         delta = 1e-3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         np.fill_diagonal(delta, 0.0)
@@ -130,7 +130,7 @@ class TestLossExact:
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_sign_cases(self):
-        snap = _flat_snapshot(p=2)
+        snap = _flat_tone(p=2)
         budget = _budget()
         off = np.array([[0.0, 1e-3], [0.0, 0.0]], dtype=complex)
         assert loss_exact(budget, snap, off, 0).loss > 0.0
@@ -144,12 +144,7 @@ class TestLossExact:
 class TestBand:
     def _two_tone(self, p=2):
         grid = ToneGrid(1e6, 2.2e6, 1e6)
-        snaps = tuple(
-            ChannelSnapshot.from_matrix(f, np.eye(p).astype(complex)) for f in grid.freqs
-        )
-        from xtalk_quant.channel_model import ChannelEnsemble
-
-        return ChannelEnsemble(grid=grid, snapshots=snaps, source={})
+        return ChannelEnsemble(grid=grid, H=np.stack([np.eye(p)] * grid.count), source={})
 
     def test_zero_deltas(self):
         ens = self._two_tone()
@@ -160,15 +155,12 @@ class TestBand:
         assert row.eta == 0.0
 
     def test_single_tone_band_equals_tone_times_spacing(self):
-        grid = ToneGrid.single_tone(1e6)
-        snap = _flat_snapshot()
-        from xtalk_quant.channel_model import ChannelEnsemble
-
-        ens = ChannelEnsemble(grid=grid, snapshots=(snap,), source={})
+        ens = _flat_tone()
+        grid = ens.grid
         budget = LinkBudget(-60.0, -140.0, 10.7, grid)
         delta = np.array([[0.01, 0.002], [0.0, 0.0]], dtype=complex)
         row = loss_band(budget, ens, [delta], 0)
-        rec = loss_exact(budget, snap, delta, 0)
+        rec = loss_exact(budget, ens, delta, 0)
         assert row.loss == pytest.approx(rec.loss * grid.spacing, rel=1e-14)
         assert row.rate == pytest.approx(rec.rate * grid.spacing, rel=1e-14)
 
@@ -177,8 +169,8 @@ class TestBand:
         budget = LinkBudget(-60.0, -140.0, 10.7, ens.grid)
         d1 = np.array([[0.01, 0.001], [0.0, 0.0]], dtype=complex)
         d2 = np.array([[0.02, 0.003], [0.0, 0.0]], dtype=complex)
-        l1 = loss_exact(budget, ens.snapshots[0], d1, 0).loss
-        l2 = loss_exact(budget, ens.snapshots[1], d2, 0).loss
+        l1 = loss_exact(budget, ens, d1, 0, tone=0).loss
+        l2 = loss_exact(budget, ens, d2, 0, tone=1).loss
         row = loss_band(budget, ens, [d1, d2], 0)
         assert row.loss == pytest.approx((l1 + l2) * ens.grid.spacing, rel=1e-14)
 
