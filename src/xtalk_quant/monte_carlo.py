@@ -185,11 +185,11 @@ def run_trials_sweep(
     gap = budget.gap
     n_tones = ensemble.grid.count
     scales = [2.0 ** (-d) for d in d_values]
-    snr_all = budget.snr(ensemble)
+    snr_all, q_all = budget.snr(ensemble), ensemble.Q
 
     def one_tone(k: int):
         snr = snr_all[k]
-        q_mat = ensemble.Q[k]
+        q_mat = q_all[k]
         qu = q_mat[None, :, :] @ _draw_e2(seed, k, n, p, config.zero_errors)
         failures: list = []
         if csi is None:

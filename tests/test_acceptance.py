@@ -3,9 +3,9 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 summary.  Criterion 4 is expected-fail: the closed-form relative-loss chain
 cannot certify 14 bits at 300 m for this scenario (its verified minimum is
-15, and the rate floor collapses on long loops); the full analysis lives in
-the project notes.  The empirical 1%-at-14-bits behavior it alludes to is
-covered by criteria 2-3 and the CLI tests.
+15, and the rate floor collapses on long loops); its xfail reason gives the
+numbers.  The empirical 1%-at-14-bits behavior it alludes to is covered by
+criteria 2-3 and the CLI tests.
 """
 
 import math
@@ -183,7 +183,7 @@ def test_criterion_3_bit_count_reproduction():
         "spectral-efficiency floor is nonpositive beyond ~690 m, so the sweep "
         "cannot certify any bit count there.  The 14-bit/1% behavior itself is "
         "real but empirical: criterion 2's trials and the analyze/simulate paths "
-        "show worst-case relative loss < 1% at d=14.  See notes/decisions.md."
+        "show worst-case relative loss < 1% at d=14."
     ),
 )
 def test_criterion_4_band_design_claim():
