@@ -391,27 +391,28 @@ def load_channel(path) -> ChannelEnsemble:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ParseError(f"not valid JSON: {exc}") from exc
     finally:
         if gc_enabled:
             gc.enable()
 
+    if not isinstance(doc, dict):
+        raise ParseError("a channel file holds one JSON object")
     for key in ("format_version", "p", "tone_count", "f_start", "spacing", "tones"):
         if key not in doc:
             raise ParseError(f"missing header field {key!r}")
     if doc["format_version"] != CHANNEL_FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
-    p = int(doc["p"])
-    n = int(doc["tone_count"])
+    try:
+        p, n = int(doc["p"]), int(doc["tone_count"])
+        f_start, spacing = float(doc["f_start"]), float(doc["spacing"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad header field: {exc}") from exc
     if p < 1 or n < 1:
         raise ParseError("p and tone_count must be positive")
-    if len(doc["tones"]) != n:
-        raise ParseError(
-            f"tone_count={n} but {len(doc['tones'])} tone records present"
-        )
-    f_start = float(doc["f_start"])
-    spacing = float(doc["spacing"])
+    if not isinstance(doc["tones"], list) or len(doc["tones"]) != n:
+        raise ParseError(f"tone_count={n} but the tones field is not a list of {n} records")
     grid = ToneGrid(f_start, f_start + (n - 1) * spacing + 0.5 * spacing, spacing)
     if grid.count != n:
         raise ParseError("grid reconstruction mismatch")

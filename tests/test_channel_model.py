@@ -315,6 +315,24 @@ class TestChannelFiles:
             assert isinstance(err.value, SingularDiagonal)
         assert run(["inspect-channel", "--in", str(path)]) in (2, 3)
 
+    HEADER = {"format_version": 1, "p": 2, "tone_count": 1, "f_start": 0.0, "spacing": 1.0}
+    BAD_FILES = {
+        "top_level_number": b"5",
+        "tones_not_a_list": json.dumps({**HEADER, "tones": 5}).encode(),
+        "p_not_a_number": json.dumps({**HEADER, "p": "two", "tones": [[]]}).encode(),
+        "not_utf8": b'{"p": "\xff"}',
+    }
+
+    @pytest.mark.parametrize("defect", sorted(BAD_FILES))
+    def test_malformed_document_is_a_parse_error(self, tmp_path, defect):
+        from xtalk_quant.cli import run
+
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.BAD_FILES[defect])
+        with pytest.raises(ParseError):
+            load_channel(path)
+        assert run(["inspect-channel", "--in", str(path)]) == 2
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
