@@ -31,7 +31,6 @@ from .rate_analysis import (
     LossReport,
     ToneLoss,
     build_report,
-    loss_band,
     loss_exact,
     rate_ideal,
 )

@@ -206,18 +206,8 @@ def loss_exact(
     )
 
 
-def loss_band(
-    budget: LinkBudget,
-    ensemble: ChannelEnsemble,
-    deltas: np.ndarray,
-    user: int,
-) -> BandLoss:
-    """Rectangle-rule band rate/loss for one user; eta = loss / rate."""
-    report = build_report(budget, ensemble, deltas)
-    return band_row(report, user)
-
-
 def band_row(report: LossReport, user: int) -> BandLoss:
+    """Rectangle-rule band rate/loss of one user; eta = loss / rate."""
     spacing = report.grid.spacing
     rate = float(report.rate[user].sum() * spacing)
     loss = float(report.loss[user].sum() * spacing)

@@ -10,7 +10,6 @@ from xtalk_quant.rate_analysis import (
     LossReport,
     band_row,
     build_report,
-    loss_band,
     loss_exact,
     rate_ideal,
 )
@@ -150,7 +149,7 @@ class TestBand:
         ens = self._two_tone()
         budget = LinkBudget(-60.0, -140.0, 10.7, ens.grid)
         zero = [np.zeros((2, 2))] * 2
-        row = loss_band(budget, ens, zero, 0)
+        row = band_row(build_report(budget, ens, zero), 0)
         assert row.loss == 0.0
         assert row.eta == 0.0
 
@@ -159,7 +158,7 @@ class TestBand:
         grid = ens.grid
         budget = LinkBudget(-60.0, -140.0, 10.7, grid)
         delta = np.array([[0.01, 0.002], [0.0, 0.0]], dtype=complex)
-        row = loss_band(budget, ens, [delta], 0)
+        row = band_row(build_report(budget, ens, [delta]), 0)
         rec = loss_exact(budget, ens, delta, 0)
         assert row.loss == pytest.approx(rec.loss * grid.spacing, rel=1e-14)
         assert row.rate == pytest.approx(rec.rate * grid.spacing, rel=1e-14)
@@ -171,7 +170,7 @@ class TestBand:
         d2 = np.array([[0.02, 0.003], [0.0, 0.0]], dtype=complex)
         l1 = loss_exact(budget, ens, d1, 0, tone=0).loss
         l2 = loss_exact(budget, ens, d2, 0, tone=1).loss
-        row = loss_band(budget, ens, [d1, d2], 0)
+        row = band_row(build_report(budget, ens, [d1, d2]), 0)
         assert row.loss == pytest.approx((l1 + l2) * ens.grid.spacing, rel=1e-14)
 
     def test_relative_loss_undefined(self):
