@@ -178,7 +178,7 @@ class ChannelEnsemble:
     source: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=complex)
+        H = np.ascontiguousarray(self.H, dtype=complex)
         if H.ndim != 3 or H.shape[1] != H.shape[2]:
             raise InvalidParams(f"channel stack must have shape (tones, p, p), got {H.shape}")
         if H.shape[0] != self.grid.count:

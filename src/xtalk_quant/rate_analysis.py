@@ -224,12 +224,11 @@ def build_report(
 ) -> LossReport:
     """Exact losses for all users over all tones; ``deltas`` is (tones, p, p)."""
     deltas = np.asarray(deltas, dtype=complex)
-    n = ensemble.grid.count
-    if deltas.shape[:1] != (n,):
-        raise InvalidBudget(f"{len(deltas)} Delta matrices for {n} tones")
+    if deltas.shape != ensemble.H.shape:
+        raise InvalidBudget(f"Delta stack of shape {deltas.shape} for channels {ensemble.H.shape}")
     p = ensemble.p
     out = loss_arrays(budget.snr(ensemble), budget.gap, budget.psd_linear(p), deltas)
-    # (p, tones) arrays, laid out as the band sums below expect
+    # (p, tones), C-ordered: a user's band sum reads one contiguous row
     cols = {key: np.ascontiguousarray(out[key].T) for key in ("rate", "loss", "a", "q", "k")}
     report = LossReport(grid=ensemble.grid, **cols)
     for user in range(p):
