@@ -150,6 +150,13 @@ class TestDelta:
         rhs = tone.D[0][:, None] * (np.eye(3) + delta)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(tone.D))
 
+    def test_singular_tone_named(self):
+        H = np.stack([np.eye(2), np.eye(2), np.ones((2, 2)), np.ones((2, 2))]).astype(complex)
+        chan = ChannelEnsemble(ToneGrid(1e6, 1e6 + 3.5, 1.0), H)
+        with pytest.raises(SingularChannel) as err:
+            build_delta(chan, None, np.zeros_like(H))
+        assert err.value.freq == 1e6 + 2.0
+
     def test_delta_affine_in_e2(self):
         rng = np.random.default_rng(4)
         tone = random_dominant_tone(rng, 4, 0.3)
