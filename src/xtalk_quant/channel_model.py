@@ -155,9 +155,22 @@ def row_dominance(h: np.ndarray) -> np.ndarray:
     return np.max(off / diag, axis=-1)
 
 
+def _check_tones(H: np.ndarray, grid: ToneGrid) -> None:
+    """Raise naming the first tone with a non-finite entry or a zero diagonal."""
+    nonfinite = ~np.isfinite(H).all(axis=(1, 2))
+    zero_diag = (np.diagonal(H, axis1=1, axis2=2) == 0.0).any(axis=1)
+    bad = np.flatnonzero(nonfinite | zero_diag)
+    if bad.size:
+        k = int(bad[0])
+        where = f"tone {k} (f={grid.freq(k)} Hz)"
+        if nonfinite[k]:
+            raise InvalidParams(f"non-finite channel entry at {where}", tone=k)
+        raise SingularDiagonal(f"zero diagonal entry at {where}", tone=k)
+
+
 @dataclass(frozen=True)
 class ChannelSnapshot:
-    """One tone of an ensemble: its frequency and views into the stacks."""
+    """One tone of an ensemble: its frequency and read-only views into the stacks."""
 
     freq: float
     H: np.ndarray
@@ -169,8 +182,9 @@ class ChannelSnapshot:
 class ChannelEnsemble:
     """The channel matrices of every tone of a grid as one (tones, p, p) stack.
 
-    ``D``, ``r`` and ``Q`` are derived from ``H`` for all tones at once, on
-    first use.  A single tone is an ensemble over a one-tone grid.
+    ``H`` is a read-only copy of the stack it is given, and ``D`` a read-only
+    view of its diagonals; ``r`` and ``Q`` are derived from it for all tones at
+    once, on first use.  A single tone is an ensemble over a one-tone grid.
     """
 
     grid: ToneGrid
@@ -178,20 +192,13 @@ class ChannelEnsemble:
     source: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        H = np.ascontiguousarray(self.H, dtype=complex)
+        H = np.array(self.H, dtype=complex, order="C")
         if H.ndim != 3 or H.shape[1] != H.shape[2]:
             raise InvalidParams(f"channel stack must have shape (tones, p, p), got {H.shape}")
         if H.shape[0] != self.grid.count:
             raise InvalidParams(f"{H.shape[0]} channel matrices for a {self.grid.count}-tone grid")
-        nonfinite = ~np.isfinite(H).all(axis=(1, 2))
-        zero_diag = (np.diagonal(H, axis1=1, axis2=2) == 0.0).any(axis=1)
-        bad = np.flatnonzero(nonfinite | zero_diag)
-        if bad.size:
-            k = int(bad[0])
-            where = f"tone {k} (f={self.grid.freq(k)} Hz)"
-            if nonfinite[k]:
-                raise InvalidParams(f"non-finite channel entry at {where}", tone=k)
-            raise SingularDiagonal(f"zero diagonal entry at {where}", tone=k)
+        _check_tones(H, self.grid)
+        H.flags.writeable = False
         object.__setattr__(self, "H", H)
 
     @property
@@ -205,7 +212,7 @@ class ChannelEnsemble:
     @cached_property
     def D(self) -> np.ndarray:
         """(tones, p) direct-path gains d_ii(f)."""
-        return np.diagonal(self.H, axis1=1, axis2=2).copy()
+        return np.diagonal(self.H, axis1=1, axis2=2)
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -379,11 +386,7 @@ def save_channel(ensemble: ChannelEnsemble, path) -> None:
 
 
 def load_channel(path) -> ChannelEnsemble:
-    """Parse a channel file; errors carry the first offending tone index.
-
-    Malformed records (wrong entry count, a pair that is not two numbers) are
-    reported before non-finite entries and zero diagonals.
-    """
+    """Parse a channel file; errors carry the first offending tone index."""
     # The parse allocates ~p^2 lists per tone, none of them cyclic: pausing
     # the cyclic collector meanwhile saves it scanning them over and over.
     gc_enabled = gc.isenabled()
@@ -416,7 +419,8 @@ def load_channel(path) -> ChannelEnsemble:
     grid = ToneGrid(f_start, f_start + (n - 1) * spacing + 0.5 * spacing, spacing)
     if grid.count != n:
         raise ParseError("grid reconstruction mismatch")
-    H = _tone_stack(doc["tones"], n, p)
+    # popped, so the parsed records are freed before the ensemble copies H
+    H = _tone_stack(doc.pop("tones"), grid, p)
     return ChannelEnsemble(grid=grid, H=H, source={"kind": "loaded", "path": str(path)})
 
 
@@ -432,15 +436,20 @@ def _number_pairs(records, shape: tuple) -> np.ndarray | None:
     return np.ascontiguousarray(arr, dtype=float)
 
 
-def _tone_stack(tones: list, n: int, p: int) -> np.ndarray:
-    """(n, p, p) complex stack from the per-tone [re, im] records."""
-    arr = _number_pairs(tones, (n, p * p, 2))
+def _tone_stack(tones: list, grid: ToneGrid, p: int) -> np.ndarray:
+    """(tones, p, p) complex stack from the per-tone [re, im] records."""
+    arr = _number_pairs(tones, (grid.count, p * p, 2))
     if arr is None:
+        good = []
         for k, rec in enumerate(tones):
-            if _number_pairs(rec, (p * p, 2)) is None:
+            pairs = _number_pairs(rec, (p * p, 2))
+            if pairs is None:
+                if good:  # an earlier tone may hold a bad value or a zero diagonal
+                    _check_tones(np.stack(good).view(complex).reshape(k, p, p), grid)
                 raise ParseError(
                     f"tone {k}: expected {p * p} [re, im] number pairs", tone=k
                 )
+            good.append(pairs)
         raise ParseError("tone records do not form one numeric array")
     # .view pairs the floats exactly as complex(re, im) does
-    return arr.view(complex).reshape(n, p, p)
+    return arr.view(complex).reshape(grid.count, p, p)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel_model import ChannelEnsemble, ToneGrid
-from .errors import InvalidBudget, NumericalError, RelativeLossUndefined
+from .errors import InvalidBudget, InvalidParams, NumericalError, RelativeLossUndefined
 from .units import LN2, db_to_linear
 
 
@@ -67,11 +67,10 @@ class LinkBudget:
     def noise_linear(self) -> float:
         return float(db_to_linear(self.noise_dbm_hz))
 
-    def snr(self, channel) -> np.ndarray:
-        """Raw (gap-free) linear SNR_i = P_i |d_ii|^2 / noise of ``channel``
-        (an ensemble or one of its snapshots), shaped like its ``D``."""
-        p_lin = self.psd_linear(channel.D.shape[-1])
-        return p_lin * np.abs(channel.D) ** 2 / self.noise_linear()
+    def snr(self, ensemble: ChannelEnsemble) -> np.ndarray:
+        """(tones, p) raw (gap-free) linear SNR_i = P_i |d_ii|^2 / noise."""
+        p_lin = self.psd_linear(ensemble.p)
+        return p_lin * np.abs(ensemble.D) ** 2 / self.noise_linear()
 
     def snr_matrix(self, ensemble: ChannelEnsemble) -> np.ndarray:
         """(p, tones) raw SNR array."""
@@ -130,10 +129,9 @@ class LossReport:
         return self.rate - self.loss
 
 
-def rate_ideal(budget: LinkBudget, channel: ChannelEnsemble, user: int, tone: int = 0) -> float:
-    """Crosstalk-free rate log2(1 + SNR_i/Gamma) in bits/s/Hz at one tone."""
-    snr = budget.snr(channel)[tone, user]
-    return float(np.log1p(snr / budget.gap) / LN2)
+def rate_ideal(budget: LinkBudget, channel: ChannelEnsemble, user: int) -> float:
+    """Crosstalk-free rate log2(1 + SNR_i/Gamma) in bits/s/Hz of a one-tone ensemble."""
+    return loss_exact(budget, channel, np.zeros((channel.p, channel.p)), user).rate
 
 
 def loss_arrays(
@@ -185,16 +183,18 @@ def loss_from_terms(snr: np.ndarray, gap: float, cross: np.ndarray, dii: np.ndar
 
 
 def loss_exact(
-    budget: LinkBudget, channel: ChannelEnsemble, delta: np.ndarray, user: int, tone: int = 0
+    budget: LinkBudget, channel: ChannelEnsemble, delta: np.ndarray, user: int
 ) -> ToneLoss:
-    """Exact rate loss of one user at one tone (``delta`` is that tone's
-    p x p perturbation); negative values (gains) kept."""
+    """Exact rate loss of one user of a one-tone ensemble under the p x p
+    perturbation ``delta``; negative values (gains) kept."""
+    if channel.grid.count != 1:
+        raise InvalidParams(f"expected a one-tone ensemble, got {channel.grid.count} tones")
     delta = np.asarray(delta, dtype=complex)
     if not np.all(np.isfinite(delta)):
         raise InvalidBudget("Delta must be finite")
-    out = loss_arrays(budget.snr(channel)[tone], budget.gap, budget.psd_linear(channel.p), delta)
+    out = loss_arrays(budget.snr(channel)[0], budget.gap, budget.psd_linear(channel.p), delta)
     return ToneLoss(
-        freq=channel.grid.freq(tone),
+        freq=channel.grid.f_start,
         user=user,
         rate=float(out["rate"][user]),
         rate_perturbed=float(out["rate"][user] - out["loss"][user]),

@@ -9,8 +9,3 @@ SQRT2 = float(np.sqrt(2.0))
 def db_to_linear(db):
     """Power ratio (or mW for dBm inputs) from decibels."""
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    """Decibels from a linear power ratio."""
-    return 10.0 * np.log10(np.asarray(x, dtype=float))

@@ -152,7 +152,7 @@ def test_criterion_3_bit_count_reproduction():
     ):
         ens, budget = _single_tone_setup(snr_target)
         snap = ens.snapshots[0]
-        snr = float(budget.snr(snap).max())
+        snr = float(budget.snr(ens).max())
         rate = math.log2(1.0 + snr / GAP)
         analytic = bits_for_tone_loss(ens.p, snap.r, snr, 0.01 * rate).d_bits
         cfg = TrialConfig(

@@ -28,7 +28,7 @@ from xtalk_quant.errors import (
 )
 from xtalk_quant.units import LN2
 
-from conftest import REF_SNR0, REF_SNR_DECAY
+from conftest import REF_SNR0, REF_SNR_DECAY, one_tone
 
 
 class TestGeneralBound:
@@ -119,6 +119,7 @@ class TestDominationChain:
             snr = small_budget.snr(small_ensemble)[k]
             q_mat = small_ensemble.Q[k]
             r = float(small_ensemble.r[k])
+            tone = one_tone(small_ensemble.grid.freq(k), small_ensemble.H[k])
             for _ in range(40):
                 e2 = 2.0**-d * (
                     rng.uniform(-1, 1, (p, p))
@@ -127,7 +128,7 @@ class TestDominationChain:
                 delta = q_mat @ e2
                 for u in range(p):
                     t_actual = float(np.max(np.abs(delta[u])))
-                    rec = loss_exact(small_budget, small_ensemble, delta, u, tone=k)
+                    rec = loss_exact(small_budget, tone, delta, u)
                     exact = max(0.0, rec.loss)
                     general = bound_general_per_tone(p, 1.0, t_actual, snr[u])
                     main = bound_main_per_tone(p, r, d, snr[u])

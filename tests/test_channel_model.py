@@ -24,6 +24,7 @@ from xtalk_quant.errors import (
     InvalidParams,
     ParseError,
     SingularDiagonal,
+    XtalkError,
 )
 
 from conftest import reference_params
@@ -88,6 +89,15 @@ class TestSynthesis:
             assert np.array_equal(snap.H, small_ensemble.H[k])
             assert np.array_equal(snap.D, small_ensemble.D[k])
             assert snap.r == small_ensemble.r[k]
+
+    def test_stack_is_a_read_only_copy(self):
+        H = np.stack([np.eye(2, dtype=complex)] * 2)
+        ens = ChannelEnsemble(ToneGrid(1e6, 2.2e6, 1e6), H)
+        H[0, 0, 0] = 0.0  # the caller's array is not the ensemble's
+        assert ens.H[0, 0, 0] == 1.0
+        for arr in (ens.H, ens.D, ens.snapshots[0].H, ens.snapshots[0].D):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 2.0
 
     def test_r_nondecreasing_in_frequency(self):
         # flat K and zero phases make r(f) exactly linear in f
@@ -304,7 +314,6 @@ class TestChannelFiles:
     @pytest.mark.parametrize("defect", sorted(BAD_RECORDS))
     def test_bad_record_names_first_tone(self, tmp_path, defect):
         from xtalk_quant.cli import run
-        from xtalk_quant.errors import XtalkError
 
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(self._doc_with_bad_tones(self.BAD_RECORDS[defect])))
@@ -314,6 +323,23 @@ class TestChannelFiles:
         if defect == "zero_diagonal":
             assert isinstance(err.value, SingularDiagonal)
         assert run(["inspect-channel", "--in", str(path)]) in (2, 3)
+
+    @pytest.mark.parametrize("first, second", [
+        ("nan_entry", "entry_count"),
+        ("zero_diagonal", "null_entry"),
+        ("string_entry", "nan_entry"),
+        ("pair_length", "zero_diagonal"),
+    ])
+    def test_first_tone_named_across_defect_kinds(self, tmp_path, first, second):
+        # a bad value before a malformed record, and the reverse
+        doc = self._doc_with_bad_tones(lambda rec: None)
+        self.BAD_RECORDS[first](doc["tones"][1])
+        self.BAD_RECORDS[second](doc["tones"][2])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(XtalkError) as err:
+            load_channel(path)
+        assert err.value.tone == 1
 
     HEADER = {"format_version": 1, "p": 2, "tone_count": 1, "f_start": 0.0, "spacing": 1.0}
     BAD_FILES = {

@@ -101,8 +101,7 @@ def _reference_one_word_length(ensemble, budget, config, d, csi=None):
     psd = budget.psd_linear(p)
     per_tone = np.empty((p, ensemble.grid.count))
     joint = np.zeros((n, p))
-    for k, snap in enumerate(ensemble.snapshots):
-        snr = budget.snr(snap)
+    for k, snr in enumerate(budget.snr(ensemble)):
         q_mat = ensemble.Q[k]
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(10, k)))

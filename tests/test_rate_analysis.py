@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid
-from xtalk_quant.errors import InvalidBudget, RelativeLossUndefined
+from xtalk_quant.errors import InvalidBudget, InvalidParams, RelativeLossUndefined
 from xtalk_quant.rate_analysis import (
     LinkBudget,
     LossReport,
@@ -139,6 +139,15 @@ class TestLossExact:
         assert rec.q > 1.0
         assert rec.loss < 0.0
 
+    def test_one_tone_only(self):
+        # a tone is a one-tone ensemble; a wider one is refused, not read at tone 0
+        two = ChannelEnsemble(ToneGrid(1e6, 2.2e6, 1e6), np.stack([np.eye(2)] * 2))
+        budget = LinkBudget(-60.0, -140.0, 10.7, two.grid)
+        with pytest.raises(InvalidParams):
+            loss_exact(budget, two, np.zeros((2, 2)), 0)
+        with pytest.raises(InvalidParams):
+            rate_ideal(budget, two, 0)
+
 
 class TestBand:
     def _two_tone(self, p=2):
@@ -168,8 +177,10 @@ class TestBand:
         budget = LinkBudget(-60.0, -140.0, 10.7, ens.grid)
         d1 = np.array([[0.01, 0.001], [0.0, 0.0]], dtype=complex)
         d2 = np.array([[0.02, 0.003], [0.0, 0.0]], dtype=complex)
-        l1 = loss_exact(budget, ens, d1, 0, tone=0).loss
-        l2 = loss_exact(budget, ens, d2, 0, tone=1).loss
+        l1, l2 = (
+            loss_exact(budget, one_tone(ens.grid.freq(k), ens.H[k]), d, 0).loss
+            for k, d in enumerate((d1, d2))
+        )
         row = band_row(build_report(budget, ens, [d1, d2]), 0)
         assert row.loss == pytest.approx((l1 + l2) * ens.grid.spacing, rel=1e-14)
 
