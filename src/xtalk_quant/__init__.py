@@ -1,7 +1,13 @@
-"""Rate-loss analysis of finite-word-length zero-forcing crosstalk precoders."""
+"""Rate-loss analysis of finite-word-length zero-forcing crosstalk precoders.
+
+Each import group below says why its names are public: a paper quantity
+(with the acceptance criterion that pins it), a CLI need, or a benchmark need.
+"""
 
 __version__ = "1.0.0"
 
+# CLI: the channel behind every subcommand, its files and fits;
+# calibrate_k_mean_slope is where DEFAULT_K_MEAN_SLOPE comes from
 from .channel_model import (
     ChannelEnsemble,
     ChannelSnapshot,
@@ -16,6 +22,7 @@ from .channel_model import (
     save_channel,
     synthesize_channel,
 )
+# CLI (analyze, bound): precoders, quantizers, Delta and its entry ceiling t
 from .precoding import (
     PerturbationSpec,
     PrecoderBundle,
@@ -25,15 +32,15 @@ from .precoding import (
     make_bundle,
     quantize_precoder,
 )
+# paper: the exact loss (criterion 1); CLI: analyze's per-tone and band report
 from .rate_analysis import (
-    BandLoss,
     LinkBudget,
     LossReport,
     ToneLoss,
     build_report,
     loss_exact,
-    rate_ideal,
 )
+# paper: the bound chain (criteria 2, 6, 7, 8, 9); CLI: bound's columns
 from .analytic_bounds import (
     WernerBoundParams,
     bound_asymptotic_coefficient,
@@ -48,6 +55,7 @@ from .analytic_bounds import (
     min_admissible_bits,
     werner_snr_profile,
 )
+# paper: the quadratic lemma and bit counts (criteria 3, 4, 5); CLI: design-bits, sweep
 from .design import (
     BitsResult,
     QuadraticBudget,
@@ -56,6 +64,7 @@ from .design import (
     solve_quadratic_budget,
     sweep_bits_vs_loop_length,
 )
+# paper: trial worst cases (criteria 2, 3, 10); CLI: simulate; benchmark: run_trials
 from .monte_carlo import (
     CsiErrorModel,
     TrialConfig,
@@ -65,4 +74,5 @@ from .monte_carlo import (
     run_trials_sweep,
     run_trials_with_csi_error,
 )
+# CLI: --config files; benchmark: writes and reads its scenario
 from .scenario import Scenario

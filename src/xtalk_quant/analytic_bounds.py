@@ -155,16 +155,6 @@ def spectral_efficiency_floor(
     return c
 
 
-def spectral_efficiency_floor_logform(
-    snr0: float, gap: float, alpha_ell: float, bandwidth_hz: float
-) -> float:
-    """Equivalent form log2(snr0/gap) - (2/3) alpha_ell sqrt(B) log2(e).
-
-    Numerically preferable when the band-edge SNR itself is unreliable.
-    """
-    return math.log2(snr0 / gap) - (2.0 / 3.0) * alpha_ell * math.sqrt(bandwidth_hz) / LN2
-
-
 @dataclass(frozen=True)
 class WernerBoundParams:
     """Inputs of the attenuation-model band bounds.

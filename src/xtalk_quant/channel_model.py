@@ -129,11 +129,6 @@ class WernerParams:
         """Amplitude attenuation aggregate alpha * ell (per sqrt-Hz)."""
         return self.alpha * self.loop_length_m
 
-    @property
-    def snr_decay(self) -> float:
-        """Decay constant of |H_ii|^2 (and hence of the SNR profile)."""
-        return 2.0 * self.aggregate
-
 
 @dataclass(frozen=True)
 class RowDominanceFit:

@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands: synth-channel, inspect-channel, analyze, bound, design-bits,
-simulate, sweep.  A scenario JSON file (--config) supplies defaults; flags
-override individual keys.  Exit codes: 0 success, 2 config/parse error,
-3 numerical or channel error, 4 bound-precondition error.
+simulate, sweep.  A scenario JSON file (--config) supplies defaults; each
+flag overrides the scenario field it names.  Exit code 0 on success; a
+failure exits with its error type's code (see :mod:`xtalk_quant.errors`).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -29,75 +29,29 @@ from .channel_model import fit_alpha, fit_row_dominance, load_channel, save_chan
 from .design import bits_for_relative_loss, bits_for_tone_loss, sweep_bits_vs_loop_length
 from .errors import (
     BitDepthTooSmall,
+    BoundError,
     BoundInapplicable,
-    DominanceViolation,
-    FloorNonpositive,
-    InsufficientData,
-    InvalidBudget,
+    ConfigError,
     InvalidParams,
     NumericalError,
-    ParseError,
-    RangeError,
-    RelativeLossUndefined,
-    SingularChannel,
-    SingularDiagonal,
-    TargetUnreachable,
+    XtalkError,
 )
 # run_trials stays bound here for the benchmark's tracing, which patches cli.run_trials
 from .monte_carlo import CsiErrorModel, run_trials, run_trials_sweep  # noqa: F401
-from .precoding import make_bundle
+from .precoding import delta_entry_bound, make_bundle
 from .rate_analysis import build_report
 from .reports import render_table, scenario_hash
 from .scenario import Scenario
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_BOUND = 4
-
-_CONFIG_ERRORS = (InvalidParams, InvalidBudget, ParseError, InsufficientData)
-_NUMERICAL_ERRORS = (
-    SingularChannel,
-    SingularDiagonal,
-    NumericalError,
-    DominanceViolation,
-    RelativeLossUndefined,
-    RangeError,
-    TargetUnreachable,
-)
-_BOUND_ERRORS = (BitDepthTooSmall, BoundInapplicable, FloorNonpositive)
-
-_OVERRIDE_KEYS = (
-    "seed",
-    "users",
-    "decimation",
-    "d_bits",
-    "n_trials",
-    "psd_dbm_hz",
-    "noise_dbm_hz",
-    "gamma_db",
-    "loop_length_m",
-    "f_end",
-    "phases",
-    "e2_model",
-    "channel_file",
-    "csi_samples",
-)
+_SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
 
 
 def _load_scenario(args) -> Scenario:
+    """The --config scenario (else the default) with every flag given that
+    names a scenario field; the constructor validates the result."""
     scen = Scenario.load(args.config) if args.config else Scenario()
-    for key in _OVERRIDE_KEYS:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            setattr(scen, key, val)
-    if getattr(args, "length", None) is not None:
-        # --length moves the loop while keeping the per-meter cable constant
-        scen.loop_length_m = args.length
-    if getattr(args, "band", None) is not None:
-        scen.f_end = args.band
-    scen.__post_init__()
-    return scen
+    flags = {k: v for k, v in vars(args).items() if k in _SCENARIO_FIELDS and v is not None}
+    return replace(scen, **flags)
 
 
 def _emit(args, text: str) -> None:
@@ -110,6 +64,8 @@ def _emit(args, text: str) -> None:
 
 def _werner_bound_params(scen: Scenario, ensemble) -> WernerBoundParams:
     """Closed-form bound inputs derived from the scenario's own channel."""
+    if isinstance(scen.psd_dbm_hz, list):
+        raise InvalidParams("the closed-form band bounds need one psd_dbm_hz for all users")
     fit = fit_row_dominance(ensemble)
     snr0 = 10.0 ** ((scen.psd_dbm_hz - scen.noise_dbm_hz) / 10.0)
     return WernerBoundParams.from_amplitude_aggregate(
@@ -140,7 +96,7 @@ def cmd_synth_channel(args) -> int:
         f"fit gamma1={fit.gamma1:.6g} gamma2={fit.gamma2:.6g} "
         f"(max residual {fit.max_residual:.3g})"
     )
-    return EXIT_OK
+    return 0
 
 
 def cmd_inspect_channel(args) -> int:
@@ -158,7 +114,7 @@ def cmd_inspect_channel(args) -> int:
         f"r(H): min={r.min():.4g} max={r.max():.4g}; "
         f"fit gamma1={fit.gamma1:.6g} gamma2={fit.gamma2:.6g}"
     )
-    return EXIT_OK
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -178,9 +134,8 @@ def cmd_analyze(args) -> int:
         for u in range(ensemble.p)
         for f, *values in zip(freqs, *(col[u].tolist() for col in columns))
     ]
-    band_rows = [
-        ("band", b.user, b.rate, b.loss, b.eta) for b in report.band
-    ]
+    band = zip(report.band_rate.tolist(), report.band_loss.tolist(), report.eta.tolist())
+    band_rows = [("band", u, *values) for u, values in enumerate(band)]
     table = render_table(
         "loss-report",
         meta,
@@ -205,9 +160,9 @@ def cmd_analyze(args) -> int:
         __version__,
     )
     _emit(args, table)
-    worst = max((b.eta for b in report.band if np.isfinite(b.eta)), default=float("nan"))
+    worst = max(report.eta[np.isfinite(report.eta)].tolist(), default=float("nan"))
     print(f"band relative loss: worst user eta = {worst:.6g}", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
 _BOUND_NAMES = ("general", "main", "simplified", "werner", "relative")
@@ -240,7 +195,7 @@ def cmd_bound(args) -> int:
     def cell(fn):
         try:
             return fn()
-        except (BoundInapplicable, FloorNonpositive):
+        except BoundError:
             if soft:
                 return ""
             raise
@@ -262,16 +217,12 @@ def cmd_bound(args) -> int:
     rows = []
     for d in d_values:
         row = [d]
+        t = delta_entry_bound(ensemble, d)
         for name in which:
             if name == "general":
                 row.append(
                     tone_mean(
-                        lambda k: bound_general_per_tone(
-                            ensemble.p,
-                            ratio_max,
-                            (1.0 + r[k]) * 2.0 ** (-d + 0.5),
-                            worst_snr[k],
-                        )
+                        lambda k: bound_general_per_tone(ensemble.p, ratio_max, t[k], worst_snr[k])
                     )
                 )
             elif name == "main":
@@ -296,7 +247,7 @@ def cmd_bound(args) -> int:
         "bound-curves", meta, ["d_bits"] + list(which), rows, __version__
     )
     _emit(args, table)
-    return EXIT_OK
+    return 0
 
 
 def cmd_design_bits(args) -> int:
@@ -327,7 +278,7 @@ def cmd_design_bits(args) -> int:
         )
         if best.floored:
             print("note: word length pinned at the admissibility floor of the bound")
-        return EXIT_OK
+        return 0
 
     params = _werner_bound_params(scen, ensemble)
     res = bits_for_relative_loss(params, args.target_relative)
@@ -336,7 +287,7 @@ def cmd_design_bits(args) -> int:
         f"analytic d = {res.d_analytic:.4f}, exact root = {res.d_exact:.4f}, "
         f"bound at d_min = {res.bound_value:.6g} <= {res.target}"
     )
-    return EXIT_OK
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -390,7 +341,7 @@ def cmd_simulate(args) -> int:
         __version__,
     )
     _emit(args, table)
-    return EXIT_OK
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -423,7 +374,7 @@ def cmd_sweep(args) -> int:
         __version__,
     )
     _emit(args, table)
-    return EXIT_OK
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -442,8 +393,10 @@ def _add_common(sp, out_required: bool = False) -> None:
     sp.add_argument("--psd", dest="psd_dbm_hz", type=float)
     sp.add_argument("--noise", dest="noise_dbm_hz", type=float)
     sp.add_argument("--gap", dest="gamma_db", type=float)
-    sp.add_argument("--length", type=float, help="loop length in meters")
-    sp.add_argument("--band", type=float, help="top band edge in Hz")
+    sp.add_argument(
+        "--length", dest="loop_length_m", metavar="LENGTH", type=float, help="loop length in meters"
+    )
+    sp.add_argument("--band", dest="f_end", metavar="BAND", type=float, help="top band edge in Hz")
     sp.add_argument("--phases", choices=["uniform", "zero"])
     sp.add_argument("--channel-file", dest="channel_file", help="load instead of synthesizing")
 
@@ -511,18 +464,15 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _BOUND_ERRORS as exc:
-        print(f"bound precondition error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical/channel error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except XtalkError as exc:
+        return _fail(exc)
+    except OSError as exc:  # a file that cannot be read or written
+        return _fail(ConfigError(str(exc)))
+
+
+def _fail(exc: XtalkError) -> int:
+    print(f"{exc.kind}: {exc}", file=sys.stderr)
+    return exc.exit_code
 
 
 def main() -> None:

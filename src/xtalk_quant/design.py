@@ -56,10 +56,6 @@ class QuadraticSolution:
     d_exact: float      # exact crossing point d0(T)
     case: str           # which branch of d(T) applied
 
-    @property
-    def slack_bits(self) -> float:
-        return self.d_bits - self.d_exact
-
 
 def solve_quadratic_budget(q: QuadraticBudget) -> QuadraticSolution:
     """Closed-form d(T) plus the exact root for slack reporting.
@@ -189,7 +185,6 @@ class SweepRow:
     d_bits: int | None
     bound_value: float | None
     c_floor: float | None
-    zeta_ell: float | None
     error: str | None = None
 
 
@@ -218,7 +213,6 @@ def sweep_bits_vs_loop_length(
                     d_bits=res.d_bits,
                     bound_value=res.bound_value,
                     c_floor=params.c_floor,
-                    zeta_ell=params.zeta_ell,
                 )
             )
         except XtalkError as exc:  # record and continue: sweep rows are independent
@@ -228,7 +222,6 @@ def sweep_bits_vs_loop_length(
                     d_bits=None,
                     bound_value=None,
                     c_floor=None,
-                    zeta_ell=None,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the CLI's exit code and the stderr prefix (``kind``) of its
+category: 2 "config error", 3 "numerical/channel error" (the default),
+4 "bound precondition error".
+"""
 
 
 class XtalkError(Exception):
@@ -8,16 +13,33 @@ class XtalkError(Exception):
     (a channel-file record, a channel matrix), else -1.
     """
 
+    exit_code = 3
+    kind = "numerical/channel error"
+
     def __init__(self, message: str = "", tone: int = -1):
         super().__init__(message)
         self.tone = tone
 
 
-class InvalidParams(XtalkError):
+class ConfigError(XtalkError):
+    """A parameter, scenario or input file the user must fix."""
+
+    exit_code = 2
+    kind = "config error"
+
+
+class BoundError(XtalkError):
+    """A closed-form bound's precondition does not hold."""
+
+    exit_code = 4
+    kind = "bound precondition error"
+
+
+class InvalidParams(ConfigError):
     """A parameter is non-finite, out of range, or inconsistent."""
 
 
-class InvalidBudget(XtalkError):
+class InvalidBudget(ConfigError):
     """A link-budget field is unusable (bad PSD shape, nonpositive noise, ...)."""
 
 
@@ -25,7 +47,7 @@ class DominanceViolation(XtalkError):
     """A synthesized channel exceeded the configured row-dominance ceiling."""
 
 
-class ParseError(XtalkError):
+class ParseError(ConfigError):
     """A channel or config file could not be parsed (``tone`` is -1 for
     header-level problems)."""
 
@@ -34,7 +56,7 @@ class SingularDiagonal(XtalkError):
     """A channel matrix has a zero diagonal entry."""
 
 
-class InsufficientData(XtalkError):
+class InsufficientData(ConfigError):
     """Not enough tones/points to perform a fit."""
 
 
@@ -54,22 +76,11 @@ class NumericalError(XtalkError):
     """An internal consistency check failed (should never happen on finite input)."""
 
 
-class RelativeLossUndefined(XtalkError):
-    """Relative loss requested for a user whose ideal rate is zero.
-
-    The absolute loss is still available on the exception.
-    """
-
-    def __init__(self, message: str, absolute_loss: float = float("nan")):
-        super().__init__(message)
-        self.absolute_loss = absolute_loss
-
-
-class BoundInapplicable(XtalkError):
+class BoundInapplicable(BoundError):
     """A closed-form bound was evaluated outside its validity region."""
 
 
-class BitDepthTooSmall(XtalkError):
+class BitDepthTooSmall(BoundError):
     """Word length below the admissibility floor of the per-tone bound.
 
     ``min_bits`` is the smallest admissible (real-valued) word length.
@@ -80,7 +91,7 @@ class BitDepthTooSmall(XtalkError):
         self.min_bits = min_bits
 
 
-class FloorNonpositive(XtalkError):
+class FloorNonpositive(BoundError):
     """The closed-form spectral-efficiency floor is nonpositive.
 
     Relative-loss bounds built on the floor are inapplicable in this regime.

@@ -43,6 +43,8 @@ WORST_CASE = "worst_case"
 MEAN = "mean"
 QUANTILE = "quantile"
 
+RETRY_CAP = 5  # fresh E1 draws per singular trial before giving up
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -50,7 +52,6 @@ class TrialConfig:
 
     n_trials: int
     spec: PerturbationSpec
-    users: tuple | None = None
     statistic: str = WORST_CASE
     quantile_q: float | None = None
     zero_errors: bool = False
@@ -79,20 +80,16 @@ class CsiErrorModel:
 
 @dataclass
 class TrialReport:
-    """Reduced losses; arrays are (users, tones) or (users,)."""
+    """Reduced losses; arrays are (p, tones) or (p,)."""
 
     d_bits: int
-    statistic: str
-    n_trials: int
     seed: int
     freqs: np.ndarray
-    users: np.ndarray
     per_tone: np.ndarray
     rate_per_tone: np.ndarray
     band_per_bin: np.ndarray
     band_joint: np.ndarray
     band_rate: np.ndarray
-    csi_samples: int | None = None
     trial_failures: list = field(default_factory=list)
 
     @property
@@ -152,13 +149,10 @@ def run_trials_with_csi_error(
     budget: LinkBudget,
     config: TrialConfig,
     csi: CsiErrorModel,
-    retry_cap: int = 5,
 ) -> TrialReport:
     """Joint trials: Gaussian channel-estimation error plus uniform
     quantization error, with the full two-term equivalent perturbation."""
-    return run_trials_sweep(
-        ensemble, budget, config, [config.spec.d_bits], csi=csi, retry_cap=retry_cap
-    )[0]
+    return run_trials_sweep(ensemble, budget, config, [config.spec.d_bits], csi=csi)[0]
 
 
 def run_trials_sweep(
@@ -167,7 +161,6 @@ def run_trials_sweep(
     config: TrialConfig,
     d_values,
     csi: CsiErrorModel | None = None,
-    retry_cap: int = 5,
 ) -> list[TrialReport]:
     """One ``TrialReport`` per word length in ``d_values`` (``config``'s own
     d_bits is not used), all from one draw per tone.
@@ -197,9 +190,7 @@ def run_trials_sweep(
             outs = (loss_from_terms(snr, gap, cross * (s * s), s * dii) for s in scales)
         else:
             e1 = streams.csi_error(streams.stream(seed, streams.MC_E1, k), snr, csi.n_samples, (n,))
-            m_inv = _invert_with_resampling(
-                q_mat, e1, snr, csi.n_samples, seed, k, retry_cap, failures
-            )
+            m_inv = _invert_with_resampling(q_mat, e1, snr, csi.n_samples, seed, k, failures)
             e1_term = e1 @ m_inv
             outs = (loss_arrays(snr, gap, psd_lin, s * qu - e1_term) for s in scales)
         losses = []
@@ -221,7 +212,7 @@ def run_trials_sweep(
 
     spacing = ensemble.grid.spacing
     band_rate = rate.sum(axis=1) * spacing
-    users = np.arange(p) if config.users is None else np.asarray(config.users)
+    rate.flags.writeable = band_rate.flags.writeable = False  # every report shares them
     reports = []
     for i, d in enumerate(d_values):
         band_per_bin = per_tone[i].sum(axis=1) * spacing
@@ -229,17 +220,13 @@ def run_trials_sweep(
         reports.append(
             TrialReport(
                 d_bits=d,
-                statistic=config.statistic,
-                n_trials=n,
                 seed=seed,
                 freqs=ensemble.freqs,
-                users=users,
-                per_tone=per_tone[i][users],
-                rate_per_tone=rate[users],
-                band_per_bin=band_per_bin[users],
-                band_joint=band_joint[users],
-                band_rate=band_rate[users],
-                csi_samples=None if csi is None else csi.n_samples,
+                per_tone=per_tone[i],
+                rate_per_tone=rate,
+                band_per_bin=band_per_bin,
+                band_joint=band_joint,
+                band_rate=band_rate,
                 trial_failures=list(failures),
             )
         )
@@ -253,11 +240,10 @@ def _invert_with_resampling(
     n_samples: int,
     seed: int,
     tone: int,
-    retry_cap: int,
     failures: list,
 ) -> np.ndarray:
     """inv(Q + E1) per trial; singular trials get a fresh E1 draw (in place,
-    so the caller's delta uses the same matrices), up to ``retry_cap`` times."""
+    so the caller's delta uses the same matrices), up to ``RETRY_CAP`` times."""
     try:
         return np.linalg.inv(q_mat[None, :, :] + e1)
     except np.linalg.LinAlgError:
@@ -265,15 +251,15 @@ def _invert_with_resampling(
     out = np.empty_like(e1)
     resampler = streams.stream(seed, streams.MC_E1_RESAMPLE, tone)
     for t in range(e1.shape[0]):
-        for attempt in range(retry_cap + 1):
+        for attempt in range(RETRY_CAP + 1):
             try:
                 out[t] = np.linalg.inv(q_mat + e1[t])
                 break
             except np.linalg.LinAlgError:
                 failures.append((tone, t, attempt))
-                if attempt == retry_cap:
+                if attempt == RETRY_CAP:
                     raise SingularChannel(
-                        f"tone {tone} trial {t} singular after {retry_cap} resamples"
+                        f"tone {tone} trial {t} singular after {RETRY_CAP} resamples"
                     )
                 e1[t] = streams.csi_error(resampler, snr, n_samples)
     return out

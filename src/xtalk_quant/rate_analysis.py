@@ -20,13 +20,13 @@ Band quantities are rectangle-rule sums (each tone owns one bin of width
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .channel_model import ChannelEnsemble, ToneGrid
-from .errors import InvalidBudget, InvalidParams, NumericalError, RelativeLossUndefined
+from .errors import InvalidBudget, InvalidParams, NumericalError
 from .units import LN2, db_to_linear
 
 
@@ -101,20 +101,15 @@ class ToneLoss:
     a: float
     q: float
     k: float
-    delta_norm: float
-
-
-@dataclass(frozen=True)
-class BandLoss:
-    user: int
-    rate: float          # bits/s
-    loss: float          # bits/s
-    eta: float           # loss / rate
 
 
 @dataclass
 class LossReport:
-    """Per-tone and band losses for every user of an ensemble."""
+    """Per-tone and band losses for every user of an ensemble.
+
+    Band figures are rectangle-rule sums in bits/s, one per user; ``eta`` is
+    band_loss / band_rate, NaN for a user whose band rate is zero.
+    """
 
     grid: ToneGrid
     rate: np.ndarray            # (p, tones) bits/s/Hz
@@ -122,16 +117,13 @@ class LossReport:
     a: np.ndarray
     q: np.ndarray
     k: np.ndarray
-    band: list = field(default_factory=list)
+    band_rate: np.ndarray       # (p,) bits/s
+    band_loss: np.ndarray       # (p,) bits/s
+    eta: np.ndarray             # (p,)
 
     @property
     def rate_perturbed(self) -> np.ndarray:
         return self.rate - self.loss
-
-
-def rate_ideal(budget: LinkBudget, channel: ChannelEnsemble, user: int) -> float:
-    """Crosstalk-free rate log2(1 + SNR_i/Gamma) in bits/s/Hz of a one-tone ensemble."""
-    return loss_exact(budget, channel, np.zeros((channel.p, channel.p)), user).rate
 
 
 def loss_arrays(
@@ -140,7 +132,7 @@ def loss_arrays(
     """Vectorized exact-loss kernel.
 
     ``delta`` has shape (..., p, p); returns arrays of shape (..., p) for
-    loss, rate, a, q, k plus the gap-weighted interference delta_norm.
+    loss, rate, a, q, k.
     """
     cross, dii = interference_terms(delta, psd_lin)
     return loss_from_terms(snr, gap, cross, dii)
@@ -172,14 +164,7 @@ def loss_from_terms(snr: np.ndarray, gap: float, cross: np.ndarray, dii: np.ndar
         raise NumericalError("non-finite interference statistics")
     rate = np.log1p(esnr) / LN2
     loss = rate - np.log1p(esnr * q) / LN2
-    return {
-        "loss": loss,
-        "rate": rate,
-        "a": a,
-        "q": q,
-        "k": k,
-        "delta_norm": gap * cross,
-    }
+    return {"loss": loss, "rate": rate, "a": a, "q": q, "k": k}
 
 
 def loss_exact(
@@ -202,21 +187,7 @@ def loss_exact(
         a=float(out["a"][user]),
         q=float(out["q"][user]),
         k=float(out["k"][user]),
-        delta_norm=float(out["delta_norm"][user]),
     )
-
-
-def band_row(report: LossReport, user: int) -> BandLoss:
-    """Rectangle-rule band rate/loss of one user; eta = loss / rate."""
-    spacing = report.grid.spacing
-    rate = float(report.rate[user].sum() * spacing)
-    loss = float(report.loss[user].sum() * spacing)
-    if rate == 0.0:
-        raise RelativeLossUndefined(
-            f"user {user} has zero ideal band rate (absolute loss {loss} bits/s)",
-            absolute_loss=loss,
-        )
-    return BandLoss(user=user, rate=rate, loss=loss, eta=loss / rate)
 
 
 def build_report(
@@ -230,12 +201,10 @@ def build_report(
     out = loss_arrays(budget.snr(ensemble), budget.gap, budget.psd_linear(p), deltas)
     # (p, tones), C-ordered: a user's band sum reads one contiguous row
     cols = {key: np.ascontiguousarray(out[key].T) for key in ("rate", "loss", "a", "q", "k")}
-    report = LossReport(grid=ensemble.grid, **cols)
-    for user in range(p):
-        try:
-            report.band.append(band_row(report, user))
-        except RelativeLossUndefined as exc:
-            report.band.append(
-                BandLoss(user=user, rate=0.0, loss=exc.absolute_loss, eta=float("nan"))
-            )
-    return report
+    spacing = ensemble.grid.spacing
+    band_rate = cols["rate"].sum(axis=1) * spacing
+    band_loss = cols["loss"].sum(axis=1) * spacing
+    eta = np.divide(band_loss, band_rate, out=np.full(p, np.nan), where=band_rate != 0.0)
+    return LossReport(
+        grid=ensemble.grid, band_rate=band_rate, band_loss=band_loss, eta=eta, **cols
+    )

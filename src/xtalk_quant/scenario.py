@@ -9,7 +9,7 @@ amplitude aggregate 0.0019 at 300 m).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .channel_model import (
     DEFAULT_K_MEAN_SLOPE,
@@ -26,6 +26,19 @@ from .precoding import E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec
 from .rate_analysis import LinkBudget
 
 SCENARIO_FORMAT_VERSION = 1
+
+# the Python type of each JSON value a field annotation admits
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field annotated e.g. "int" or "float | None"."""
+    kinds = annotation.split(" | ")
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, list):
+        return "list[float]" in kinds and all(_fits(v, "float") for v in value)
+    return any(isinstance(value, _JSON_TYPES.get(kind, ())) for kind in kinds)
 
 
 @dataclass
@@ -46,7 +59,7 @@ class Scenario:
     seed: int = 20080330
 
     # link budget
-    psd_dbm_hz: float = -60.0
+    psd_dbm_hz: float | list[float] = -60.0  # one value, or one per user
     noise_dbm_hz: float = -140.0
     gamma_db: float = 10.7
 
@@ -61,10 +74,16 @@ class Scenario:
     quantile_q: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, f.type):
+                raise InvalidParams(f"scenario key {f.name!r} must be {f.type}, got {value!r}")
         if self.e2_model not in (E2_DETERMINISTIC, E2_UNIFORM):
             raise InvalidParams(f"unknown e2 model {self.e2_model!r}")
         if self.decimation < 1:
             raise InvalidParams("decimation must be >= 1")
+        if self.seed < 0:  # the Philox streams take a non-negative seed
+            raise InvalidParams(f"scenario key 'seed' must be >= 0, got {self.seed}")
 
     # -- construction helpers -------------------------------------------------
 

@@ -15,7 +15,6 @@ from xtalk_quant.analytic_bounds import (
     bound_werner_decay,
     j_integral_bound,
     spectral_efficiency_floor,
-    spectral_efficiency_floor_logform,
     min_admissible_bits,
     werner_snr_profile,
 )
@@ -221,11 +220,6 @@ class TestSpectralFloor:
         alpha = 15 * LN2 / math.sqrt(band)
         c = spectral_efficiency_floor(2.0**30, 1.0, alpha, band)
         assert c == pytest.approx(20.0, rel=1e-12)
-
-    def test_logform_equivalent(self):
-        c1 = spectral_efficiency_floor(REF_SNR0, 10**1.07, REF_SNR_DECAY, 30e6)
-        c2 = spectral_efficiency_floor_logform(REF_SNR0, 10**1.07, REF_SNR_DECAY, 30e6)
-        assert c1 == pytest.approx(c2, rel=1e-12)
 
     def test_nonpositive_floor_raises(self):
         with pytest.raises(FloorNonpositive):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xtalk_quant import __version__, cli
 from xtalk_quant.cli import run
+from xtalk_quant.errors import BitDepthTooSmall, XtalkError
 from xtalk_quant.scenario import Scenario
 
 
@@ -429,3 +434,115 @@ class TestScenarioFile:
         cfg = tmp_path / "scen.json"
         cfg.write_text(json.dumps({"format_version": 1, "nonsense": 1}))
         assert run(["synth-channel", "--config", str(cfg), "--out", str(cfg) + ".c"]) == 2
+
+
+class TestMalformedScenario:
+    """A scenario value of the wrong JSON type (or a negative seed) is a
+    config error naming the key (exit 2), not a traceback."""
+
+    @pytest.fixture()
+    def config(self, tmp_path):
+        def write(**doc):
+            path = tmp_path / "scen.json"
+            path.write_text(json.dumps({"users": 4, "decimation": 208, "seed": 5, **doc}))
+            return str(path)
+
+        return write
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("users", "10"),
+            ("decimation", "2"),
+            ("seed", 1.5),
+            ("users", True),
+            ("d_bits", None),
+            ("seed", -1),
+        ],
+    )
+    def test_malformed_value_exit_2(self, tmp_path, capsys, config, key, value):
+        out = tmp_path / "report.tsv"
+        assert run(["analyze", "--config", config(**{key: value}), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+
+    PER_USER_PSD = [-60.0, -61.0, -62.0, -63.0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--which", "all"],
+            ["design-bits", "--target-relative", "0.01"],
+            ["sweep", "--lengths", "300,600", "--target-relative", "0.01"],
+        ],
+        ids=["bound", "design-bits", "sweep"],
+    )
+    def test_per_user_psd_refused_by_band_bounds(self, tmp_path, capsys, config, argv):
+        cfg = config(psd_dbm_hz=self.PER_USER_PSD)
+        assert run([*argv, "--config", cfg, "--out", str(tmp_path / "out.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "psd_dbm_hz" in err
+
+    def test_per_user_psd_serves_analyze(self, tmp_path, config):
+        cfg = config(psd_dbm_hz=self.PER_USER_PSD)
+        assert run(["analyze", "--config", cfg, "--normalize", "--out", str(tmp_path / "r.tsv")]) == 0
+
+
+def _error_types(cls=XtalkError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_types(sub)
+
+
+_CONFIG = (2, "config error")
+_NUMERICAL = (3, "numerical/channel error")
+_BOUND = (4, "bound precondition error")
+
+# the README's exit-code paragraph, one entry per error type
+EXIT_TABLE = {
+    "XtalkError": _NUMERICAL,
+    "ConfigError": _CONFIG,
+    "InvalidParams": _CONFIG,
+    "InvalidBudget": _CONFIG,
+    "ParseError": _CONFIG,
+    "InsufficientData": _CONFIG,
+    "DominanceViolation": _NUMERICAL,
+    "SingularDiagonal": _NUMERICAL,
+    "SingularChannel": _NUMERICAL,
+    "RangeError": _NUMERICAL,
+    "NumericalError": _NUMERICAL,
+    "TargetUnreachable": _NUMERICAL,
+    "BoundError": _BOUND,
+    "BoundInapplicable": _BOUND,
+    "BitDepthTooSmall": _BOUND,
+    "FloorNonpositive": _BOUND,
+}
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_type(self):
+        assert {cls.__name__ for cls in _error_types()} == set(EXIT_TABLE)
+
+    @pytest.mark.parametrize("cls", list(_error_types()), ids=lambda cls: cls.__name__)
+    def test_code_and_stderr_prefix(self, monkeypatch, capsys, cls):
+        def handler(args):
+            raise cls("boom", min_bits=1.0) if cls is BitDepthTooSmall else cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_inspect_channel", handler)
+        code, prefix = EXIT_TABLE[cls.__name__]
+        assert run(["inspect-channel", "--in", "chan.json"]) == code
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+    def test_unreadable_file_is_a_config_error(self, tmp_path, capsys):
+        assert run(["inspect-channel", "--in", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_module_entry_point_prints_version():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "xtalk_quant", "--version"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == f"xtalk-quant {__version__}\n"

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid
-from xtalk_quant.errors import InvalidBudget, InvalidParams, RelativeLossUndefined
-from xtalk_quant.rate_analysis import (
-    LinkBudget,
-    LossReport,
-    band_row,
-    build_report,
-    loss_exact,
-    rate_ideal,
-)
+from xtalk_quant.errors import InvalidBudget, InvalidParams
+from xtalk_quant.rate_analysis import LinkBudget, build_report, loss_exact
 
 from conftest import one_tone, random_dominant_tone
 
@@ -25,20 +18,25 @@ def _budget(psd=-60.0, noise=-140.0, gap_db=10.7, grid=None):
     return LinkBudget(psd, noise, gap_db, grid or ToneGrid.single_tone(1e6))
 
 
+def _rate(budget, tone, user):
+    """The crosstalk-free rate log2(1 + SNR/Gamma): the exact loss record at Delta = 0."""
+    return loss_exact(budget, tone, np.zeros((tone.p, tone.p)), user).rate
+
+
 class TestRateIdeal:
     def test_zero_snr(self):
         snap = _flat_tone(gain=1.0)
         budget = _budget(psd=-140.0, noise=-140.0, gap_db=0.0)
         # SNR = 1 at 0 dB gap -> exactly 1 bit; scale the gain to zero the SNR
-        assert rate_ideal(budget, snap, 0) == 1.0
+        assert _rate(budget, snap, 0) == 1.0
         tiny = one_tone(1e6, np.eye(2) * 1e-300)
-        assert rate_ideal(budget, tiny, 0) == pytest.approx(0.0, abs=1e-250)
+        assert _rate(budget, tiny, 0) == pytest.approx(0.0, abs=1e-250)
 
     def test_sixty_db_with_reference_gap(self):
         snap = _flat_tone()
         budget = _budget(psd=-80.0, noise=-140.0)  # SNR = 60 dB
         expected = math.log2(1.0 + 10.0**4.93)
-        assert rate_ideal(budget, snap, 0) == pytest.approx(expected, rel=1e-12)
+        assert _rate(budget, snap, 0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(16.38, abs=0.01)
 
     def test_bad_budget_rejected(self):
@@ -145,8 +143,6 @@ class TestLossExact:
         budget = LinkBudget(-60.0, -140.0, 10.7, two.grid)
         with pytest.raises(InvalidParams):
             loss_exact(budget, two, np.zeros((2, 2)), 0)
-        with pytest.raises(InvalidParams):
-            rate_ideal(budget, two, 0)
 
 
 class TestBand:
@@ -158,19 +154,19 @@ class TestBand:
         ens = self._two_tone()
         budget = LinkBudget(-60.0, -140.0, 10.7, ens.grid)
         zero = [np.zeros((2, 2))] * 2
-        row = band_row(build_report(budget, ens, zero), 0)
-        assert row.loss == 0.0
-        assert row.eta == 0.0
+        report = build_report(budget, ens, zero)
+        assert report.band_loss[0] == 0.0
+        assert report.eta[0] == 0.0
 
     def test_single_tone_band_equals_tone_times_spacing(self):
         ens = _flat_tone()
         grid = ens.grid
         budget = LinkBudget(-60.0, -140.0, 10.7, grid)
         delta = np.array([[0.01, 0.002], [0.0, 0.0]], dtype=complex)
-        row = band_row(build_report(budget, ens, [delta]), 0)
+        report = build_report(budget, ens, [delta])
         rec = loss_exact(budget, ens, delta, 0)
-        assert row.loss == pytest.approx(rec.loss * grid.spacing, rel=1e-14)
-        assert row.rate == pytest.approx(rec.rate * grid.spacing, rel=1e-14)
+        assert report.band_loss[0] == pytest.approx(rec.loss * grid.spacing, rel=1e-14)
+        assert report.band_rate[0] == pytest.approx(rec.rate * grid.spacing, rel=1e-14)
 
     def test_two_tone_hand_sum(self):
         ens = self._two_tone()
@@ -181,25 +177,22 @@ class TestBand:
             loss_exact(budget, one_tone(ens.grid.freq(k), ens.H[k]), d, 0).loss
             for k, d in enumerate((d1, d2))
         )
-        row = band_row(build_report(budget, ens, [d1, d2]), 0)
-        assert row.loss == pytest.approx((l1 + l2) * ens.grid.spacing, rel=1e-14)
+        report = build_report(budget, ens, [d1, d2])
+        assert report.band_loss[0] == pytest.approx((l1 + l2) * ens.grid.spacing, rel=1e-14)
 
     def test_relative_loss_undefined(self):
-        report = LossReport(
-            grid=ToneGrid.single_tone(1e6),
-            rate=np.zeros((1, 1)),
-            loss=np.array([[0.5]]),
-            a=np.zeros((1, 1)),
-            q=np.zeros((1, 1)),
-            k=np.zeros((1, 1)),
-        )
-        with pytest.raises(RelativeLossUndefined) as err:
-            band_row(report, 0)
-        assert err.value.absolute_loss == pytest.approx(0.5 * report.grid.spacing)
+        # user 0's SNR underflows to 0: its band rate is 0, so its eta is NaN,
+        # while the band loss is still reported and user 1 is unaffected
+        ens = one_tone(1e6, np.diag([1e-300, 1.0]))
+        report = build_report(_budget(), ens, [np.zeros((2, 2))])
+        assert report.band_rate[0] == 0.0 and report.band_loss[0] == 0.0
+        assert np.isnan(report.eta[0])
+        assert report.band_rate[1] > 0.0 and report.eta[1] == 0.0
 
     def test_report_covers_all_users(self, small_ensemble, small_budget):
         deltas = [np.zeros((small_ensemble.p,) * 2)] * small_ensemble.grid.count
         rep = build_report(small_budget, small_ensemble, deltas)
         assert rep.rate.shape == (small_ensemble.p, small_ensemble.grid.count)
-        assert len(rep.band) == small_ensemble.p
-        assert all(b.eta == 0.0 for b in rep.band)
+        for band in (rep.band_rate, rep.band_loss, rep.eta):
+            assert band.shape == (small_ensemble.p,)
+        assert np.all(rep.eta == 0.0)
