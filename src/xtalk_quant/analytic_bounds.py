@@ -52,7 +52,11 @@ def _floor_term(r: float, d_bits: float) -> float:
 
 
 def bound_general_per_tone(p: int, psd_ratio_max: float, t_max: float, snr: float) -> float:
-    """log2((1 + (p-1) M t^2 SNR) / (1-t)^2) for any entrywise Delta ceiling t < 1."""
+    """log2((1 + (p-1) M t^2 SNR) / (1-t)^2) for any entrywise Delta ceiling t < 1.
+
+    M = max_{i != j} P_j / P_i is the PSD dynamic range rho = P_max / P_min
+    (``LinkBudget.psd_dynamic_range``).
+    """
     if t_max < 0 or psd_ratio_max < 0 or snr < 0:
         raise InvalidParams("inputs must be nonnegative")
     if t_max >= 1.0:

@@ -24,20 +24,13 @@ from __future__ import annotations
 import gc
 import json
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import streams
-from .errors import (
-    DominanceViolation,
-    InsufficientData,
-    InvalidParams,
-    ParseError,
-    SingularDiagonal,
-)
+from .errors import InsufficientData, InvalidParams, ParseError, SingularDiagonal
 
 DMT_SPACING_HZ = 4312.5
 
@@ -184,7 +177,6 @@ class ChannelEnsemble:
 
     grid: ToneGrid
     H: np.ndarray
-    source: dict = field(default_factory=dict)
 
     def __post_init__(self):
         H = np.array(self.H, dtype=complex, order="C")
@@ -240,8 +232,6 @@ def synthesize_channel(
     grid: ToneGrid,
     seed: int,
     phases: str = "uniform",
-    dominance_ceiling: float | None = None,
-    fail_on_dominance: bool = True,
 ) -> ChannelEnsemble:
     """Draw a binder realization and evaluate it on every tone of the grid.
 
@@ -274,27 +264,7 @@ def synthesize_channel(
         ])
         H = mag * np.exp(1j * ph)
 
-    source = {
-        "kind": "synthesized",
-        "seed": int(seed),
-        "phases": phases,
-        "alpha": params.alpha,
-        "loop_length_m": params.loop_length_m,
-        "p": p,
-        "k_mean_slope": params.k_mean_slope,
-        "k_sigma_log": params.k_sigma_log,
-    }
-    ensemble = ChannelEnsemble(grid=grid, H=H, source=source)
-    if dominance_ceiling is not None:
-        for k in np.flatnonzero(ensemble.r > dominance_ceiling):
-            msg = (
-                f"r(H)={ensemble.r[k]:.4f} exceeds ceiling {dominance_ceiling} "
-                f"at tone {k} (f={freqs[k]:.0f} Hz)"
-            )
-            if fail_on_dominance:
-                raise DominanceViolation(msg)
-            warnings.warn(msg)
-    return ensemble
+    return ChannelEnsemble(grid=grid, H=H)
 
 
 def calibrate_k_mean_slope(
@@ -416,7 +386,7 @@ def load_channel(path) -> ChannelEnsemble:
         raise ParseError("grid reconstruction mismatch")
     # popped, so the parsed records are freed before the ensemble copies H
     H = _tone_stack(doc.pop("tones"), grid, p)
-    return ChannelEnsemble(grid=grid, H=H, source={"kind": "loaded", "path": str(path)})
+    return ChannelEnsemble(grid=grid, H=H)
 
 
 def _number_pairs(records, shape: tuple) -> np.ndarray | None:

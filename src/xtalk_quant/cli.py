@@ -179,7 +179,6 @@ def cmd_bound(args) -> int:
     r = ensemble.r
     r_max = ensemble.r_max
     bw = ensemble.grid.bandwidth
-    ratio_max = budget.psd_ratio_max(ensemble.p)
     rho = budget.psd_dynamic_range(ensemble.p)
     wparams = _werner_bound_params(scen, ensemble) if {"werner", "relative"} & set(which) else None
 
@@ -222,7 +221,7 @@ def cmd_bound(args) -> int:
             if name == "general":
                 row.append(
                     tone_mean(
-                        lambda k: bound_general_per_tone(ensemble.p, ratio_max, t[k], worst_snr[k])
+                        lambda k: bound_general_per_tone(ensemble.p, rho, t[k], worst_snr[k])
                     )
                 )
             elif name == "main":
@@ -260,8 +259,13 @@ def cmd_design_bits(args) -> int:
     if args.target_tone is not None:
         snr = budget.snr_matrix(ensemble)
         if args.freq is not None:
-            k = int(np.argmin(np.abs(ensemble.freqs - args.freq)))
-            tones = [k]
+            freqs, half = ensemble.freqs, 0.5 * ensemble.grid.spacing
+            if not freqs[0] - half <= args.freq <= freqs[-1] + half:  # also refuses nan
+                raise InvalidParams(
+                    f"--freq {args.freq} Hz lies outside the tone grid "
+                    f"({freqs[0]} to {freqs[-1]} Hz)"
+                )
+            tones = [int(np.argmin(np.abs(freqs - args.freq)))]
         else:
             tones = range(ensemble.grid.count)
         best = None

@@ -10,7 +10,8 @@ class XtalkError(Exception):
     """Base class for all xtalk-quant errors.
 
     ``tone`` is the index of the offending tone when one tone is at fault
-    (a channel-file record, a channel matrix), else -1.
+    (a channel-file record, a channel or precoder matrix, a trial's
+    resampling), else -1.
     """
 
     exit_code = 3
@@ -43,10 +44,6 @@ class InvalidBudget(ConfigError):
     """A link-budget field is unusable (bad PSD shape, nonpositive noise, ...)."""
 
 
-class DominanceViolation(XtalkError):
-    """A synthesized channel exceeded the configured row-dominance ceiling."""
-
-
 class ParseError(ConfigError):
     """A channel or config file could not be parsed (``tone`` is -1 for
     header-level problems)."""
@@ -62,10 +59,6 @@ class InsufficientData(ConfigError):
 
 class SingularChannel(XtalkError):
     """A linear system involving the channel is numerically singular."""
-
-    def __init__(self, message: str, freq: float = float("nan")):
-        super().__init__(message)
-        self.freq = freq
 
 
 class RangeError(XtalkError):

@@ -83,8 +83,6 @@ class TrialReport:
     """Reduced losses; arrays are (p, tones) or (p,)."""
 
     d_bits: int
-    seed: int
-    freqs: np.ndarray
     per_tone: np.ndarray
     rate_per_tone: np.ndarray
     band_per_bin: np.ndarray
@@ -220,8 +218,6 @@ def run_trials_sweep(
         reports.append(
             TrialReport(
                 d_bits=d,
-                seed=seed,
-                freqs=ensemble.freqs,
                 per_tone=per_tone[i],
                 rate_per_tone=rate,
                 band_per_bin=band_per_bin,
@@ -259,7 +255,8 @@ def _invert_with_resampling(
                 failures.append((tone, t, attempt))
                 if attempt == RETRY_CAP:
                     raise SingularChannel(
-                        f"tone {tone} trial {t} singular after {RETRY_CAP} resamples"
+                        f"tone {tone} trial {t} singular after {RETRY_CAP} resamples",
+                        tone=tone,
                     )
                 e1[t] = streams.csi_error(resampler, snr, n_samples)
     return out
@@ -272,34 +269,18 @@ def min_bits_empirical(
     target_eta: float,
     d_max: int = 32,
 ) -> int:
-    """Smallest word length whose per-tone relative loss statistic meets
-    ``target_eta``, by bisection over d.
+    """Smallest word length in 1..``d_max`` whose per-tone relative loss
+    statistic meets ``target_eta``.
 
-    The same uniform base draws back every d (common random numbers), so the
-    searched statistic is monotone in d and bisection is sound.  One sweep
-    over d = 1..``d_max`` tabulates it, and the bisection reads that table.
+    One sweep over d = 1..``d_max`` tabulates the statistic from one draw per
+    tone, and the first d that meets the target is returned.
     """
     if not 0.0 < target_eta <= 1.0:
         raise InvalidParams("target_eta must lie in (0, 1]")
     if d_max < 1:
         raise InvalidParams("d_max must be >= 1")
     reports = run_trials_sweep(ensemble, budget, config, range(1, d_max + 1))
-    worst = [float(np.max(rep.eta_per_tone)) for rep in reports]
-
-    def eta_worst(d: int) -> float:
-        return worst[d - 1]
-
-    lo, hi = 1, d_max
-    if eta_worst(lo) <= target_eta:
-        return lo
-    if eta_worst(hi) > target_eta:
-        raise TargetUnreachable(
-            f"worst-case relative loss still above {target_eta} at d={d_max}"
-        )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eta_worst(mid) <= target_eta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    for rep in reports:
+        if np.max(rep.eta_per_tone) <= target_eta:
+            return rep.d_bits
+    raise TargetUnreachable(f"worst-case relative loss still above {target_eta} at d={d_max}")

@@ -82,19 +82,19 @@ class PrecoderBundle:
     scale: np.ndarray
 
 
-def ideal_precoder(channel: ChannelEnsemble, cond_limit: float = COND_LIMIT) -> np.ndarray:
+def ideal_precoder(channel: ChannelEnsemble) -> np.ndarray:
     """Solve H P = diag(D) on every tone with one refinement step; refuse
-    ill-conditioned tones (the first one found raises)."""
+    tones whose condition number exceeds ``COND_LIMIT`` (the first one found
+    raises)."""
     H = channel.H
     cond = np.linalg.cond(H)
-    bad = np.flatnonzero(~(cond <= cond_limit))  # also catches nan
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))  # also catches nan
     if bad.size:
         k = int(bad[0])
-        freq = channel.grid.freq(k)
         raise SingularChannel(
-            f"channel condition estimate {cond[k]:.3e} exceeds {cond_limit:.1e} "
-            f"at f={freq} Hz",
-            freq=freq,
+            f"channel condition estimate {cond[k]:.3e} exceeds {COND_LIMIT:.1e} "
+            f"at f={channel.grid.freq(k)} Hz",
+            tone=k,
         )
     rhs = np.zeros_like(H)
     idx = np.arange(channel.p)
@@ -125,7 +125,8 @@ def quantize_precoder(
         k = int(np.flatnonzero(outside)[0])
         raise RangeError(
             f"precoder entry magnitude {box.flat[k]:.6f} outside the unit box "
-            f"(matrix {k}); pass normalize=True to apply block scaling"
+            f"(matrix {k}); pass normalize=True to apply block scaling",
+            tone=k,
         )
     mant, expo = np.frexp(box)
     scale = np.where(outside, np.ldexp(1.0, expo - (mant == 0.5)), 1.0)
@@ -146,17 +147,12 @@ def quantize_precoder(
     return QuantizedPrecoder(p_quantized=pq, e2=pq - P, scale=scale)
 
 
-def build_delta(
-    channel: ChannelEnsemble,
-    e1: np.ndarray | None,
-    e2: np.ndarray,
-    check_tol: float = IDENTITY_CHECK_TOL,
-) -> np.ndarray:
+def build_delta(channel: ChannelEnsemble, e1: np.ndarray | None, e2: np.ndarray) -> np.ndarray:
     """Equivalent-channel perturbation of every tone for given error stacks.
 
     Also re-derives H P~ = D (I + Delta) from scratch and fails loudly if the
-    identity does not hold to ``check_tol`` (relative to max |d_ii|) on some
-    tone.
+    identity does not hold to ``IDENTITY_CHECK_TOL`` (relative to max |d_ii|)
+    on some tone.
     """
     Q = channel.Q
     eye = np.eye(channel.p)
@@ -173,12 +169,13 @@ def build_delta(
     lhs = channel.H @ p_perturbed
     rhs = channel.D[:, :, None] * (eye + delta)
     err = np.max(np.abs(lhs - rhs), axis=(1, 2)) / np.max(np.abs(channel.D), axis=1)
-    bad = np.flatnonzero(~(err < check_tol))
+    bad = np.flatnonzero(~(err < IDENTITY_CHECK_TOL))
     if bad.size:
         k = int(bad[0])
         raise NumericalError(
             f"equivalent-channel identity violated: residual {err[k]:.3e} at "
-            f"f={channel.grid.freq(k)} Hz"
+            f"f={channel.grid.freq(k)} Hz",
+            tone=k,
         )
     return delta
 
@@ -196,8 +193,8 @@ def _solve(channel: ChannelEnsemble, m: np.ndarray, rhs: np.ndarray) -> np.ndarr
                 break
     bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
     if bad.size:
-        freq = channel.grid.freq(int(bad[0]))
-        raise SingularChannel(f"singular system at f={freq} Hz", freq=freq)
+        k = int(bad[0])
+        raise SingularChannel(f"singular system at f={channel.grid.freq(k)} Hz", tone=k)
     return out
 
 

@@ -76,13 +76,6 @@ class LinkBudget:
         """(p, tones) raw SNR array."""
         return np.ascontiguousarray(self.snr(ensemble).T)
 
-    def psd_ratio_max(self, p: int) -> float:
-        """max_i max_{j != i} P_j / P_i (1 under equal PSDs)."""
-        p_lin = self.psd_linear(p)
-        order = np.sort(p_lin)
-        # the victim with the smallest PSD sees the largest ratio
-        return float(order[-1] / order[0]) if p > 1 else 1.0
-
     def psd_dynamic_range(self, p: int) -> float:
         """P_max / P_min over users with nonzero PSD (the SPSD(rho) width)."""
         p_lin = self.psd_linear(p)
@@ -111,7 +104,6 @@ class LossReport:
     band_loss / band_rate, NaN for a user whose band rate is zero.
     """
 
-    grid: ToneGrid
     rate: np.ndarray            # (p, tones) bits/s/Hz
     loss: np.ndarray            # (p, tones) bits/s/Hz
     a: np.ndarray
@@ -205,6 +197,4 @@ def build_report(
     band_rate = cols["rate"].sum(axis=1) * spacing
     band_loss = cols["loss"].sum(axis=1) * spacing
     eta = np.divide(band_loss, band_rate, out=np.full(p, np.nan), where=band_rate != 0.0)
-    return LossReport(
-        grid=ensemble.grid, band_rate=band_rate, band_loss=band_loss, eta=eta, **cols
-    )
+    return LossReport(band_rate=band_rate, band_loss=band_loss, eta=eta, **cols)

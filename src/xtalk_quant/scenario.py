@@ -163,7 +163,7 @@ class Scenario:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise InvalidParams(f"scenario file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidParams("scenario file must hold a JSON object")

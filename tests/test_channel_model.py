@@ -19,7 +19,6 @@ from xtalk_quant.channel_model import (
     synthesize_channel,
 )
 from xtalk_quant.errors import (
-    DominanceViolation,
     InsufficientData,
     InvalidParams,
     ParseError,
@@ -105,15 +104,6 @@ class TestSynthesis:
         ens = synthesize_channel(reference_params(p=5), grid, seed=5, phases="zero")
         assert np.all(np.diff(ens.r) >= 0)
 
-    def test_dominance_ceiling(self):
-        grid = ToneGrid.single_tone(30e6)
-        with pytest.raises(DominanceViolation):
-            synthesize_channel(reference_params(), grid, seed=3, dominance_ceiling=0.1)
-        with pytest.warns(UserWarning):
-            synthesize_channel(
-                reference_params(), grid, seed=3, dominance_ceiling=0.1, fail_on_dominance=False
-            )
-
     def test_calibration_lands_near_target(self):
         target = 0.1596 + 3.1729e-8 * 30e6
         k = calibrate_k_mean_slope(10, 300.0, 1.0, target, 30e6)
@@ -158,7 +148,7 @@ def _upper_ensemble(freqs, rs):
     H = np.array([[[1.0, r], [0.0, 1.0]] for r in rs], dtype=complex)
     spacing = freqs[1] - freqs[0]
     grid = ToneGrid(freqs[0], freqs[-1] + 0.5 * spacing, spacing)
-    return ChannelEnsemble(grid=grid, H=H, source={"kind": "loaded", "path": "synthetic"})
+    return ChannelEnsemble(grid=grid, H=H)
 
 
 def _line_ensemble(gamma1, gamma2, freqs):

@@ -230,6 +230,20 @@ class TestDesignBits:
     def test_requires_exactly_one_target(self, fast_args):
         assert run(["design-bits", *fast_args]) == 2
 
+    @pytest.mark.parametrize("freq", ["1e12", "-5e6", "nan"])
+    def test_freq_outside_grid_exit_2(self, capsys, fast_args, freq):
+        # the small grid's tones run from 0 to 29.601 MHz, 897 kHz apart
+        assert run(["design-bits", "--target-tone", "0.1", f"--freq={freq}", *fast_args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "outside the tone grid" in err
+
+    @pytest.mark.parametrize("freq, edge", [("-4e5", "0"), ("3e7", "29.601e6")])
+    def test_freq_within_half_spacing_of_grid_edge(self, capsys, fast_args, freq, edge):
+        assert run(["design-bits", "--target-tone", "0.1", f"--freq={edge}", *fast_args]) == 0
+        at_edge = capsys.readouterr().out
+        assert run(["design-bits", "--target-tone", "0.1", f"--freq={freq}", *fast_args]) == 0
+        assert capsys.readouterr().out == at_edge
+
 
 class TestSimulate:
     def test_zero_errors(self, tmp_path, fast_args):
@@ -435,6 +449,12 @@ class TestScenarioFile:
         cfg.write_text(json.dumps({"format_version": 1, "nonsense": 1}))
         assert run(["synth-channel", "--config", str(cfg), "--out", str(cfg) + ".c"]) == 2
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "scen.json"
+        cfg.write_bytes(b'{"users": 4}\xff')
+        assert run(["bound", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: scenario file is not valid JSON")
+
 
 class TestMalformedScenario:
     """A scenario value of the wrong JSON type (or a negative seed) is a
@@ -506,7 +526,6 @@ EXIT_TABLE = {
     "InvalidBudget": _CONFIG,
     "ParseError": _CONFIG,
     "InsufficientData": _CONFIG,
-    "DominanceViolation": _NUMERICAL,
     "SingularDiagonal": _NUMERICAL,
     "SingularChannel": _NUMERICAL,
     "RangeError": _NUMERICAL,

@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from xtalk_quant.analytic_bounds import bound_main_per_tone
-from xtalk_quant.errors import TargetUnreachable
-from xtalk_quant import streams
+from xtalk_quant.errors import SingularChannel, TargetUnreachable
+from xtalk_quant import monte_carlo, streams
 from xtalk_quant.monte_carlo import (
+    RETRY_CAP,
     CsiErrorModel,
     TrialConfig,
     _invert_with_resampling,
@@ -29,14 +32,14 @@ def _config(d, n=200, seed=42, statistic="worst_case", q=None, zero=False):
     )
 
 
-def _report_bytes(rep) -> bytes:
+def _report_bytes(rep, config, ensemble) -> bytes:
     rows = [
         (u, float(f), float(rep.per_tone[u, k]))
         for u in range(rep.per_tone.shape[0])
-        for k, f in enumerate(rep.freqs)
+        for k, f in enumerate(ensemble.freqs)
     ]
     return render_table(
-        "sim", {"seed": rep.seed, "d": rep.d_bits}, ["u", "f", "loss"], rows, "test"
+        "sim", {"seed": config.spec.seed, "d": rep.d_bits}, ["u", "f", "loss"], rows, "test"
     ).encode()
 
 
@@ -57,11 +60,12 @@ class TestRunTrials:
         assert np.all(q99.per_tone >= mean.per_tone - 1e-15)
 
     def test_seed_determinism_bytes(self, small_ensemble, small_budget):
-        a = run_trials(small_ensemble, small_budget, _config(11, seed=7))
-        b = run_trials(small_ensemble, small_budget, _config(11, seed=7))
-        assert _report_bytes(a) == _report_bytes(b)
-        c = run_trials(small_ensemble, small_budget, _config(11, seed=8))
-        assert _report_bytes(a) != _report_bytes(c)
+        cfg7, cfg8 = _config(11, seed=7), _config(11, seed=8)
+        a = run_trials(small_ensemble, small_budget, cfg7)
+        b = run_trials(small_ensemble, small_budget, cfg7)
+        assert _report_bytes(a, cfg7, small_ensemble) == _report_bytes(b, cfg7, small_ensemble)
+        c = run_trials(small_ensemble, small_budget, cfg8)
+        assert _report_bytes(a, cfg7, small_ensemble) != _report_bytes(c, cfg8, small_ensemble)
 
     def test_thread_count_does_not_change_results(
         self, small_ensemble, small_budget, monkeypatch
@@ -190,6 +194,18 @@ class TestResampling:
         other_seed = _draw_e1(seed ^ 0x5EED, 0, 1, snr, n_samples)[0]
         assert not np.array_equal(e1[1], other_seed)
 
+    def test_exhausted_resamples_name_the_tone(self, small_ensemble, small_budget, monkeypatch):
+        q_mat, snr = small_ensemble.Q[3], small_budget.snr(small_ensemble)[3]
+        e1 = _draw_e1(42, 3, 2, snr, 1000)
+        e1[1] = -q_mat
+        # every resample lands on the singular point again
+        monkeypatch.setattr(streams, "csi_error", lambda rng, snr, n: -q_mat)
+        failures = []
+        with pytest.raises(SingularChannel, match="tone 3 trial 1") as err:
+            _invert_with_resampling(q_mat, e1, snr, 1000, 42, 3, failures)
+        assert err.value.tone == 3
+        assert failures == [(3, 1, a) for a in range(RETRY_CAP + 1)]
+
 
 class TestUnequalPsdDomination:
     def test_rho_bound_covers_psd_spread(self, small_ensemble):
@@ -262,3 +278,40 @@ class TestMinBitsEmpirical:
         assert eta(d) <= target
         if d > 1:
             assert eta(d - 1) > target
+
+    def test_scan_agrees_with_bisection(self, small_ensemble, small_budget):
+        cfg = _config(8, n=100)
+        reports = run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 33))
+        worst = [float(np.max(rep.eta_per_tone)) for rep in reports]
+        for target in (0.5, 0.1, 0.02, 0.005, 1e-3, 1e-4):
+            assert min_bits_empirical(small_ensemble, small_budget, cfg, target) == (
+                _bisect_table(worst, target)
+            )
+
+    def test_first_word_length_meeting_target(self, small_ensemble, small_budget, monkeypatch):
+        # a table that is not monotone in d, where a bisection returns 6
+        table = [0.5, 0.005, 0.5, 0.5, 0.5, 0.005, 0.005, 0.005]
+
+        def sweep(ensemble, budget, config, d_values):
+            return [SimpleNamespace(d_bits=d, eta_per_tone=np.array([[table[d - 1]]]))
+                    for d in d_values]
+
+        monkeypatch.setattr(monte_carlo, "run_trials_sweep", sweep)
+        assert _bisect_table(table, 0.01) == 6
+        assert min_bits_empirical(small_ensemble, small_budget, _config(8), 0.01, d_max=8) == 2
+
+
+def _bisect_table(worst, target):
+    """The bisection min_bits_empirical once ran over its table of worst
+    relative losses, worst[d - 1] for d = 1..len(worst)."""
+    lo, hi = 1, len(worst)
+    if worst[lo - 1] <= target:
+        return lo
+    assert worst[hi - 1] <= target, "target unreachable"
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if worst[mid - 1] <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from xtalk_quant import streams
+from xtalk_quant import precoding, streams
 from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid
-from xtalk_quant.errors import RangeError, SingularChannel
+from xtalk_quant.errors import NumericalError, RangeError, SingularChannel
 from xtalk_quant.precoding import (
     COND_LIMIT,
     E2_DETERMINISTIC,
@@ -53,14 +53,14 @@ class TestIdealPrecoder:
         H = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
         with pytest.raises(SingularChannel) as err:
             ideal_precoder(one_tone(2e6, H))
-        assert err.value.freq == 2e6
+        assert err.value.tone == 0
 
     def test_first_ill_conditioned_tone_named(self, small_ensemble):
         H = small_ensemble.H.copy()
         H[[5, 9]] = [[1.0, 1.0, 0, 0], [1.0, 1.0 + 1e-15, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         with pytest.raises(SingularChannel) as err:
             ideal_precoder(ChannelEnsemble(small_ensemble.grid, H))
-        assert err.value.freq == small_ensemble.grid.freq(5)
+        assert err.value.tone == 5
 
     def test_batched_equals_one_tone_at_a_time(self, small_ensemble):
         P = ideal_precoder(small_ensemble)
@@ -123,8 +123,9 @@ class TestQuantizer:
         P = np.array([0.5, 1.0, 1.25, 2.0, 2.0000000000000004, 3.9]).reshape(6, 1, 1) + 0j
         out = quantize_precoder(P, PerturbationSpec(d_bits=8), normalize=True)
         assert np.array_equal(out.scale, [1.0, 1.0, 2.0, 2.0, 4.0, 4.0])
-        with pytest.raises(RangeError, match="matrix 2"):
+        with pytest.raises(RangeError, match="matrix 2") as err:
             quantize_precoder(P, PerturbationSpec(d_bits=8))
+        assert err.value.tone == 2
 
 
 class TestDelta:
@@ -155,7 +156,19 @@ class TestDelta:
         chan = ChannelEnsemble(ToneGrid(1e6, 1e6 + 3.5, 1.0), H)
         with pytest.raises(SingularChannel) as err:
             build_delta(chan, None, np.zeros_like(H))
-        assert err.value.freq == 1e6 + 2.0
+        assert err.value.tone == 2
+
+    def test_identity_violation_names_tone(self, monkeypatch):
+        # identity tones with E2 = 0 have a zero residual; tone 2's is not
+        rng = np.random.default_rng(5)
+        H = np.stack([np.eye(3), np.eye(3), random_dominant_tone(rng, 3, 0.4).H[0]])
+        chan = ChannelEnsemble(ToneGrid(1e6, 1e6 + 2.5, 1.0), H)
+        e2 = np.zeros_like(H)
+        e2[2] = 1e-4
+        monkeypatch.setattr(precoding, "IDENTITY_CHECK_TOL", 1e-300)
+        with pytest.raises(NumericalError, match="identity violated") as err:
+            build_delta(chan, None, e2)
+        assert err.value.tone == 2
 
     def test_delta_affine_in_e2(self):
         rng = np.random.default_rng(4)

@@ -47,12 +47,14 @@ class TestRateIdeal:
 
     def test_psd_spread_statistics(self):
         flat = _budget()
-        assert flat.psd_ratio_max(5) == 1.0
         assert flat.psd_dynamic_range(5) == 1.0
         mixed = _budget(psd=[-60.0, -66.0, -63.0])
         # min-PSD victim against the max-PSD interferer: 6 dB
-        assert mixed.psd_ratio_max(3) == pytest.approx(10 ** 0.6, rel=1e-12)
         assert mixed.psd_dynamic_range(3) == pytest.approx(10 ** 0.6, rel=1e-12)
+        # rho is also the largest cross-PSD ratio M of the general bound
+        p_lin = mixed.psd_linear(3)
+        ratios = [p_lin[j] / p_lin[i] for i in range(3) for j in range(3) if i != j]
+        assert mixed.psd_dynamic_range(3) == max(ratios)
 
 
 class TestLossExact:
@@ -148,7 +150,7 @@ class TestLossExact:
 class TestBand:
     def _two_tone(self, p=2):
         grid = ToneGrid(1e6, 2.2e6, 1e6)
-        return ChannelEnsemble(grid=grid, H=np.stack([np.eye(p)] * grid.count), source={})
+        return ChannelEnsemble(grid=grid, H=np.stack([np.eye(p)] * grid.count))
 
     def test_zero_deltas(self):
         ens = self._two_tone()
