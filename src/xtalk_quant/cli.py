@@ -255,6 +255,8 @@ def cmd_design_bits(args) -> int:
     budget = scen.budget(ensemble.grid)
     if (args.target_tone is None) == (args.target_relative is None):
         raise InvalidParams("pass exactly one of --target-tone or --target-relative")
+    if args.target_relative is not None and args.freq is not None:
+        raise InvalidParams("--freq applies to --target-tone only; --target-relative is a band target")
 
     if args.target_tone is not None:
         snr = budget.snr_matrix(ensemble)

@@ -37,7 +37,9 @@ from . import streams
 from .channel_model import ChannelEnsemble
 from .errors import InvalidParams, SingularChannel, TargetUnreachable
 from .precoding import PerturbationSpec
-from .rate_analysis import LinkBudget, interference_terms, loss_arrays, loss_from_terms
+from .rate_analysis import LinkBudget, interference_ratio, interference_terms
+from .rate_analysis import loss_arrays  # noqa: F401  (bench/spans.py patches monte_carlo.loss_arrays)
+from .units import LN2
 
 WORST_CASE = "worst_case"
 MEAN = "mean"
@@ -169,6 +171,44 @@ def run_trials_sweep(
     d_values = [int(d) for d in d_values]
     if not d_values:
         raise InvalidParams("no word lengths to simulate")
+    if min(d_values) < 1:
+        raise InvalidParams(f"word lengths must be >= 1, got {min(d_values)}")
+    per_tone, rate, joint, failures = _sweep_tones(
+        ensemble, budget, config, d_values, csi, band_joint=True
+    )
+    spacing = ensemble.grid.spacing
+    band_rate = rate.sum(axis=1) * spacing
+    rate.flags.writeable = band_rate.flags.writeable = False  # every report shares them
+    return [
+        TrialReport(
+            d_bits=d,
+            per_tone=per_tone[i],
+            rate_per_tone=rate,
+            band_per_bin=per_tone[i].sum(axis=1) * spacing,
+            band_joint=_reduce(joint[i] * spacing, config),
+            band_rate=band_rate,
+            trial_failures=list(failures),
+        )
+        for i, d in enumerate(d_values)
+    ]
+
+
+def _sweep_tones(
+    ensemble: ChannelEnsemble,
+    budget: LinkBudget,
+    config: TrialConfig,
+    d_values,
+    csi: CsiErrorModel | None,
+    band_joint: bool,
+) -> tuple:
+    """The trial engine behind ``run_trials_sweep`` and ``min_bits_empirical``.
+
+    Returns the per-tone statistic (len(d_values), p, tones), the rate
+    (p, tones), with ``band_joint`` the per-trial losses summed over tones
+    (len(d_values), n_trials, p) and else None, and the resampled trials.
+    Per-trial losses are formed only when ``band_joint`` or the statistic
+    reads them; the worst case alone takes one log1p per (user, d).
+    """
     p = ensemble.p
     n = config.n_trials
     seed = config.spec.seed
@@ -177,56 +217,50 @@ def run_trials_sweep(
     n_tones = ensemble.grid.count
     scales = [2.0 ** (-d) for d in d_values]
     snr_all, q_all = budget.snr(ensemble), ensemble.Q
+    per_trial = band_joint or config.statistic != WORST_CASE
 
     def one_tone(k: int):
         snr = snr_all[k]
+        esnr = snr / gap
+        rate = np.log1p(esnr) / LN2
         q_mat = q_all[k]
         qu = q_mat[None, :, :] @ _draw_e2(seed, k, n, p, config.zero_errors)
         failures: list = []
         if csi is None:
             cross, dii = interference_terms(qu, psd_lin)
-            outs = (loss_from_terms(snr, gap, cross * (s * s), s * dii) for s in scales)
+            terms = ((cross, dii, s) for s in scales)
         else:
             e1 = streams.csi_error(streams.stream(seed, streams.MC_E1, k), snr, csi.n_samples, (n,))
             m_inv = _invert_with_resampling(q_mat, e1, snr, csi.n_samples, seed, k, failures)
             e1_term = e1 @ m_inv
-            outs = (loss_arrays(snr, gap, psd_lin, s * qu - e1_term) for s in scales)
-        losses = []
-        for out in outs:
-            losses.append(out["loss"])
-            rates = out["rate"]  # the same at every d
-        return [_reduce(loss, config) for loss in losses], losses, rates, failures
+            terms = (interference_terms(s * qu - e1_term, psd_lin) + (1.0,) for s in scales)
+        stats, losses = [], []
+        for cross, dii, s in terms:
+            q = interference_ratio(snr, cross, dii, s)[1]
+            if per_trial:
+                loss = rate - np.log1p(esnr * q) / LN2
+                stats.append(_reduce(loss, config))
+                if band_joint:
+                    losses.append(loss)
+            else:
+                # q -> loss is monotone decreasing, so the worst trial is the one with the
+                # least q; the min runs over a contiguous (p, n) copy, the fast axis
+                q_min = np.ascontiguousarray(q.T).min(axis=1)
+                stats.append(rate - np.log1p(esnr * q_min) / LN2)
+        return stats, losses, rate, failures
 
     per_tone = np.empty((len(d_values), p, n_tones))
     rate = np.empty((p, n_tones))
-    band_joint_acc = np.zeros((len(d_values), n, p))
+    joint = np.zeros((len(d_values), n, p)) if band_joint else None
     failures: list = []
     for k, (stats, losses, rates, tone_failures) in enumerate(_map_tones(one_tone, n_tones)):
-        for i, (stat, loss) in enumerate(zip(stats, losses)):
-            per_tone[i, :, k] = stat
-            band_joint_acc[i] += loss
+        per_tone[:, :, k] = stats
+        if band_joint:
+            for acc, loss in zip(joint, losses):
+                acc += loss
         rate[:, k] = rates
         failures.extend(tone_failures)
-
-    spacing = ensemble.grid.spacing
-    band_rate = rate.sum(axis=1) * spacing
-    rate.flags.writeable = band_rate.flags.writeable = False  # every report shares them
-    reports = []
-    for i, d in enumerate(d_values):
-        band_per_bin = per_tone[i].sum(axis=1) * spacing
-        band_joint = _reduce(band_joint_acc[i] * spacing, config)
-        reports.append(
-            TrialReport(
-                d_bits=d,
-                per_tone=per_tone[i],
-                rate_per_tone=rate,
-                band_per_bin=band_per_bin,
-                band_joint=band_joint,
-                band_rate=band_rate,
-                trial_failures=list(failures),
-            )
-        )
-    return reports
+    return per_tone, rate, joint, failures
 
 
 def _invert_with_resampling(
@@ -279,8 +313,10 @@ def min_bits_empirical(
         raise InvalidParams("target_eta must lie in (0, 1]")
     if d_max < 1:
         raise InvalidParams("d_max must be >= 1")
-    reports = run_trials_sweep(ensemble, budget, config, range(1, d_max + 1))
-    for rep in reports:
-        if np.max(rep.eta_per_tone) <= target_eta:
-            return rep.d_bits
+    per_tone, rate, _, _ = _sweep_tones(
+        ensemble, budget, config, range(1, d_max + 1), None, band_joint=False
+    )
+    for d, stat in enumerate(per_tone, start=1):
+        if np.max(stat / rate) <= target_eta:
+            return d
     raise TargetUnreachable(f"worst-case relative loss still above {target_eta} at d={d_max}")

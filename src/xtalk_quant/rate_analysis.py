@@ -139,21 +139,35 @@ def interference_terms(delta: np.ndarray, psd_lin: np.ndarray) -> tuple:
     """
     ad2 = delta.real**2 + delta.imag**2
     tot = ad2 @ psd_lin
-    dii = np.diagonal(delta, axis1=-2, axis2=-1)
+    dii = np.diagonal(delta, axis1=-2, axis2=-1).copy()  # the trial engine reads it once per d
     own = psd_lin * (dii.real**2 + dii.imag**2)
     cross = np.maximum(tot - own, 0.0) / psd_lin
     return cross, dii
 
 
+def interference_ratio(
+    snr: np.ndarray, cross: np.ndarray, dii: np.ndarray, scale: float = 1.0
+) -> tuple:
+    """``a`` and ``q`` of every user under the perturbation ``scale`` * Delta,
+    from Delta's ``interference_terms``; ``scale`` is a power of two, so the
+    scaled terms are exact.  Raises ``NumericalError`` if either is not finite."""
+    a = cross * (scale * scale) * snr
+    re = dii.real * scale
+    re += 1.0
+    im = dii.imag * scale
+    q = np.square(re, out=re)
+    q += np.square(im, out=im)
+    q /= a + 1.0
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+        raise NumericalError("non-finite interference statistics")
+    return a, q
+
+
 def loss_from_terms(snr: np.ndarray, gap: float, cross: np.ndarray, dii: np.ndarray) -> dict:
     """The per-user half of the loss kernel, from ``interference_terms``."""
     esnr = snr / gap
-    a = cross * snr
-    one_plus = 1.0 + dii
-    q = (one_plus.real**2 + one_plus.imag**2) / (a + 1.0)
+    a, q = interference_ratio(snr, cross, dii)
     k = esnr / (esnr + 1.0)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
-        raise NumericalError("non-finite interference statistics")
     rate = np.log1p(esnr) / LN2
     loss = rate - np.log1p(esnr * q) / LN2
     return {"loss": loss, "rate": rate, "a": a, "q": q, "k": k}

@@ -237,6 +237,12 @@ class TestDesignBits:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "outside the tone grid" in err
 
+    def test_freq_with_relative_target_exit_2(self, capsys, fast_args):
+        # --freq picks a tone; the relative target designs for the whole band
+        assert run(["design-bits", "--target-relative", "0.01", "--freq", "5e6", *fast_args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--freq" in err
+
     @pytest.mark.parametrize("freq, edge", [("-4e5", "0"), ("3e7", "29.601e6")])
     def test_freq_within_half_spacing_of_grid_edge(self, capsys, fast_args, freq, edge):
         assert run(["design-bits", "--target-tone", "0.1", f"--freq={edge}", *fast_args]) == 0

@@ -1,10 +1,12 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_dominant_tone
 
 from xtalk_quant.analytic_bounds import bound_main_per_tone
-from xtalk_quant.errors import SingularChannel, TargetUnreachable
+from xtalk_quant.errors import InvalidParams, SingularChannel, TargetUnreachable
 from xtalk_quant import monte_carlo, streams
 from xtalk_quant.monte_carlo import (
     RETRY_CAP,
@@ -19,6 +21,7 @@ from xtalk_quant.monte_carlo import (
 from xtalk_quant.precoding import E2_UNIFORM, PerturbationSpec
 from xtalk_quant.rate_analysis import LinkBudget, loss_arrays
 from xtalk_quant.reports import render_table
+from xtalk_quant.scenario import Scenario
 from xtalk_quant.units import LN2
 
 
@@ -44,6 +47,12 @@ def _report_bytes(rep, config, ensemble) -> bytes:
 
 
 class TestRunTrials:
+    @pytest.mark.parametrize("d_values", [[0], [-3], [8, 0, 12]])
+    def test_word_length_below_one_refused(self, small_ensemble, small_budget, d_values):
+        # PerturbationSpec refuses d_bits < 1; the sweep's word lengths must too
+        with pytest.raises(InvalidParams, match="word length"):
+            run_trials_sweep(small_ensemble, small_budget, _config(8, n=5), d_values)
+
     def test_zero_errors_zero_loss(self, small_ensemble, small_budget):
         rep = run_trials(small_ensemble, small_budget, _config(12, n=1, zero=True))
         assert np.all(rep.per_tone == 0.0)
@@ -158,6 +167,65 @@ class TestOneDrawServesEveryWordLength:
         for a, b in zip(one, two):
             for name in ("per_tone", "rate_per_tone", "band_per_bin", "band_joint", "band_rate"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
+
+
+def _shortcut_and_full(ensemble, budget, config, d_values):
+    """The engine's worst case taken before the log (no per-trial losses) and
+    run_trials_sweep's, the max over the per-trial losses."""
+    per_tone, rate, joint, _ = monte_carlo._sweep_tones(
+        ensemble, budget, config, d_values, None, band_joint=False
+    )
+    assert joint is None
+    return per_tone, rate, run_trials_sweep(ensemble, budget, config, d_values)
+
+
+class TestWorstCaseBeforeTheLog:
+    """min over trials of q, then one log1p per (user, d), is bitwise the max
+    over trials of the per-trial losses; this relies on log1p being monotone."""
+
+    def _check(self, ensemble, budget, config):
+        d_values = range(1, 33)
+        per_tone, rate, reports = _shortcut_and_full(ensemble, budget, config, d_values)
+        for stat, rep in zip(per_tone, reports):
+            assert np.array_equal(stat, rep.per_tone), rep.d_bits
+            assert np.array_equal(stat / rate, rep.eta_per_tone), rep.d_bits
+        assert np.array_equal(rate, reports[0].rate_per_tone)
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_small_ensemble(self, small_ensemble, small_budget, monkeypatch, threads):
+        if threads:
+            monkeypatch.setenv("XTALK_THREADS", threads)
+        self._check(small_ensemble, small_budget, _config(1, n=200))
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_reference_scenario(self, monkeypatch, threads):
+        if threads:
+            monkeypatch.setenv("XTALK_THREADS", threads)
+        scen = Scenario()
+        ensemble = scen.ensemble()
+        self._check(ensemble, scen.budget(ensemble.grid), scen.trial_config(e2_model=E2_UNIFORM))
+
+    @given(
+        st.integers(min_value=0, max_value=2**63),
+        st.integers(min_value=2, max_value=8),
+        st.floats(min_value=1e-3, max_value=0.9),
+        st.floats(min_value=-100.0, max_value=-30.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_dominant_tones(self, seed, p, r_target, psd_dbm):
+        ensemble = random_dominant_tone(np.random.default_rng(seed), p, r_target)
+        budget = LinkBudget(psd_dbm, -140.0, 10.7, ensemble.grid)
+        self._check(ensemble, budget, _config(1, n=60, seed=seed))
+
+    @pytest.mark.parametrize("statistic, q", [("mean", None), ("quantile", 0.9)])
+    def test_other_statistics_scan_the_sweep(self, small_ensemble, small_budget, statistic, q):
+        # MEAN and QUANTILE keep the per-trial losses; the result is the first
+        # d of run_trials_sweep's table that meets the target
+        cfg = _config(8, n=100, statistic=statistic, q=q)
+        reports = run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 33))
+        for target in (0.1, 0.02, 0.005, 1e-3):
+            first = next(r.d_bits for r in reports if np.max(r.eta_per_tone) <= target)
+            assert min_bits_empirical(small_ensemble, small_budget, cfg, target) == first
 
 
 class TestCsiTrials:
@@ -292,11 +360,12 @@ class TestMinBitsEmpirical:
         # a table that is not monotone in d, where a bisection returns 6
         table = [0.5, 0.005, 0.5, 0.5, 0.5, 0.005, 0.005, 0.005]
 
-        def sweep(ensemble, budget, config, d_values):
-            return [SimpleNamespace(d_bits=d, eta_per_tone=np.array([[table[d - 1]]]))
-                    for d in d_values]
+        def sweep(ensemble, budget, config, d_values, csi, band_joint):
+            # per-tone statistic (d, users, tones) over a unit rate: eta is the table
+            per_tone = np.array([[[table[d - 1]]] for d in d_values])
+            return per_tone, np.ones((1, 1)), None, []
 
-        monkeypatch.setattr(monte_carlo, "run_trials_sweep", sweep)
+        monkeypatch.setattr(monte_carlo, "_sweep_tones", sweep)
         assert _bisect_table(table, 0.01) == 6
         assert min_bits_empirical(small_ensemble, small_budget, _config(8), 0.01, d_max=8) == 2
 
