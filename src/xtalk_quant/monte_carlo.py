@@ -23,6 +23,14 @@ the loss kernel once; each d then costs O(n p), since Delta(d) = 2^-d Q U
 scales the interference by 4^-d and Delta_ii by 2^-d.  Power-of-two scaling
 is exact in floating point, so every report is bitwise identical to a fresh
 draw at that d alone.
+
+The worst case is taken before the log.  A user's loss,
+rate - log1p(eSNR q)/ln 2, falls as q grows, and each floating-point step
+from q to the loss is monotone, so the worst trial is the one with the least
+q.  When nothing reads the per-trial losses (``min_bits_empirical`` with the
+worst-case statistic), each (user, tone, d) takes one log1p of min_t q_t.
+``band_joint`` and the mean and quantile statistics need every trial's loss,
+so ``run_trials_sweep`` and those statistics form them all.
 """
 
 from __future__ import annotations

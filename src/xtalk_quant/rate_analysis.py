@@ -157,7 +157,7 @@ def interference_ratio(
     im = dii.imag * scale
     q = np.square(re, out=re)
     q += np.square(im, out=im)
-    q /= a + 1.0
+    q = q / (a + 1.0)  # not in place: an (..., p) snr may broadcast a past dii's shape
     if not (np.isfinite(a).all() and np.isfinite(q).all()):
         raise NumericalError("non-finite interference statistics")
     return a, q
