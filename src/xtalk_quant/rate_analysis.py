@@ -126,8 +126,12 @@ def loss_arrays(
     ``delta`` has shape (..., p, p); returns arrays of shape (..., p) for
     loss, rate, a, q, k.
     """
-    cross, dii = interference_terms(delta, psd_lin)
-    return loss_from_terms(snr, gap, cross, dii)
+    esnr = snr / gap
+    a, q = interference_ratio(snr, *interference_terms(delta, psd_lin))
+    k = esnr / (esnr + 1.0)
+    rate = np.log1p(esnr) / LN2
+    loss = rate - np.log1p(esnr * q) / LN2
+    return {"loss": loss, "rate": rate, "a": a, "q": q, "k": k}
 
 
 def interference_terms(delta: np.ndarray, psd_lin: np.ndarray) -> tuple:
@@ -161,16 +165,6 @@ def interference_ratio(
     if not (np.isfinite(a).all() and np.isfinite(q).all()):
         raise NumericalError("non-finite interference statistics")
     return a, q
-
-
-def loss_from_terms(snr: np.ndarray, gap: float, cross: np.ndarray, dii: np.ndarray) -> dict:
-    """The per-user half of the loss kernel, from ``interference_terms``."""
-    esnr = snr / gap
-    a, q = interference_ratio(snr, cross, dii)
-    k = esnr / (esnr + 1.0)
-    rate = np.log1p(esnr) / LN2
-    loss = rate - np.log1p(esnr * q) / LN2
-    return {"loss": loss, "rate": rate, "a": a, "q": q, "k": k}
 
 
 def loss_exact(

@@ -169,23 +169,19 @@ class TestOneDrawServesEveryWordLength:
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
 
 
-def _shortcut_and_full(ensemble, budget, config, d_values):
-    """The engine's worst case taken before the log (no per-trial losses) and
-    run_trials_sweep's, the max over the per-trial losses."""
-    per_tone, rate, joint, _ = monte_carlo._sweep_tones(
-        ensemble, budget, config, d_values, None, band_joint=False
-    )
-    assert joint is None
-    return per_tone, rate, run_trials_sweep(ensemble, budget, config, d_values)
-
-
 class TestWorstCaseBeforeTheLog:
     """min over trials of q, then one log1p per (user, d), is bitwise the max
-    over trials of the per-trial losses; this relies on log1p being monotone."""
+    over trials of the per-trial losses that run_trials_sweep reduces (and
+    TestOneDrawServesEveryWordLength pins to the loss_arrays oracle); this
+    relies on log1p being monotone."""
 
     def _check(self, ensemble, budget, config):
         d_values = range(1, 33)
-        per_tone, rate, reports = _shortcut_and_full(ensemble, budget, config, d_values)
+        per_tone, rate, joint, _ = monte_carlo._sweep_tones(
+            ensemble, budget, config, d_values, None, band_joint=False
+        )
+        assert joint is None
+        reports = run_trials_sweep(ensemble, budget, config, d_values)
         for stat, rep in zip(per_tone, reports):
             assert np.array_equal(stat, rep.per_tone), rep.d_bits
             assert np.array_equal(stat / rate, rep.eta_per_tone), rep.d_bits
