@@ -64,15 +64,14 @@ from .design import (
     solve_quadratic_budget,
     sweep_bits_vs_loop_length,
 )
-# paper: trial worst cases (criteria 2, 3, 10); CLI: simulate; benchmark: run_trials
+# paper: trial worst cases, with estimation error when spec.e1_samples is set
+# (criteria 2, 3, 10); CLI: simulate; benchmark: run_trials
 from .monte_carlo import (
-    CsiErrorModel,
     TrialConfig,
     TrialReport,
     min_bits_empirical,
     run_trials,
     run_trials_sweep,
-    run_trials_with_csi_error,
 )
 # CLI: --config files; benchmark: writes and reads its scenario
 from .scenario import Scenario

@@ -37,7 +37,7 @@ from .errors import (
     XtalkError,
 )
 # run_trials stays bound here for the benchmark's tracing, which patches cli.run_trials
-from .monte_carlo import CsiErrorModel, run_trials, run_trials_sweep  # noqa: F401
+from .monte_carlo import run_trials, run_trials_sweep  # noqa: F401
 from .precoding import delta_entry_bound, make_bundle
 from .rate_analysis import build_report
 from .reports import render_table, scenario_hash
@@ -309,12 +309,8 @@ def cmd_simulate(args) -> int:
             raise InvalidParams(f"--d-range must look like 8:16, got {args.d_range!r}") from exc
         if d_lo < 1 or d_hi < d_lo:
             raise InvalidParams(f"bad --d-range {args.d_range!r}")
-    csi_samples = scen.csi_samples or 0
-    csi = CsiErrorModel(csi_samples) if csi_samples else None
-    config = scen.trial_config(e2_model="uniform_random")
-    if args.zero_errors:
-        config = replace(config, zero_errors=True)
-    reports = run_trials_sweep(ensemble, budget, config, range(d_lo, d_hi + 1), csi=csi)
+    config = replace(scen.trial_config(), zero_errors=args.zero_errors)
+    reports = run_trials_sweep(ensemble, budget, config, range(d_lo, d_hi + 1))
     failures = reports[0].trial_failures
     if failures and not args.skip_failures:
         tone, trial, _ = failures[0]
@@ -337,7 +333,7 @@ def cmd_simulate(args) -> int:
         "scenario_hash": scenario_hash(scen.to_dict()),
         "statistic": scen.statistic,
         "n_trials": scen.n_trials,
-        "csi_samples": csi_samples,
+        "csi_samples": scen.csi_samples or 0,
     }
     table = render_table(
         "simulation",

@@ -44,7 +44,7 @@ import numpy as np
 from . import streams
 from .channel_model import ChannelEnsemble
 from .errors import InvalidParams, SingularChannel, TargetUnreachable
-from .precoding import PerturbationSpec
+from .precoding import E2_UNIFORM, PerturbationSpec
 from .rate_analysis import LinkBudget, interference_ratio, interference_terms
 from .rate_analysis import loss_arrays  # noqa: F401  (bench/spans.py patches monte_carlo.loss_arrays)
 from .units import LN2
@@ -69,23 +69,13 @@ class TrialConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise InvalidParams("n_trials must be >= 1")
+        if self.spec.e2_model != E2_UNIFORM:
+            raise InvalidParams(f"trials draw {E2_UNIFORM!r} errors, not {self.spec.e2_model!r}")
         if self.statistic not in (WORST_CASE, MEAN, QUANTILE):
             raise InvalidParams(f"unknown statistic {self.statistic!r}")
         if self.statistic == QUANTILE:
             if self.quantile_q is None or not 0.0 < self.quantile_q < 1.0:
                 raise InvalidParams("quantile statistic needs q in (0, 1)")
-
-
-@dataclass(frozen=True)
-class CsiErrorModel:
-    """Channel-estimation error: row-i entries of E1 are zero-mean complex
-    Gaussian with variance 1/(n_samples * SNR_i(f))."""
-
-    n_samples: int
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidParams("n_samples must be >= 1")
 
 
 @dataclass
@@ -148,33 +138,21 @@ def _draw_e2(seed: int, tone: int, n: int, p: int, zero: bool) -> np.ndarray:
 
 
 def run_trials(ensemble: ChannelEnsemble, budget: LinkBudget, config: TrialConfig) -> TrialReport:
-    """Quantization-only trials (perfect channel knowledge) at ``config``'s d."""
+    """Trials at ``config``'s own word length."""
     return run_trials_sweep(ensemble, budget, config, [config.spec.d_bits])[0]
 
 
-def run_trials_with_csi_error(
-    ensemble: ChannelEnsemble,
-    budget: LinkBudget,
-    config: TrialConfig,
-    csi: CsiErrorModel,
-) -> TrialReport:
-    """Joint trials: Gaussian channel-estimation error plus uniform
-    quantization error, with the full two-term equivalent perturbation."""
-    return run_trials_sweep(ensemble, budget, config, [config.spec.d_bits], csi=csi)[0]
-
-
 def run_trials_sweep(
-    ensemble: ChannelEnsemble,
-    budget: LinkBudget,
-    config: TrialConfig,
-    d_values,
-    csi: CsiErrorModel | None = None,
+    ensemble: ChannelEnsemble, budget: LinkBudget, config: TrialConfig, d_values
 ) -> list[TrialReport]:
     """One ``TrialReport`` per word length in ``d_values`` (``config``'s own
     d_bits is not used), all from one draw per tone.
 
-    Without ``csi`` the trials are quantization-only; with it, each trial also
-    carries Gaussian channel-estimation error (see ``run_trials_with_csi_error``).
+    With ``config.spec.e1_samples`` None the trials are quantization-only
+    (perfect channel knowledge).  Set, each trial also carries Gaussian
+    channel-estimation error E1, row-i entries of variance
+    1/(e1_samples * SNR_i), and the full two-term perturbation
+    Q E2 - E1 inv(Q + E1).
     """
     d_values = [int(d) for d in d_values]
     if not d_values:
@@ -182,7 +160,7 @@ def run_trials_sweep(
     if min(d_values) < 1:
         raise InvalidParams(f"word lengths must be >= 1, got {min(d_values)}")
     per_tone, rate, joint, failures = _sweep_tones(
-        ensemble, budget, config, d_values, csi, band_joint=True
+        ensemble, budget, config, d_values, band_joint=True
     )
     spacing = ensemble.grid.spacing
     band_rate = rate.sum(axis=1) * spacing
@@ -206,7 +184,6 @@ def _sweep_tones(
     budget: LinkBudget,
     config: TrialConfig,
     d_values,
-    csi: CsiErrorModel | None,
     band_joint: bool,
 ) -> tuple:
     """The trial engine behind ``run_trials_sweep`` and ``min_bits_empirical``.
@@ -219,7 +196,7 @@ def _sweep_tones(
     """
     p = ensemble.p
     n = config.n_trials
-    seed = config.spec.seed
+    seed, e1_samples = config.spec.seed, config.spec.e1_samples
     psd_lin = budget.psd_linear(p)
     gap = budget.gap
     n_tones = ensemble.grid.count
@@ -234,12 +211,12 @@ def _sweep_tones(
         q_mat = q_all[k]
         qu = q_mat[None, :, :] @ _draw_e2(seed, k, n, p, config.zero_errors)
         failures: list = []
-        if csi is None:
+        if e1_samples is None:
             cross, dii = interference_terms(qu, psd_lin)
             terms = ((cross, dii, s) for s in scales)
         else:
-            e1 = streams.csi_error(streams.stream(seed, streams.MC_E1, k), snr, csi.n_samples, (n,))
-            m_inv = _invert_with_resampling(q_mat, e1, snr, csi.n_samples, seed, k, failures)
+            e1 = streams.csi_error(streams.stream(seed, streams.MC_E1, k), snr, e1_samples, (n,))
+            m_inv = _invert_with_resampling(q_mat, e1, snr, e1_samples, seed, k, failures)
             e1_term = e1 @ m_inv
             terms = (interference_terms(s * qu - e1_term, psd_lin) + (1.0,) for s in scales)
         stats, losses = [], []
@@ -322,7 +299,7 @@ def min_bits_empirical(
     if d_max < 1:
         raise InvalidParams("d_max must be >= 1")
     per_tone, rate, _, _ = _sweep_tones(
-        ensemble, budget, config, range(1, d_max + 1), None, band_joint=False
+        ensemble, budget, config, range(1, d_max + 1), band_joint=False
     )
     for d, stat in enumerate(per_tone, start=1):
         if np.max(stat / rate) <= target_eta:

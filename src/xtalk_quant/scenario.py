@@ -122,12 +122,15 @@ class Scenario:
             seed=self.seed,
         )
 
-    def trial_config(self, d_bits: int | None = None, e2_model: str | None = None) -> TrialConfig:
+    def trial_config(self, d_bits: int | None = None, e2_model: str = E2_UNIFORM) -> TrialConfig:
+        """Trials draw uniform quantization errors whatever ``self.e2_model``
+        (analyze's setting) says."""
         return TrialConfig(
             n_trials=self.n_trials,
             spec=PerturbationSpec(
                 d_bits=self.d_bits if d_bits is None else d_bits,
-                e2_model=self.e2_model if e2_model is None else e2_model,
+                e2_model=e2_model,
+                e1_samples=self.csi_samples,
                 seed=self.seed,
             ),
             statistic=self.statistic,

@@ -10,6 +10,7 @@ criteria 2-3 and the CLI tests.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,12 +34,10 @@ from xtalk_quant.design import (
     sweep_bits_vs_loop_length,
 )
 from xtalk_quant.monte_carlo import (
-    CsiErrorModel,
     TrialConfig,
     min_bits_empirical,
     run_trials,
     run_trials_sweep,
-    run_trials_with_csi_error,
 )
 from xtalk_quant.precoding import E2_UNIFORM, PerturbationSpec
 from xtalk_quant.rate_analysis import LinkBudget, loss_exact
@@ -327,16 +326,14 @@ def test_criterion_10_csi_stability():
     ens = synthesize_channel(reference_params(), grid, REF_SEED)
     budget = LinkBudget(REF_PSD_DBM, REF_NOISE_DBM, REF_GAP_DB, grid)
     snr = budget.snr_matrix(ens)
-    csi = CsiErrorModel(n_samples=1000)
     ratios = {}
     dominance_ok = True
     for d in (8, 11, 14):
-        cfg = TrialConfig(
-            n_trials=500,
-            spec=PerturbationSpec(d_bits=d, e2_model=E2_UNIFORM, seed=REF_SEED),
+        spec = PerturbationSpec(d_bits=d, e2_model=E2_UNIFORM, seed=REF_SEED)
+        quant = run_trials(ens, budget, TrialConfig(n_trials=500, spec=spec))
+        joint = run_trials(
+            ens, budget, TrialConfig(n_trials=500, spec=replace(spec, e1_samples=1000))
         )
-        quant = run_trials(ens, budget, cfg)
-        joint = run_trials_with_csi_error(ens, budget, cfg, csi)
         ratios[d] = float(joint.band_per_bin.max() / quant.band_per_bin.max())
         # where quantization dominates the measured excess, the quantization
         # bound still covers the joint worst case

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from xtalk_quant.analytic_bounds import (
@@ -25,9 +27,10 @@ from xtalk_quant.errors import (
     FloorNonpositive,
     InvalidParams,
 )
+from xtalk_quant.rate_analysis import LinkBudget, loss_exact
 from xtalk_quant.units import LN2
 
-from conftest import REF_SNR0, REF_SNR_DECAY, one_tone
+from conftest import REF_SNR0, REF_SNR_DECAY, one_tone, random_dominant_tone
 
 
 class TestGeneralBound:
@@ -109,8 +112,6 @@ class TestSimplifiedBound:
 
 class TestDominationChain:
     def test_exact_le_general_le_main_le_simplified(self, small_ensemble, small_budget):
-        from xtalk_quant.rate_analysis import loss_exact
-
         rng = np.random.default_rng(21)
         d = 9
         p = small_ensemble.p
@@ -135,6 +136,32 @@ class TestDominationChain:
                     assert general <= main + 1e-12
                     if r <= 1.0:
                         assert main <= bound_simplified_per_tone(p, r, d, snr[u]) + 1e-12
+
+    @given(
+        st.integers(min_value=0, max_value=2**63),
+        st.integers(min_value=2, max_value=8),
+        st.floats(min_value=1e-3, max_value=0.9),
+        st.floats(min_value=-100.0, max_value=-30.0),
+        st.integers(min_value=0, max_value=24),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_exact_le_general_le_main_on_random_dominant_tones(
+        self, seed, p, r_target, psd_dbm, bits_above_floor
+    ):
+        rng = np.random.default_rng(seed)
+        tone = random_dominant_tone(rng, p, r_target)
+        budget = LinkBudget(psd_dbm, -140.0, 10.7, tone.grid)
+        snr, r = budget.snr(tone)[0], float(tone.r[0])
+        # the least integer word length strictly above the admissibility floor, and up
+        d = math.floor(min_admissible_bits(r)) + 1 + bits_above_floor
+        e2 = 2.0**-d * (rng.uniform(-1, 1, (p, p)) + 1j * rng.uniform(-1, 1, (p, p)))
+        delta = tone.Q[0] @ e2
+        for u in range(p):
+            exact = max(0.0, loss_exact(budget, tone, delta, u).loss)
+            general = bound_general_per_tone(p, 1.0, float(np.max(np.abs(delta[u]))), snr[u])
+            main = bound_main_per_tone(p, r, d, snr[u])
+            assert exact <= general + 1e-12
+            assert general <= main + 1e-12
 
 
 class TestAsymptotics:

@@ -336,6 +336,15 @@ class TestSimulate:
         assert meta["csi_samples"] == "1000"
         assert len(cols["d_bits"]) == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_zero_csi_samples_exit_2(self, tmp_path, capsys, command):
+        # both commands read csi_samples as PerturbationSpec.e1_samples, which refuses 0
+        scen = tmp_path / "scen.json"
+        Scenario(users=4, decimation=208, seed=5, n_trials=3, csi_samples=0).save(scen)
+        assert run([command, "--config", str(scen), "--out", str(tmp_path / "r.tsv")]) == 2
+        assert "e1_samples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
     @pytest.mark.parametrize("value", ["two", "0", "-3"])
     def test_invalid_thread_count_exit_2(self, monkeypatch, capsys, fast_args, value):
         monkeypatch.setenv("XTALK_THREADS", value)

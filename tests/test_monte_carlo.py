@@ -10,25 +10,23 @@ from xtalk_quant.errors import InvalidParams, SingularChannel, TargetUnreachable
 from xtalk_quant import monte_carlo, streams
 from xtalk_quant.monte_carlo import (
     RETRY_CAP,
-    CsiErrorModel,
     TrialConfig,
     _invert_with_resampling,
     min_bits_empirical,
     run_trials,
     run_trials_sweep,
-    run_trials_with_csi_error,
 )
-from xtalk_quant.precoding import E2_UNIFORM, PerturbationSpec
+from xtalk_quant.precoding import E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec
 from xtalk_quant.rate_analysis import LinkBudget, loss_arrays
 from xtalk_quant.reports import render_table
 from xtalk_quant.scenario import Scenario
 from xtalk_quant.units import LN2
 
 
-def _config(d, n=200, seed=42, statistic="worst_case", q=None, zero=False):
+def _config(d, n=200, seed=42, statistic="worst_case", q=None, zero=False, e1_samples=None):
     return TrialConfig(
         n_trials=n,
-        spec=PerturbationSpec(d_bits=d, e2_model=E2_UNIFORM, seed=seed),
+        spec=PerturbationSpec(d_bits=d, e2_model=E2_UNIFORM, e1_samples=e1_samples, seed=seed),
         statistic=statistic,
         quantile_q=q,
         zero_errors=zero,
@@ -44,6 +42,18 @@ def _report_bytes(rep, config, ensemble) -> bytes:
     return render_table(
         "sim", {"seed": config.spec.seed, "d": rep.d_bits}, ["u", "f", "loss"], rows, "test"
     ).encode()
+
+
+class TestTrialConfig:
+    def test_non_uniform_e2_model_refused(self):
+        # the engine draws only uniform errors, so a spec saying otherwise is refused
+        with pytest.raises(InvalidParams, match="uniform_random"):
+            TrialConfig(n_trials=10, spec=PerturbationSpec(d_bits=14))
+
+    def test_scenario_trials_draw_uniform_errors(self):
+        # the scenario's e2_model sets analyze's quantizer, not the trials
+        spec = Scenario(e2_model=E2_DETERMINISTIC, csi_samples=1000).trial_config().spec
+        assert (spec.e2_model, spec.e1_samples) == (E2_UNIFORM, 1000)
 
 
 class TestRunTrials:
@@ -106,11 +116,12 @@ def _draw_e1(seed, tone, n, snr, n_samples):
     return streams.csi_error(streams.stream(seed, streams.MC_E1, tone), snr, n_samples, (n,))
 
 
-def _reference_one_word_length(ensemble, budget, config, d, csi=None):
+def _reference_one_word_length(ensemble, budget, config, d):
     """The engine's original per-word-length path, kept as the oracle: draw the
     uniforms again, form Q @ (2^-d U) (minus E1 inv(Q + E1) with CSI error),
     then the full loss kernel; worst case per tone and across band trials."""
     p, n, seed = ensemble.p, config.n_trials, config.spec.seed
+    e1_samples = config.spec.e1_samples
     psd = budget.psd_linear(p)
     per_tone = np.empty((p, ensemble.grid.count))
     joint = np.zeros((n, p))
@@ -121,8 +132,8 @@ def _reference_one_word_length(ensemble, budget, config, d, csi=None):
         )
         base = rng.uniform(-1.0, 1.0, size=(2, n, p, p))
         delta = q_mat[None, :, :] @ (2.0 ** (-d) * (base[0] + 1j * base[1]))
-        if csi is not None:
-            e1 = _draw_e1(seed, k, n, snr, csi.n_samples)
+        if e1_samples is not None:
+            e1 = _draw_e1(seed, k, n, snr, e1_samples)
             delta = delta - e1 @ np.linalg.inv(q_mat[None, :, :] + e1)
         losses = loss_arrays(snr, budget.gap, psd, delta)["loss"]
         per_tone[:, k] = losses.max(axis=0)
@@ -134,11 +145,11 @@ def _reference_one_word_length(ensemble, budget, config, d, csi=None):
 class TestOneDrawServesEveryWordLength:
     """Reports from one shared draw are bitwise equal to a fresh draw per d."""
 
-    def _check(self, reports, ensemble, budget, config, d_values, csi=None):
+    def _check(self, reports, ensemble, budget, config, d_values):
         assert [rep.d_bits for rep in reports] == list(d_values)
         for rep in reports:
             per_tone, per_bin, joint = _reference_one_word_length(
-                ensemble, budget, config, rep.d_bits, csi
+                ensemble, budget, config, rep.d_bits
             )
             assert np.array_equal(rep.per_tone, per_tone), rep.d_bits
             assert np.array_equal(rep.band_per_bin, per_bin), rep.d_bits
@@ -151,19 +162,18 @@ class TestOneDrawServesEveryWordLength:
         self._check(reports, small_ensemble, small_budget, cfg, d_values)
 
     def test_with_csi_error(self, small_ensemble, small_budget):
-        cfg = _config(1, n=100)
-        csi = CsiErrorModel(n_samples=1000)
+        cfg = _config(1, n=100, e1_samples=1000)
         d_values = (6, 10, 14, 20)
-        reports = run_trials_sweep(small_ensemble, small_budget, cfg, d_values, csi=csi)
-        self._check(reports, small_ensemble, small_budget, cfg, d_values, csi)
+        reports = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
+        self._check(reports, small_ensemble, small_budget, cfg, d_values)
 
-    @pytest.mark.parametrize("csi", [None, CsiErrorModel(n_samples=1000)])
-    def test_two_threads_match_one(self, small_ensemble, small_budget, monkeypatch, csi):
-        cfg = _config(1, n=100)
+    @pytest.mark.parametrize("e1_samples", [None, 1000], ids=["None", "csi1"])
+    def test_two_threads_match_one(self, small_ensemble, small_budget, monkeypatch, e1_samples):
+        cfg = _config(1, n=100, e1_samples=e1_samples)
         d_values = (8, 12, 16)
-        one = run_trials_sweep(small_ensemble, small_budget, cfg, d_values, csi=csi)
+        one = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
         monkeypatch.setenv("XTALK_THREADS", "2")
-        two = run_trials_sweep(small_ensemble, small_budget, cfg, d_values, csi=csi)
+        two = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
         for a, b in zip(one, two):
             for name in ("per_tone", "rate_per_tone", "band_per_bin", "band_joint", "band_rate"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
@@ -178,7 +188,7 @@ class TestWorstCaseBeforeTheLog:
     def _check(self, ensemble, budget, config):
         d_values = range(1, 33)
         per_tone, rate, joint, _ = monte_carlo._sweep_tones(
-            ensemble, budget, config, d_values, None, band_joint=False
+            ensemble, budget, config, d_values, band_joint=False
         )
         assert joint is None
         reports = run_trials_sweep(ensemble, budget, config, d_values)
@@ -228,19 +238,13 @@ class TestCsiTrials:
     def test_vanishing_estimation_error_matches_quant_only(
         self, small_ensemble, small_budget
     ):
-        cfg = _config(10, n=150)
-        quant = run_trials(small_ensemble, small_budget, cfg)
-        joint = run_trials_with_csi_error(
-            small_ensemble, small_budget, cfg, CsiErrorModel(n_samples=10**16)
-        )
+        quant = run_trials(small_ensemble, small_budget, _config(10, n=150))
+        joint = run_trials(small_ensemble, small_budget, _config(10, n=150, e1_samples=10**16))
         assert np.allclose(joint.per_tone, quant.per_tone, rtol=1e-3, atol=1e-12)
 
     def test_estimation_error_adds_loss(self, small_ensemble, small_budget):
-        cfg = _config(14, n=150)
-        quant = run_trials(small_ensemble, small_budget, cfg)
-        joint = run_trials_with_csi_error(
-            small_ensemble, small_budget, cfg, CsiErrorModel(n_samples=100)
-        )
+        quant = run_trials(small_ensemble, small_budget, _config(14, n=150))
+        joint = run_trials(small_ensemble, small_budget, _config(14, n=150, e1_samples=100))
         assert joint.band_per_bin.max() > quant.band_per_bin.max()
 
 
@@ -257,6 +261,33 @@ class TestResampling:
         # the resample must not replay the primary E1 draws of another seed
         other_seed = _draw_e1(seed ^ 0x5EED, 0, 1, snr, n_samples)[0]
         assert not np.array_equal(e1[1], other_seed)
+
+    def test_forced_resample_is_thread_count_invariant(
+        self, small_ensemble, small_budget, monkeypatch
+    ):
+        """A singular Q + E1, forced on one (tone, trial) found by the tone's
+        SNR row rather than by call order, is resampled alike on any schedule."""
+        tone, trial = 5, 7
+        snrs = small_budget.snr(small_ensemble)
+        assert sum(np.array_equal(row, snrs[tone]) for row in snrs) == 1
+        q_mat, real_csi_error = small_ensemble.Q[tone], streams.csi_error
+
+        def csi_error(rng, snr, n_samples, trials=()):
+            e1 = real_csi_error(rng, snr, n_samples, trials)
+            if trials and np.array_equal(snr, snrs[tone]):  # the tone's primary draw
+                e1[trial] = -q_mat
+            return e1
+
+        monkeypatch.setattr(streams, "csi_error", csi_error)
+        monkeypatch.delenv("XTALK_THREADS", raising=False)
+        cfg, d_values = _config(1, n=20, e1_samples=1000), (8, 12, 16)
+        one = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
+        monkeypatch.setenv("XTALK_THREADS", "2")
+        two = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
+        for a, b in zip(one, two):
+            assert a.trial_failures == b.trial_failures == [(tone, trial, 0)]
+            for name in ("per_tone", "rate_per_tone", "band_per_bin", "band_joint", "band_rate"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
 
     def test_exhausted_resamples_name_the_tone(self, small_ensemble, small_budget, monkeypatch):
         q_mat, snr = small_ensemble.Q[3], small_budget.snr(small_ensemble)[3]
@@ -352,11 +383,27 @@ class TestMinBitsEmpirical:
                 _bisect_table(worst, target)
             )
 
+    def test_honours_estimation_error(self, small_ensemble, small_budget):
+        # with 100 training samples this ensemble's worst eta floors near 0.667:
+        # 0.668 is first met at d = 8 (at d = 7 without estimation error), and
+        # 0.01 is never met (at d = 16 without)
+        cfg = _config(8, n=100, e1_samples=100)
+        reports = run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 33))
+        for target in (0.668, 0.01):
+            first = next((r.d_bits for r in reports if np.max(r.eta_per_tone) <= target), None)
+            try:
+                found = min_bits_empirical(small_ensemble, small_budget, cfg, target)
+            except TargetUnreachable:
+                found = None
+            assert found == first
+            quant_only = min_bits_empirical(small_ensemble, small_budget, _config(8, n=100), target)
+            assert found != quant_only
+
     def test_first_word_length_meeting_target(self, small_ensemble, small_budget, monkeypatch):
         # a table that is not monotone in d, where a bisection returns 6
         table = [0.5, 0.005, 0.5, 0.5, 0.5, 0.005, 0.005, 0.005]
 
-        def sweep(ensemble, budget, config, d_values, csi, band_joint):
+        def sweep(ensemble, budget, config, d_values, band_joint):
             # per-tone statistic (d, users, tones) over a unit rate: eta is the table
             per_tone = np.array([[[table[d - 1]]] for d in d_values])
             return per_tone, np.ones((1, 1)), None, []
