@@ -21,9 +21,9 @@ SNR decay constant.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -351,70 +351,111 @@ def save_channel(ensemble: ChannelEnsemble, path) -> None:
 
 
 def load_channel(path) -> ChannelEnsemble:
-    """Parse a channel file; errors carry the first offending tone index."""
-    # The parse allocates ~p^2 lists per tone, none of them cyclic: pausing
-    # the cyclic collector meanwhile saves it scanning them over and over.
-    gc_enabled = gc.isenabled()
-    gc.disable()
+    """Parse a channel file; errors carry the first offending tone index.
+
+    The top-level object is read one field at a time and each ``tones`` record
+    becomes a float array as soon as it is decoded, so the parse holds the
+    text and one record's lists, never the whole document's.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        # an empty or non-object document is left to json, which names a syntax error first
+        doc = _fields(text) if _KEYED_OBJECT.match(text) else json.loads(text)
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ParseError(f"not valid JSON: {exc}") from exc
-    finally:
-        if gc_enabled:
-            gc.enable()
-
     if not isinstance(doc, dict):
         raise ParseError("a channel file holds one JSON object")
-    for key in ("format_version", "p", "tone_count", "f_start", "spacing", "tones"):
+    del text
+
+    for key in (*_HEADER_TYPES, "tones"):
         if key not in doc:
             raise ParseError(f"missing header field {key!r}")
+    # JSON integers and numbers only: int() and float() would read "4", 4.7 and true
+    for key, types in _HEADER_TYPES.items():
+        if type(doc[key]) not in types:
+            kind = "number" if float in types else "integer"
+            raise ParseError(f"header field {key!r} must be a JSON {kind}, got {doc[key]!r}")
     if doc["format_version"] != CHANNEL_FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
+    p, n = doc["p"], doc["tone_count"]
     try:
-        p, n = int(doc["p"]), int(doc["tone_count"])
         f_start, spacing = float(doc["f_start"]), float(doc["spacing"])
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer beyond the float range
         raise ParseError(f"bad header field: {exc}") from exc
     if p < 1 or n < 1:
         raise ParseError("p and tone_count must be positive")
-    if not isinstance(doc["tones"], list) or len(doc["tones"]) != n:
+    records = doc.pop("tones")
+    if not isinstance(records, list) or len(records) != n:
         raise ParseError(f"tone_count={n} but the tones field is not a list of {n} records")
     grid = ToneGrid(f_start, f_start + (n - 1) * spacing + 0.5 * spacing, spacing)
     if grid.count != n:
         raise ParseError("grid reconstruction mismatch")
-    # popped, so the parsed records are freed before the ensemble copies H
-    H = _tone_stack(doc.pop("tones"), grid, p)
+    for k, rec in enumerate(records):
+        if rec is None or rec.shape != (p * p, 2):
+            if k:  # an earlier tone may hold a bad value or a zero diagonal
+                _check_tones(np.stack(records[:k]).view(complex).reshape(k, p, p), grid)
+            raise ParseError(f"tone {k}: expected {p * p} [re, im] number pairs", tone=k)
+    # .view pairs the floats exactly as complex(re, im) does
+    H = np.stack(records).view(complex).reshape(n, p, p)
+    del records  # freed before the ensemble copies H
     return ChannelEnsemble(grid=grid, H=H)
 
 
-def _number_pairs(records, shape: tuple) -> np.ndarray | None:
-    """``records`` as a float array of ``shape``, or None unless every entry is
-    a JSON number (np.asarray alone would take "1.0" and turn null into nan)."""
+_HEADER_TYPES = {
+    "format_version": (int,), "p": (int,), "tone_count": (int,),
+    "f_start": (int, float), "spacing": (int, float),
+}
+_DECODER = json.JSONDecoder()
+_PUNCT = re.compile(r"[ \t\n\r]*(.?)[ \t\n\r]*")
+_KEYED_OBJECT = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"')
+_FILLED_ARRAY = re.compile(r"\[[ \t\n\r]*[^ \t\n\r\]]")
+
+
+def _punct(text: str, i: int, allowed: str) -> tuple:
+    """The first non-blank character of text[i:], one of ``allowed``, and the
+    index past it and the blanks after it."""
+    m = _PUNCT.match(text, i)
+    if not m[1] or m[1] not in allowed:
+        raise json.JSONDecodeError(f"Expecting one of {allowed!r}", text, m.start(1))
+    return m[1], m.end()
+
+
+def _fields(text: str) -> dict:
+    """The fields of the object ``text`` (a repeated key keeps its last value,
+    as in ``json.load``), with a non-empty ``tones`` array read by ``_records``."""
+    doc = {}
+    mark, i = _punct(text, 0, "{")
+    while mark != "}":
+        key, i = _DECODER.raw_decode(text, i)
+        if not isinstance(key, str):
+            raise json.JSONDecodeError("Expecting property name", text, i)
+        _, i = _punct(text, i, ":")
+        read = _records if key == "tones" and _FILLED_ARRAY.match(text, i) else _DECODER.raw_decode
+        doc[key], i = read(text, i)
+        mark, i = _punct(text, i, ",}")
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return doc
+
+
+def _records(text: str, i: int) -> tuple:
+    """The array at text[i] as one float array per record (None for a record
+    that is not all numbers), each made as soon as its lists are decoded."""
+    records = []
+    mark, i = _punct(text, i, "[")
+    while mark != "]":
+        rec, i = _DECODER.raw_decode(text, i)
+        records.append(_number_pairs(rec))
+        mark, i = _punct(text, i, ",]")
+    return records, i
+
+
+def _number_pairs(records) -> np.ndarray | None:
+    """``records`` as a float array, or None unless every entry is a JSON
+    number (np.asarray alone would take "1.0" and turn null into nan)."""
     try:
         arr = np.asarray(records)
     except (ValueError, OverflowError):  # ragged, or an integer beyond 64 bits
         return None
-    if arr.dtype.kind not in "biuf" or arr.shape != shape:
-        return None
-    return np.ascontiguousarray(arr, dtype=float)
-
-
-def _tone_stack(tones: list, grid: ToneGrid, p: int) -> np.ndarray:
-    """(tones, p, p) complex stack from the per-tone [re, im] records."""
-    arr = _number_pairs(tones, (grid.count, p * p, 2))
-    if arr is None:
-        good = []
-        for k, rec in enumerate(tones):
-            pairs = _number_pairs(rec, (p * p, 2))
-            if pairs is None:
-                if good:  # an earlier tone may hold a bad value or a zero diagonal
-                    _check_tones(np.stack(good).view(complex).reshape(k, p, p), grid)
-                raise ParseError(
-                    f"tone {k}: expected {p * p} [re, im] number pairs", tone=k
-                )
-            good.append(pairs)
-        raise ParseError("tone records do not form one numeric array")
-    # .view pairs the floats exactly as complex(re, im) does
-    return arr.view(complex).reshape(grid.count, p, p)
+    return arr.astype(float, copy=False) if arr.dtype.kind in "biuf" else None

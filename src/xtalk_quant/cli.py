@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (
 from .monte_carlo import run_trials, run_trials_sweep  # noqa: F401
 from .precoding import delta_entry_bound, make_bundle
 from .rate_analysis import build_report
-from .reports import render_table, scenario_hash
+from .reports import LazyRows, render_table, scenario_hash
 from .scenario import Scenario
 
 _SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
@@ -123,17 +123,18 @@ def cmd_analyze(args) -> int:
     budget = scen.budget(ensemble.grid)
     spec = scen.perturbation()
     snr = budget.snr(ensemble) if spec.e1_samples else None
-    bundle = make_bundle(ensemble, spec, snr=snr, normalize=args.normalize)
-    report = build_report(budget, ensemble, bundle.delta)
+    # only Delta is kept: the bundle's other stacks are freed before rendering
+    delta = make_bundle(ensemble, spec, snr=snr, normalize=args.normalize).delta
+    report = build_report(budget, ensemble, delta)
 
     meta = {"scenario_hash": scenario_hash(scen.to_dict()), "d_bits": spec.d_bits}
     columns = (report.rate, report.rate_perturbed, report.loss, report.a, report.q, report.k)
     freqs = ensemble.freqs.tolist()
-    rows = [
+    rows = LazyRows(ensemble.p * len(freqs), lambda: (
         (u, f, *values)
         for u in range(ensemble.p)
         for f, *values in zip(freqs, *(col[u].tolist() for col in columns))
-    ]
+    ))
     band = zip(report.band_rate.tolist(), report.band_loss.tolist(), report.eta.tolist())
     band_rows = [("band", u, *values) for u, values in enumerate(band)]
     table = render_table(
@@ -277,22 +278,17 @@ def cmd_design_bits(args) -> int:
             )
             if best is None or res.d_bits > best.d_bits:
                 best = res
-        print(f"d_min = {best.d_bits} bits (per-tone loss target {args.target_tone} bps/Hz)")
-        print(
-            f"analytic d = {best.d_analytic:.4f}, exact root = {best.d_exact:.4f}, "
-            f"bound at d_min = {best.bound_value:.6g} <= {best.target}"
-        )
-        if best.floored:
-            print("note: word length pinned at the admissibility floor of the bound")
-        return 0
-
-    params = _werner_bound_params(scen, ensemble)
-    res = bits_for_relative_loss(params, args.target_relative)
-    print(f"d_min = {res.d_bits} bits (relative band-loss target {res.target})")
+        target = f"per-tone loss target {args.target_tone} bps/Hz"
+    else:
+        best = bits_for_relative_loss(_werner_bound_params(scen, ensemble), args.target_relative)
+        target = f"relative band-loss target {best.target}"
+    print(f"d_min = {best.d_bits} bits ({target})")
     print(
-        f"analytic d = {res.d_analytic:.4f}, exact root = {res.d_exact:.4f}, "
-        f"bound at d_min = {res.bound_value:.6g} <= {res.target}"
+        f"analytic d = {best.d_analytic:.4f}, exact root = {best.d_exact:.4f}, "
+        f"bound at d_min = {best.bound_value:.6g} <= {best.target}"
     )
+    if best.floored:
+        print("note: word length pinned at the admissibility floor of the bound")
     return 0
 
 
@@ -351,19 +347,8 @@ def cmd_sweep(args) -> int:
     ensemble = scen.ensemble()
     template = _werner_bound_params(scen, ensemble)
     lengths = [float(x) for x in args.lengths.split(",")]
-    rows_out = []
-    for row in sweep_bits_vs_loop_length(
-        lengths, template, args.target_relative, scen.loop_length_m
-    ):
-        rows_out.append(
-            (
-                row.length_m,
-                "" if row.d_bits is None else row.d_bits,
-                "" if row.bound_value is None else row.bound_value,
-                "" if row.c_floor is None else row.c_floor,
-                row.error or "",
-            )
-        )
+    sweep = sweep_bits_vs_loop_length(lengths, template, args.target_relative, scen.loop_length_m)
+    rows = [tuple("" if v is None else v for v in astuple(row)) for row in sweep]
     meta = {
         "scenario_hash": scenario_hash(scen.to_dict()),
         "target_relative": args.target_relative,
@@ -372,7 +357,7 @@ def cmd_sweep(args) -> int:
         "bits-vs-length",
         meta,
         ["length_m", "d_min_bits", "bound_at_d", "c_floor", "error"],
-        rows_out,
+        rows,
         __version__,
     )
     _emit(args, table)

@@ -207,22 +207,8 @@ def sweep_bits_vs_loop_length(
         try:
             params = template.scaled_to_length(ell, length_ref_m)
             res = bits_for_relative_loss(params, tau)
-            rows.append(
-                SweepRow(
-                    length_m=float(ell),
-                    d_bits=res.d_bits,
-                    bound_value=res.bound_value,
-                    c_floor=params.c_floor,
-                )
-            )
+            row = SweepRow(float(ell), res.d_bits, res.bound_value, params.c_floor)
         except XtalkError as exc:  # record and continue: sweep rows are independent
-            rows.append(
-                SweepRow(
-                    length_m=float(ell),
-                    d_bits=None,
-                    bound_value=None,
-                    c_floor=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            row = SweepRow(float(ell), None, None, None, error=f"{type(exc).__name__}: {exc}")
+        rows.append(row)
     return rows

@@ -157,18 +157,20 @@ def build_delta(channel: ChannelEnsemble, e1: np.ndarray | None, e2: np.ndarray)
     Q = channel.Q
     eye = np.eye(channel.p)
     e2 = np.asarray(e2, dtype=complex)
+    delta = Q @ e2
     if e1 is None or not np.any(e1):
-        delta = Q @ e2
-        p_perturbed = _solve(channel, Q, eye) + e2
+        p_perturbed = _solve(channel, Q, eye)
     else:
         e1 = np.asarray(e1, dtype=complex)
-        m_inv = _solve(channel, Q + e1, eye)
-        delta = Q @ e2 - e1 @ m_inv
-        p_perturbed = m_inv + e2
-
-    lhs = channel.H @ p_perturbed
-    rhs = channel.D[:, :, None] * (eye + delta)
-    err = np.max(np.abs(lhs - rhs), axis=(1, 2)) / np.max(np.abs(channel.D), axis=1)
+        p_perturbed = _solve(channel, Q + e1, eye)  # (I + D^{-1}F + E1)^{-1}
+        delta -= e1 @ p_perturbed
+    p_perturbed += e2
+    resid = channel.H @ p_perturbed  # H P~ - D (I + Delta), formed in place
+    rhs = np.add(delta, eye, out=p_perturbed)  # P~ is not needed any more
+    rhs *= channel.D[:, :, None]
+    resid -= rhs
+    del p_perturbed, rhs
+    err = np.max(np.abs(resid), axis=(1, 2)) / np.max(np.abs(channel.D), axis=1)
     bad = np.flatnonzero(~(err < IDENTITY_CHECK_TOL))
     if bad.size:
         k = int(bad[0])

@@ -181,12 +181,8 @@ def loss_exact(
     return ToneLoss(
         freq=channel.grid.f_start,
         user=user,
-        rate=float(out["rate"][user]),
         rate_perturbed=float(out["rate"][user] - out["loss"][user]),
-        loss=float(out["loss"][user]),
-        a=float(out["a"][user]),
-        q=float(out["q"][user]),
-        k=float(out["k"][user]),
+        **{key: float(values[user]) for key, values in out.items()},
     )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +27,19 @@ def _fmt(v) -> str:
     if isinstance(v, np.integer):
         return str(int(v))
     return str(v)
+
+
+class LazyRows:
+    """``count`` table rows that ``make()`` yields one at a time, never all held."""
+
+    def __init__(self, count: int, make: Callable[[], Iterator[Sequence]]):
+        self.count, self.make = count, make
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Sequence]:
+        return self.make()
 
 
 def render_table(

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,12 +333,30 @@ class TestChannelFiles:
         assert err.value.tone == 1
 
     HEADER = {"format_version": 1, "p": 2, "tone_count": 1, "f_start": 0.0, "spacing": 1.0}
+    ONE_TONE = json.dumps({**HEADER, "tones": [[[1.0, 0.0]] * 4]}).encode()  # a valid file
     BAD_FILES = {
         "top_level_number": b"5",
         "tones_not_a_list": json.dumps({**HEADER, "tones": 5}).encode(),
         "p_not_a_number": json.dumps({**HEADER, "p": "two", "tones": [[]]}).encode(),
         "not_utf8": b'{"p": "\xff"}',
+        "tones_an_object": json.dumps({**HEADER, "tones": {"0": [[1.0, 0.0]] * 4}}).encode(),
+        "top_level_array": b"[" + ONE_TONE + b"]",
+        "trailing_data": ONE_TONE + b" x",
+        "trailing_object": ONE_TONE + b"{}",
+        "truncated": ONE_TONE[:-3],
+        "trailing_comma": ONE_TONE[:-1] + b", }",
+        "tones_trailing_comma": ONE_TONE[:-2] + b", ]}",
+        "empty_object": b" { } ",
+        "empty_tones": json.dumps({**HEADER, "tones": []}).encode(),
+        "key_not_a_string": b'{"p": 2, 5: 1}',
+        "missing_colon": b'{"p" 2}',
+        "f_start_beyond_float": ONE_TONE.replace(b'"f_start": 0.0', b'"f_start": 1' + b"0" * 400),
     }
+
+    def test_bad_files_spoil_a_valid_one(self, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_bytes(self.ONE_TONE)
+        assert load_channel(path).H.shape == (1, 2, 2)
 
     @pytest.mark.parametrize("defect", sorted(BAD_FILES))
     def test_malformed_document_is_a_parse_error(self, tmp_path, defect):
@@ -348,6 +367,77 @@ class TestChannelFiles:
         with pytest.raises(ParseError):
             load_channel(path)
         assert run(["inspect-channel", "--in", str(path)]) == 2
+
+    # each would load as a valid p=2, one-tone file if the header were read loosely
+    LOOSE_HEADERS = {
+        "p_string": {"p": "2"},
+        "p_float": {"p": 2.7},
+        "p_integral_float": {"p": 2.0},
+        "p_bool": {"p": True},
+        "tone_count_string": {"tone_count": "1"},
+        "tone_count_float": {"tone_count": 1.0},
+        "f_start_string": {"f_start": "1e5"},
+        "f_start_bool": {"f_start": False},
+        "spacing_string": {"spacing": "1"},
+        "spacing_null": {"spacing": None},
+        "format_version_float": {"format_version": 1.0},
+        "format_version_bool": {"format_version": True},
+        "format_version_string": {"format_version": "1"},
+    }
+
+    @pytest.mark.parametrize("defect", sorted(LOOSE_HEADERS))
+    def test_loosely_typed_header_is_a_parse_error(self, tmp_path, defect):
+        from xtalk_quant.cli import run
+
+        doc = {**self.HEADER, "tones": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps({**doc, **self.LOOSE_HEADERS[defect]}))
+        with pytest.raises(ParseError):
+            load_channel(path)
+        assert run(["inspect-channel", "--in", str(path)]) == 2
+        path.write_text(json.dumps(doc))  # the same file typed strictly loads
+        assert load_channel(path).p == 2
+
+    # the file as save_channel writes it, and the same document written other ways
+    LAYOUTS = {
+        "as_saved": lambda text: text,
+        "tones_first": lambda text: json.dumps(dict(reversed(json.loads(text).items()))),
+        "indented": lambda text: json.dumps(json.loads(text), indent=2),
+        # a repeated key keeps its last value, as json.load does
+        "repeated_header_key": lambda text: '{"p": 3, "spacing": "x",' + text[1:],
+        "repeated_tones": lambda text: '{"tones": [1, "x"],' + text[1:],
+        "surrounding_whitespace": lambda text: "\n\t " + text + " \r\n",
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_layouts_load_the_same_stack(self, tmp_path, small_ensemble, layout):
+        path = tmp_path / "chan.json"
+        save_channel(small_ensemble, path)
+        path.write_text(self.LAYOUTS[layout](path.read_text()))
+        back = load_channel(path)
+        assert np.array_equal(back.freqs, small_ensemble.freqs)
+        assert back.H.tobytes() == small_ensemble.H.tobytes()
+
+    def test_load_holds_no_parsed_document(self, tmp_path):
+        # 2000 tones, p = 10: the text is about three times the stack's bytes
+        grid = ToneGrid(0.0, 1999 * 4312.5, 4312.5)
+        ens = synthesize_channel(reference_params(p=10), grid, 3)
+        path = tmp_path / "big.json"
+        save_channel(ens, path)
+        text, stack = path.stat().st_size, ens.H.nbytes
+        del ens
+        tracemalloc.start()
+        try:
+            back = load_channel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.grid.count == 2000
+        # The read holds the file's bytes and its decoded text at once; after
+        # it come the text and the per-record arrays, then the stack and the
+        # ensemble's copy of it. A loader that keeps the whole parsed document
+        # (a list per number pair) peaks near 4x the text here.
+        assert peak < 2 * text + stack, (peak, text, stack)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
