@@ -65,25 +65,22 @@ def bound_general_per_tone(p: int, psd_ratio_max: float, t_max: float, snr: floa
     return num - 2.0 * math.log1p(-t_max) / LN2
 
 
+def _gamma(p: int, r: float, d_bits: float, rho: float) -> float:
+    """2 (p-1) (1+r)^2 4^-d rho, the SNR factor of the main and simplified bounds."""
+    if rho < 1.0:
+        raise InvalidParams("PSD dynamic range rho must be >= 1")
+    return 2.0 * (p - 1) * (1.0 + r) ** 2 * 4.0 ** (-d_bits) * rho
+
+
 def bound_main_per_tone(
     p: int, r: float, d_bits: float, snr: float, rho: float = 1.0
 ) -> float:
-    """Per-tone quantization-loss bound.
+    """Per-tone quantization-loss bound log2(1 + gamma SNR) plus the floor term.
 
-    gamma(d,f) = 2 rho (p-1) (1+r)^2 2^-2d; the equal-PSD form is the
-    rho = 1 case and the bounded-PSD-dynamic-range generalization multiplies
-    the same gamma by rho, so one routine serves both.
+    The equal-PSD form is the rho = 1 case and the bounded-PSD-dynamic-range
+    generalization multiplies the same gamma by rho, so one routine serves both.
     """
-    if rho < 1.0:
-        raise InvalidParams("PSD dynamic range rho must be >= 1")
-    if d_bits < min_admissible_bits(r):
-        raise BitDepthTooSmall(
-            f"d={d_bits} below admissibility floor {min_admissible_bits(r):.4f} "
-            f"(r={r:.4f})",
-            min_bits=min_admissible_bits(r),
-        )
-    gamma = 2.0 * (p - 1) * (1.0 + r) ** 2 * 4.0 ** (-d_bits) * rho
-    return math.log1p(gamma * snr) / LN2 + _floor_term(r, d_bits)
+    return math.log1p(_gamma(p, r, d_bits, rho) * snr) / LN2 + _floor_term(r, d_bits)
 
 
 def bound_main_band(
@@ -96,31 +93,26 @@ def bound_main_band(
 ) -> float:
     """Band loss bound in bits/s: rectangle-rule integral of the r_max-frozen
     per-tone first term plus the bandwidth-scaled floor term."""
-    if rho < 1.0:
-        raise InvalidParams("PSD dynamic range rho must be >= 1")
-    if d_bits < min_admissible_bits(r_max):
-        raise BitDepthTooSmall(
-            f"d={d_bits} below admissibility floor {min_admissible_bits(r_max):.4f} "
-            f"(r_max={r_max:.4f})",
-            min_bits=min_admissible_bits(r_max),
-        )
     snr_per_tone = np.asarray(snr_per_tone, dtype=float)
     if snr_per_tone.size != grid.count:
         raise InvalidParams(f"{snr_per_tone.size} SNR values for {grid.count} tones")
-    gamma = 2.0 * (p - 1) * (1.0 + r_max) ** 2 * 4.0 ** (-d_bits) * rho
+    gamma = _gamma(p, r_max, d_bits, rho)
     integral = float(np.sum(np.log1p(gamma * snr_per_tone)) / LN2) * grid.spacing
     return integral + grid.bandwidth * _floor_term(r_max, d_bits)
 
 
-def bound_simplified_per_tone(p: int, r: float, d_bits: float, snr: float) -> float:
-    """Looser per-tone form 2^(-d+3.5) + log2(1 + 8 (p-1) SNR 2^-2d), r <= 1."""
+def bound_simplified_per_tone(
+    p: int, r: float, d_bits: float, snr: float, rho: float = 1.0
+) -> float:
+    """Looser per-tone form 2^(-d+3.5) + log2(1 + 8 rho (p-1) SNR 2^-2d), r <= 1:
+    the main bound with gamma taken at r = 1."""
     if r > 1.0:
         raise BoundInapplicable(f"simplified bound needs r <= 1, got {r}")
     if SQRT2 * (1.0 + r) * 2.0 ** (-d_bits) > 0.5:
         raise BoundInapplicable(
             "simplified bound needs sqrt(2)(1+r)2^-d <= 1/2; increase d"
         )
-    return 2.0 ** (-d_bits + 3.5) + math.log1p(8.0 * (p - 1) * snr * 4.0 ** (-d_bits)) / LN2
+    return 2.0 ** (-d_bits + 3.5) + math.log1p(_gamma(p, 1.0, d_bits, rho) * snr) / LN2
 
 
 def bound_asymptotic_coefficient(r_max: float, bandwidth_hz: float) -> float:

@@ -441,12 +441,16 @@ def _fields(text: str) -> dict:
 
 def _records(text: str, i: int) -> tuple:
     """The array at text[i] as one float array per record (None for a record
-    that is not all numbers), each made as soon as its lists are decoded."""
+    that is not all JSON numbers), each made as soon as its lists are decoded."""
     records = []
     mark, i = _punct(text, i, "[")
     while mark != "]":
+        start = i
         rec, i = _DECODER.raw_decode(text, i)
-        records.append(_number_pairs(rec))
+        # np.asarray reads true and false as numbers; their "u" and "l" occur in
+        # no JSON number, NaN or Infinity, and one-letter searches are fast
+        boolean = text.find("u", start, i) >= 0 or text.find("l", start, i) >= 0
+        records.append(None if boolean else _number_pairs(rec))
         mark, i = _punct(text, i, ",]")
     return records, i
 
@@ -458,4 +462,4 @@ def _number_pairs(records) -> np.ndarray | None:
         arr = np.asarray(records)
     except (ValueError, OverflowError):  # ragged, or an integer beyond 64 bits
         return None
-    return arr.astype(float, copy=False) if arr.dtype.kind in "biuf" else None
+    return arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else None

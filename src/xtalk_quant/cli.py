@@ -166,81 +166,68 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _tone_inputs(scen: Scenario, ensemble) -> tuple:
+    """Inputs of every per-tone bound: (tones,) r(H(f)), (tones,) largest raw SNR
+    over users, and the PSD dynamic range rho that scales gamma."""
+    budget = scen.budget(ensemble.grid)
+    snr = budget.snr_matrix(ensemble).max(axis=0)
+    return ensemble.r, snr, budget.psd_dynamic_range(ensemble.p)
+
+
 _BOUND_NAMES = ("general", "main", "simplified", "werner", "relative")
 
 
 def cmd_bound(args) -> int:
+    if args.d_min < 1 or args.d_max < args.d_min:
+        raise InvalidParams(f"bad word-length range --d-min {args.d_min} --d-max {args.d_max}")
     scen = _load_scenario(args)
     ensemble = scen.ensemble()
-    budget = scen.budget(ensemble.grid)
     which = _BOUND_NAMES if args.which == "all" else (args.which,)
-    soft = args.which == "all"  # blank inapplicable cells instead of failing
-    snr = budget.snr_matrix(ensemble)
-    worst_snr = snr.max(axis=0)
-    r = ensemble.r
-    r_max = ensemble.r_max
-    bw = ensemble.grid.bandwidth
-    rho = budget.psd_dynamic_range(ensemble.p)
+    p, grid, r_max = ensemble.p, ensemble.grid, ensemble.r_max
+    r, snr, rho = _tone_inputs(scen, ensemble)
     wparams = _werner_bound_params(scen, ensemble) if {"werner", "relative"} & set(which) else None
-
-    d_values = list(range(args.d_min, args.d_max + 1))
-    for d in d_values:
-        if d < min_admissible_bits(r_max) and {"main", "general", "simplified"} & set(which):
-            raise BitDepthTooSmall(
-                f"d={d} below the admissibility floor; minimum admissible d = "
-                f"{min_admissible_bits(r_max):.3f}",
-                min_bits=min_admissible_bits(r_max),
-            )
-
-    def cell(fn):
-        try:
-            return fn()
-        except BoundError:
-            if soft:
-                return ""
-            raise
+    if {"main", "general", "simplified"} & set(which) and args.d_min < min_admissible_bits(r_max):
+        raise BitDepthTooSmall(
+            f"d={args.d_min} below the admissibility floor; minimum admissible d = "
+            f"{min_admissible_bits(r_max):.3f}",
+            min_bits=min_admissible_bits(r_max),
+        )
 
     def tone_mean(fn):
         """Rectangle-mean of a per-tone bound over the tones where it applies."""
         vals = []
-        for k in range(ensemble.grid.count):
+        for k in range(grid.count):
             try:
                 vals.append(fn(k))
             except BoundInapplicable:
                 continue
         if not vals:
-            if soft:
-                return ""
             raise BoundInapplicable("bound inapplicable on every tone")
         return float(np.mean(vals))
 
-    rows = []
-    for d in d_values:
-        row = [d]
+    def general(d):
         t = delta_entry_bound(ensemble, d)
-        for name in which:
-            if name == "general":
-                row.append(
-                    tone_mean(
-                        lambda k: bound_general_per_tone(ensemble.p, rho, t[k], worst_snr[k])
-                    )
-                )
-            elif name == "main":
-                row.append(
-                    bound_main_band(ensemble.p, r_max, d, worst_snr, ensemble.grid, rho=rho)
-                    / bw
-                )
-            elif name == "simplified":
-                row.append(
-                    tone_mean(
-                        lambda k: bound_simplified_per_tone(ensemble.p, r[k], d, worst_snr[k])
-                    )
-                )
-            elif name == "werner":
-                row.append(cell(lambda: bound_werner_decay(wparams, d)))
-            elif name == "relative":
-                row.append(cell(lambda: bound_relative(wparams, d)))
-        rows.append(row)
+        return tone_mean(lambda k: bound_general_per_tone(p, rho, t[k], snr[k]))
+
+    columns = {
+        "general": general,
+        "main": lambda d: bound_main_band(p, r_max, d, snr, grid, rho=rho) / grid.bandwidth,
+        "simplified": lambda d: tone_mean(
+            lambda k: bound_simplified_per_tone(p, r[k], d, snr[k], rho)
+        ),
+        "werner": lambda d: bound_werner_decay(wparams, d),
+        "relative": lambda d: bound_relative(wparams, d),
+    }
+
+    def cell(name, d):
+        try:
+            return columns[name](d)
+        except BoundError:
+            if args.which == "all":  # blank inapplicable cells instead of failing
+                return ""
+            raise
+
+    rows = [[d] + [cell(name, d) for name in which] for d in range(args.d_min, args.d_max + 1)]
 
     meta = {"scenario_hash": scenario_hash(scen.to_dict())}
     table = render_table(
@@ -253,14 +240,13 @@ def cmd_bound(args) -> int:
 def cmd_design_bits(args) -> int:
     scen = _load_scenario(args)
     ensemble = scen.ensemble()
-    budget = scen.budget(ensemble.grid)
     if (args.target_tone is None) == (args.target_relative is None):
         raise InvalidParams("pass exactly one of --target-tone or --target-relative")
     if args.target_relative is not None and args.freq is not None:
         raise InvalidParams("--freq applies to --target-tone only; --target-relative is a band target")
 
     if args.target_tone is not None:
-        snr = budget.snr_matrix(ensemble)
+        r, snr, rho = _tone_inputs(scen, ensemble)
         if args.freq is not None:
             freqs, half = ensemble.freqs, 0.5 * ensemble.grid.spacing
             if not freqs[0] - half <= args.freq <= freqs[-1] + half:  # also refuses nan
@@ -271,14 +257,13 @@ def cmd_design_bits(args) -> int:
             tones = [int(np.argmin(np.abs(freqs - args.freq)))]
         else:
             tones = range(ensemble.grid.count)
-        best = None
-        for k in tones:
-            res = bits_for_tone_loss(
-                ensemble.p, float(ensemble.r[k]), float(snr[:, k].max()), args.target_tone
-            )
-            if best is None or res.d_bits > best.d_bits:
-                best = res
-        target = f"per-tone loss target {args.target_tone} bps/Hz"
+        # max keeps the first of the tones that need the most bits; its figures are printed
+        t = args.target_tone
+        best = max(
+            (bits_for_tone_loss(ensemble.p, float(r[k]), float(snr[k]), t, rho) for k in tones),
+            key=lambda res: res.d_bits,
+        )
+        target = f"per-tone loss target {t} bps/Hz"
     else:
         best = bits_for_relative_loss(_werner_bound_params(scen, ensemble), args.target_relative)
         target = f"relative band-loss target {best.target}"
@@ -346,7 +331,10 @@ def cmd_sweep(args) -> int:
     scen = _load_scenario(args)
     ensemble = scen.ensemble()
     template = _werner_bound_params(scen, ensemble)
-    lengths = [float(x) for x in args.lengths.split(",")]
+    try:
+        lengths = [float(x) for x in args.lengths.split(",")]
+    except ValueError as exc:
+        raise InvalidParams(f"--lengths must be comma-separated meters: {args.lengths!r}") from exc
     sweep = sweep_bits_vs_loop_length(lengths, template, args.target_relative, scen.loop_length_m)
     rows = [tuple("" if v is None else v for v in astuple(row)) for row in sweep]
     meta = {

@@ -87,12 +87,13 @@ class BitsResult:
 
 
 def _probe(admissible, d_start: int, d_floor: int) -> int:
-    """Smallest admissible integer >= d_floor near d_start.
+    """Smallest admissible integer >= d_floor near d_start, at most MAX_BITS.
 
     Walks up until admissible (the analytic start may sit below the true
     minimum), then down while the next smaller word length still passes.
+    A start above MAX_BITS starts at MAX_BITS.
     """
-    d = max(d_start, d_floor, 1)
+    d = min(max(d_start, d_floor, 1), MAX_BITS)
     while not admissible(d):
         d += 1
         if d > MAX_BITS:
@@ -115,8 +116,8 @@ def bits_for_tone_loss(
     (branch chosen by 2^t - 1 <= B^2/(4A) for the local quadratic A = u,
     B = 2^(t+1) v).  The returned integer is bound-verified.
     """
-    if t <= 0:
-        raise InvalidParams("target loss must be positive")
+    if not 0.0 < t < 1023.0:  # 2^(t+1) below must stay a float
+        raise InvalidParams(f"per-tone loss target must lie in (0, 1023) bits/s/Hz, got {t}")
     u = 2.0 * rho * (p - 1) * (1.0 + r) ** 2 * snr
     v = SQRT2 * (1.0 + r)
     b_local = 2.0 ** (t + 1.0) * v
@@ -128,8 +129,7 @@ def bits_for_tone_loss(
         QuadraticBudget(A=u, B_coef=b_local, T=2.0**t - 1.0)
     ).d_exact
 
-    floor_real = min_admissible_bits(r)
-    d_floor = math.ceil(floor_real) if floor_real > 0 else 1
+    d_floor = math.ceil(min_admissible_bits(r))
 
     def admissible(d: int) -> bool:
         try:

@@ -143,14 +143,18 @@ class TestDominationChain:
         st.floats(min_value=1e-3, max_value=0.9),
         st.floats(min_value=-100.0, max_value=-30.0),
         st.integers(min_value=0, max_value=24),
+        st.floats(min_value=0.0, max_value=20.0),
     )
     @settings(max_examples=50, deadline=None)
     def test_exact_le_general_le_main_on_random_dominant_tones(
-        self, seed, p, r_target, psd_dbm, bits_above_floor
+        self, seed, p, r_target, psd_dbm, bits_above_floor, spread_db
     ):
         rng = np.random.default_rng(seed)
         tone = random_dominant_tone(rng, p, r_target)
-        budget = LinkBudget(psd_dbm, -140.0, 10.7, tone.grid)
+        # per-user PSDs up to spread_db below psd_dbm, so rho <= 10^(spread_db/10)
+        psd = (psd_dbm - spread_db * rng.uniform(0, 1, p)).tolist()
+        budget = LinkBudget(psd, -140.0, 10.7, tone.grid)
+        rho = budget.psd_dynamic_range(p)
         snr, r = budget.snr(tone)[0], float(tone.r[0])
         # the least integer word length strictly above the admissibility floor, and up
         d = math.floor(min_admissible_bits(r)) + 1 + bits_above_floor
@@ -158,10 +162,15 @@ class TestDominationChain:
         delta = tone.Q[0] @ e2
         for u in range(p):
             exact = max(0.0, loss_exact(budget, tone, delta, u).loss)
-            general = bound_general_per_tone(p, 1.0, float(np.max(np.abs(delta[u]))), snr[u])
-            main = bound_main_per_tone(p, r, d, snr[u])
+            general = bound_general_per_tone(p, rho, float(np.max(np.abs(delta[u]))), snr[u])
+            main = bound_main_per_tone(p, r, d, snr[u], rho)
             assert exact <= general + 1e-12
             assert general <= main + 1e-12
+            try:
+                simplified = bound_simplified_per_tone(p, r, d, snr[u], rho)
+            except BoundInapplicable:  # d too close to the floor for the simplified form
+                continue
+            assert main <= simplified + 1e-12
 
 
 class TestAsymptotics:

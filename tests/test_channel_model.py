@@ -300,6 +300,11 @@ class TestChannelFiles:
         "null_entry": lambda rec: rec.__setitem__(1, None),
         "nan_entry": lambda rec: rec.__setitem__(2, [float("nan"), 0.0]),
         "zero_diagonal": lambda rec: rec.__setitem__(3, [0.0, 0.0]),
+        # true/false read as 1/0: both records would load as the identity
+        "boolean_component": lambda rec: rec.__setitem__(0, [True, False]),
+        "boolean_record": lambda rec: rec.__setitem__(
+            slice(None), [[True, False], [False, False], [False, False], [True, False]]
+        ),
     }
 
     @pytest.mark.parametrize("defect", sorted(BAD_RECORDS))

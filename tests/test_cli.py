@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from xtalk_quant import __version__, cli
+from xtalk_quant.analytic_bounds import bound_main_per_tone
 from xtalk_quant.cli import run
 from xtalk_quant.errors import BitDepthTooSmall, XtalkError
 from xtalk_quant.scenario import Scenario
@@ -226,6 +227,27 @@ class TestDesignBits:
         code = run(["design-bits", "--target-tone", "100.0", *args])
         assert code == 0
         assert "floor" in capsys.readouterr().out
+
+    def test_tone_target_meets_rho_aware_bound_on_every_tone(self, tmp_path, capsys):
+        # half the users 10 dB below the others: rho = 10 scales every per-tone gamma
+        scen = Scenario(users=10, decimation=208, psd_dbm_hz=[-60.0] * 5 + [-70.0] * 5)
+        path = tmp_path / "spread.json"
+        scen.save(path)
+        assert run(["design-bits", "--config", str(path), "--target-tone", "0.01"]) == 0
+        d_min = int(capsys.readouterr().out.split()[2])
+        ensemble = scen.ensemble()
+        budget = scen.budget(ensemble.grid)
+        snr = budget.snr_matrix(ensemble).max(axis=0)
+        rho = budget.psd_dynamic_range(ensemble.p)
+        assert rho == pytest.approx(10.0)
+
+        def worst_tone(d):
+            return max(
+                bound_main_per_tone(ensemble.p, float(r), d, float(s), rho)
+                for r, s in zip(ensemble.r, snr)
+            )
+
+        assert worst_tone(d_min) <= 0.01 < worst_tone(d_min - 1)
 
     def test_requires_exactly_one_target(self, fast_args):
         assert run(["design-bits", *fast_args]) == 2
@@ -566,6 +588,27 @@ class TestExitCodes:
         code, prefix = EXIT_TABLE[cls.__name__]
         assert run(["inspect-channel", "--in", "chan.json"]) == code
         assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["design-bits", "--target-tone", "2000"], 2),
+            (["design-bits", "--target-tone", "nan"], 2),
+            (["sweep", "--lengths", "300,abc", "--target-relative", "0.01"], 2),
+            (["simulate", "--d-range", "8:x"], 2),
+            (["bound", "--d-min", "12", "--d-max", "10"], 2),
+            (["bound", "--d-min", "0", "--which", "werner"], 2),
+            (["design-bits", "--target-relative", "1e-300"], 3),
+            (["bound", "--d-min", "1", "--which", "main", "--users", "10"], 4),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_bad_flag_value_is_a_typed_exit(self, capsys, fast_args, argv, code):
+        command, *flags = argv
+        assert run([command, *fast_args, *flags]) == code  # a later flag overrides fast_args
+        err = capsys.readouterr().err
+        prefix = {2: _CONFIG, 3: _NUMERICAL, 4: _BOUND}[code][1]
+        assert err.startswith(f"{prefix}: ") and err.count("\n") == 1
 
     def test_unreadable_file_is_a_config_error(self, tmp_path, capsys):
         assert run(["inspect-channel", "--in", str(tmp_path / "missing.json")]) == 2

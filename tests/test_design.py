@@ -12,13 +12,15 @@ from xtalk_quant.analytic_bounds import (
     min_admissible_bits,
 )
 from xtalk_quant.design import (
+    MAX_BITS,
     QuadraticBudget,
+    _probe,
     bits_for_relative_loss,
     bits_for_tone_loss,
     solve_quadratic_budget,
     sweep_bits_vs_loop_length,
 )
-from xtalk_quant.errors import InvalidParams
+from xtalk_quant.errors import InvalidParams, TargetUnreachable
 
 from conftest import REF_SNR0, REF_SNR_DECAY
 
@@ -167,6 +169,21 @@ class TestBitsForRelativeLoss:
         # headline 14 (see the acceptance module for the full story)
         res = bits_for_relative_loss(reference_werner_params(), 0.01)
         assert res.d_bits == 15
+
+
+class TestWordLengthCap:
+    """No verified word length exceeds MAX_BITS, wherever the analytic start lies."""
+
+    def test_probe_start_above_cap(self):
+        with pytest.raises(TargetUnreachable):
+            _probe(lambda d: d > MAX_BITS, MAX_BITS + 30, 1)
+        assert _probe(lambda d: d >= MAX_BITS, MAX_BITS + 30, 1) == MAX_BITS
+        assert _probe(lambda d: d >= 20, MAX_BITS + 30, 1) == 20
+
+    def test_relative_target_beyond_cap_unreachable(self):
+        # the closed form asks for about 999 bits
+        with pytest.raises(TargetUnreachable):
+            bits_for_relative_loss(reference_werner_params(), 1e-300)
 
 
 class TestSweep:
