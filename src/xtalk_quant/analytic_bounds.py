@@ -6,6 +6,9 @@ Per-tone chain (each step only loosens):
              <= main per-tone bound (t replaced by its ceiling sqrt(2)(1+r)2^-d)
              <= simplified bound (valid for r <= 1).
 
+The per-tone bounds take floats or tone arrays for t, r and snr.  A tone where
+a bound does not apply reads NaN; the bound raises only if it applies on no tone.
+
 Band-level forms integrate the per-tone bound with r frozen at r_max, and the
 attenuation-model (Werner) forms replace the integral by closed expressions in
 the fitted dominance line (gamma1, gamma2) and the SNR decay constant.
@@ -30,57 +33,69 @@ from .errors import BitDepthTooSmall, BoundInapplicable, FloorNonpositive, Inval
 from .units import LN2, SQRT2
 
 
-def min_admissible_bits(r: float) -> float:
+def _libm(fn):
+    """``fn`` of the math module element by element: numpy's log1p differs from
+    libm's in the last ulp on ~2% of inputs, and arrays must match scalar calls."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: np.asarray(ufunc(x), dtype=float)
+
+
+_log1p, _log2 = _libm(math.log1p), _libm(math.log2)
+
+
+def min_admissible_bits(r):
     """Admissibility floor of the main per-tone bound: d >= 1/2 + log2(1+r)."""
-    return 0.5 + math.log2(1.0 + r)
+    return 0.5 + _log2(1.0 + r)
 
 
-def _floor_term(r: float, d_bits: float) -> float:
+def _floor_term(r, d_bits: float):
     """-2 log2(1 - sqrt(2)(1+r) 2^-d), the diagonal-contraction penalty.
 
     Shared by the per-tone and band bounds so their single-tone consistency is
-    bitwise.
+    bitwise.  ``min_bits`` is the least word length admissible on some tone.
     """
     z = SQRT2 * (1.0 + r) * 2.0 ** (-d_bits)
-    if z >= 1.0:
+    inadmissible = z >= 1.0
+    if np.all(inadmissible):
+        r_min = np.min(r)
+        floor = min_admissible_bits(r_min)
         raise BitDepthTooSmall(
-            f"word length {d_bits} below admissibility floor "
-            f"{min_admissible_bits(r):.4f} for r={r:.4f}",
-            min_bits=min_admissible_bits(r),
+            f"word length {d_bits} below admissibility floor {floor:.4f} for r={r_min:.4f}",
+            min_bits=floor,
         )
-    return -2.0 * math.log1p(-z) / LN2
+    return -2.0 * _log1p(np.where(inadmissible, np.nan, -z)) / LN2
 
 
-def bound_general_per_tone(p: int, psd_ratio_max: float, t_max: float, snr: float) -> float:
+def bound_general_per_tone(p: int, psd_ratio_max: float, t_max, snr):
     """log2((1 + (p-1) M t^2 SNR) / (1-t)^2) for any entrywise Delta ceiling t < 1.
 
     M = max_{i != j} P_j / P_i is the PSD dynamic range rho = P_max / P_min
     (``LinkBudget.psd_dynamic_range``).
     """
-    if t_max < 0 or psd_ratio_max < 0 or snr < 0:
+    if np.any(t_max < 0) or psd_ratio_max < 0 or np.any(snr < 0):
         raise InvalidParams("inputs must be nonnegative")
-    if t_max >= 1.0:
-        raise BoundInapplicable(f"t={t_max} >= 1: general per-tone bound undefined")
-    num = math.log1p((p - 1) * psd_ratio_max * t_max * t_max * snr) / LN2
-    return num - 2.0 * math.log1p(-t_max) / LN2
+    undefined = t_max >= 1.0
+    if np.all(undefined):
+        raise BoundInapplicable(f"t={np.min(t_max)} >= 1: general per-tone bound undefined")
+    t = np.where(undefined, np.nan, t_max)
+    num = _log1p((p - 1) * psd_ratio_max * t * t * snr) / LN2
+    return num - 2.0 * _log1p(-t) / LN2
 
 
-def _gamma(p: int, r: float, d_bits: float, rho: float) -> float:
+def _gamma(p: int, r, d_bits: float, rho: float):
     """2 (p-1) (1+r)^2 4^-d rho, the SNR factor of the main and simplified bounds."""
     if rho < 1.0:
         raise InvalidParams("PSD dynamic range rho must be >= 1")
-    return 2.0 * (p - 1) * (1.0 + r) ** 2 * 4.0 ** (-d_bits) * rho
+    return 2.0 * (p - 1) * np.square(1.0 + r) * 4.0 ** (-d_bits) * rho
 
 
-def bound_main_per_tone(
-    p: int, r: float, d_bits: float, snr: float, rho: float = 1.0
-) -> float:
+def bound_main_per_tone(p: int, r, d_bits: float, snr, rho: float = 1.0):
     """Per-tone quantization-loss bound log2(1 + gamma SNR) plus the floor term.
 
     The equal-PSD form is the rho = 1 case and the bounded-PSD-dynamic-range
     generalization multiplies the same gamma by rho, so one routine serves both.
     """
-    return math.log1p(_gamma(p, r, d_bits, rho) * snr) / LN2 + _floor_term(r, d_bits)
+    return _log1p(_gamma(p, r, d_bits, rho) * snr) / LN2 + _floor_term(r, d_bits)
 
 
 def bound_main_band(
@@ -101,18 +116,18 @@ def bound_main_band(
     return integral + grid.bandwidth * _floor_term(r_max, d_bits)
 
 
-def bound_simplified_per_tone(
-    p: int, r: float, d_bits: float, snr: float, rho: float = 1.0
-) -> float:
+def bound_simplified_per_tone(p: int, r, d_bits: float, snr, rho: float = 1.0):
     """Looser per-tone form 2^(-d+3.5) + log2(1 + 8 rho (p-1) SNR 2^-2d), r <= 1:
     the main bound with gamma taken at r = 1."""
-    if r > 1.0:
-        raise BoundInapplicable(f"simplified bound needs r <= 1, got {r}")
-    if SQRT2 * (1.0 + r) * 2.0 ** (-d_bits) > 0.5:
+    too_wide = r > 1.0
+    skipped = too_wide | (SQRT2 * (1.0 + r) * 2.0 ** (-d_bits) > 0.5)
+    if np.all(skipped):
         raise BoundInapplicable(
-            "simplified bound needs sqrt(2)(1+r)2^-d <= 1/2; increase d"
+            f"simplified bound needs r <= 1, got {np.min(r)}" if np.all(too_wide)
+            else "simplified bound needs sqrt(2)(1+r)2^-d <= 1/2; increase d"
         )
-    return 2.0 ** (-d_bits + 3.5) + math.log1p(_gamma(p, 1.0, d_bits, rho) * snr) / LN2
+    snr = np.where(skipped, np.nan, snr)
+    return 2.0 ** (-d_bits + 3.5) + _log1p(_gamma(p, 1.0, d_bits, rho) * snr) / LN2
 
 
 def bound_asymptotic_coefficient(r_max: float, bandwidth_hz: float) -> float:

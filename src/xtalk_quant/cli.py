@@ -30,7 +30,6 @@ from .design import bits_for_relative_loss, bits_for_tone_loss, sweep_bits_vs_lo
 from .errors import (
     BitDepthTooSmall,
     BoundError,
-    BoundInapplicable,
     ConfigError,
     InvalidParams,
     NumericalError,
@@ -193,28 +192,16 @@ def cmd_bound(args) -> int:
             min_bits=min_admissible_bits(r_max),
         )
 
-    def tone_mean(fn):
+    def tone_mean(v):
         """Rectangle-mean of a per-tone bound over the tones where it applies."""
-        vals = []
-        for k in range(grid.count):
-            try:
-                vals.append(fn(k))
-            except BoundInapplicable:
-                continue
-        if not vals:
-            raise BoundInapplicable("bound inapplicable on every tone")
-        return float(np.mean(vals))
-
-    def general(d):
-        t = delta_entry_bound(ensemble, d)
-        return tone_mean(lambda k: bound_general_per_tone(p, rho, t[k], snr[k]))
+        return float(np.mean(v[~np.isnan(v)]))
 
     columns = {
-        "general": general,
-        "main": lambda d: bound_main_band(p, r_max, d, snr, grid, rho=rho) / grid.bandwidth,
-        "simplified": lambda d: tone_mean(
-            lambda k: bound_simplified_per_tone(p, r[k], d, snr[k], rho)
+        "general": lambda d: tone_mean(
+            bound_general_per_tone(p, rho, delta_entry_bound(ensemble, d), snr)
         ),
+        "main": lambda d: bound_main_band(p, r_max, d, snr, grid, rho=rho) / grid.bandwidth,
+        "simplified": lambda d: tone_mean(bound_simplified_per_tone(p, r, d, snr, rho)),
         "werner": lambda d: bound_werner_decay(wparams, d),
         "relative": lambda d: bound_relative(wparams, d),
     }
@@ -254,16 +241,10 @@ def cmd_design_bits(args) -> int:
                     f"--freq {args.freq} Hz lies outside the tone grid "
                     f"({freqs[0]} to {freqs[-1]} Hz)"
                 )
-            tones = [int(np.argmin(np.abs(freqs - args.freq)))]
-        else:
-            tones = range(ensemble.grid.count)
-        # max keeps the first of the tones that need the most bits; its figures are printed
-        t = args.target_tone
-        best = max(
-            (bits_for_tone_loss(ensemble.p, float(r[k]), float(snr[k]), t, rho) for k in tones),
-            key=lambda res: res.d_bits,
-        )
-        target = f"per-tone loss target {t} bps/Hz"
+            k = int(np.argmin(np.abs(freqs - args.freq)))
+            r, snr = r[k], snr[k]
+        best = bits_for_tone_loss(ensemble.p, r, snr, args.target_tone, rho)
+        target = f"per-tone loss target {args.target_tone} bps/Hz"
     else:
         best = bits_for_relative_loss(_werner_bound_params(scen, ensemble), args.target_relative)
         target = f"relative band-loss target {best.target}"

@@ -9,16 +9,18 @@ A 2^-2d + B 2^-d with A, B > 0, then it drops below a target T for every
 while the exact crossing point is d0(T) = log2((sqrt(B^2+4AT) + B) / (2T)).
 The closed-form d(T) costs at most ~1.33 bits over d0.
 
-Every bit-count returned here is *verified*: starting from the analytic
-value, the integer word length is probed against the actual bound (up until
-admissible, then down while still admissible), so the guarantee
-"bound(d) <= target" holds by construction rather than by formula trust.
+Every bit-count returned here is *verified*: the bounds fall as d grows, so
+the first word length of an upward scan that meets the target is the minimum,
+and "bound(d) <= target" holds by construction rather than by formula trust.
+The closed-form d(T) is reported as a diagnostic only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .analytic_bounds import (
     WernerBoundParams,
@@ -63,8 +65,9 @@ def solve_quadratic_budget(q: QuadraticBudget) -> QuadraticSolution:
     Guarantees A 2^-2d + B 2^-d <= T for all d >= d(T).
     """
     a, b, t = q.A, q.B_coef, q.T
-    # d0 via the rationalized root: avoids cancellation when 4AT << B^2.
-    d_exact = math.log2((math.sqrt(b * b + 4.0 * a * t) + b) / (2.0 * t))
+    # d0 via the rationalized root: avoids cancellation when 4AT << B^2; hypot
+    # keeps sqrt(B^2 + 4AT) finite where B^2 or AT alone would overflow.
+    d_exact = math.log2((math.hypot(b, 2.0 * math.sqrt(a) * math.sqrt(t)) + b) / (2.0 * t))
     if t <= b * b / (4.0 * a):
         d_bits = math.log2(1.25 * b / t)
         case = "linear-term"
@@ -79,72 +82,72 @@ class BitsResult:
     """Verified integer word length plus design diagnostics."""
 
     d_bits: int
-    d_analytic: float       # closed-form real-valued d before probing
+    d_analytic: float       # closed-form real-valued d (diagnostic only)
     d_exact: float          # exact root of the quadratic budget
     bound_value: float      # bound evaluated at d_bits (<= target)
     target: float
     floored: bool = False   # d is pinned at the admissibility floor, not the target
 
 
-def _probe(admissible, d_start: int, d_floor: int) -> int:
-    """Smallest admissible integer >= d_floor near d_start, at most MAX_BITS.
-
-    Walks up until admissible (the analytic start may sit below the true
-    minimum), then down while the next smaller word length still passes.
-    A start above MAX_BITS starts at MAX_BITS.
-    """
-    d = min(max(d_start, d_floor, 1), MAX_BITS)
-    while not admissible(d):
-        d += 1
-        if d > MAX_BITS:
-            raise TargetUnreachable(f"no d <= {MAX_BITS} meets the target")
-    while d - 1 >= max(d_floor, 1) and admissible(d - 1):
-        d -= 1
-    return d
+def _first_passing(passes) -> int:
+    """Smallest d in 1..MAX_BITS with passes(d); the bounds fall as d grows."""
+    for d in range(1, MAX_BITS + 1):
+        if passes(d):
+            return d
+    raise TargetUnreachable(f"no d <= {MAX_BITS} meets the target")
 
 
-def bits_for_tone_loss(
-    p: int, r: float, snr: float, t: float, rho: float = 1.0
-) -> BitsResult:
-    """Minimum d with per-tone loss bound <= t bits/s/Hz.
+def bits_for_tone_loss(p: int, r, snr, t: float, rho: float = 1.0) -> BitsResult:
+    """Minimum d with per-tone loss bound <= t bits/s/Hz on every tone.
 
-    Closed form: with u = 2 rho (p-1)(1+r)^2 SNR and v = sqrt(2)(1+r),
+    ``r`` and ``snr`` are floats or tone arrays.  A tone's word length is the
+    first d of an upward scan from its admissibility floor that meets the
+    target; the result is that of the first tone needing the most bits.
+
+    Its closed form: with u = 2 rho (p-1)(1+r)^2 SNR and v = sqrt(2)(1+r),
 
         d(t) = log2(1.25 v 2^(t+1) / (t ln 2))     small-t branch
                0.5 log2(6.25 u / (t ln 2))         otherwise
 
     (branch chosen by 2^t - 1 <= B^2/(4A) for the local quadratic A = u,
-    B = 2^(t+1) v).  The returned integer is bound-verified.
+    B = 2^(t+1) v), reported as ``d_analytic``.
     """
     if not 0.0 < t < 1023.0:  # 2^(t+1) below must stay a float
         raise InvalidParams(f"per-tone loss target must lie in (0, 1023) bits/s/Hz, got {t}")
-    u = 2.0 * rho * (p - 1) * (1.0 + r) ** 2 * snr
-    v = SQRT2 * (1.0 + r)
+    r, snr = np.broadcast_arrays(np.atleast_1d(r), np.atleast_1d(snr))
+    if r.size == 0:
+        raise InvalidParams("need at least one tone")
+    d_floor = np.ceil(min_admissible_bits(r))
+    d_tone = np.zeros(r.shape, dtype=int)  # 0 until the tone meets the target
+
+    def all_met(d: int) -> bool:
+        todo = np.flatnonzero((d_tone == 0) & (d_floor <= d))
+        if todo.size:
+            try:  # a tone whose bound reads NaN (z >= 1) does not meet the target
+                met = bound_main_per_tone(p, r[todo], d, snr[todo], rho=rho) <= t
+            except BitDepthTooSmall:  # z >= 1 on every tone scanned
+                return False
+            d_tone[todo[met]] = d
+        return bool(d_tone.all())
+
+    d = _first_passing(all_met)
+    k = int(np.argmax(d_tone))  # the first tone that needs d bits
+    r_k, snr_k = float(r[k]), float(snr[k])
+    u = 2.0 * rho * (p - 1) * (1.0 + r_k) ** 2 * snr_k
+    v = SQRT2 * (1.0 + r_k)
     b_local = 2.0 ** (t + 1.0) * v
     if 2.0**t - 1.0 <= b_local * b_local / (4.0 * u):
         d_analytic = math.log2(1.25 * b_local / (t * LN2))
     else:
         d_analytic = 0.5 * math.log2(6.25 * u / (t * LN2))
-    d_exact = solve_quadratic_budget(
-        QuadraticBudget(A=u, B_coef=b_local, T=2.0**t - 1.0)
-    ).d_exact
-
-    d_floor = math.ceil(min_admissible_bits(r))
-
-    def admissible(d: int) -> bool:
-        try:
-            return bound_main_per_tone(p, r, d, snr, rho=rho) <= t
-        except BitDepthTooSmall:
-            return False
-
-    d = _probe(admissible, math.ceil(d_analytic), d_floor)
+    d_exact = solve_quadratic_budget(QuadraticBudget(A=u, B_coef=b_local, T=2.0**t - 1.0)).d_exact
     return BitsResult(
         d_bits=d,
         d_analytic=d_analytic,
         d_exact=d_exact,
-        bound_value=bound_main_per_tone(p, r, d, snr, rho=rho),
+        bound_value=bound_main_per_tone(p, r_k, d, snr_k, rho=rho),
         target=t,
-        floored=(d == d_floor and d_floor > 1),
+        floored=bool(d == d_floor[k] and d > 1),
     )
 
 
@@ -162,14 +165,9 @@ def bits_for_relative_loss(params: WernerBoundParams, tau: float) -> BitsResult:
         d_analytic = math.log2(12.0 * SQRT2 / (c * tau))
     else:
         d_analytic = 0.5 * math.log2(6.25 * zeta / tau)
-    d_exact = solve_quadratic_budget(
-        QuadraticBudget(A=zeta, B_coef=2.0**3.5 / c, T=tau)
-    ).d_exact
+    d_exact = solve_quadratic_budget(QuadraticBudget(A=zeta, B_coef=2.0**3.5 / c, T=tau)).d_exact
 
-    def admissible(d: int) -> bool:
-        return bound_relative(params, d) <= tau
-
-    d = _probe(admissible, math.ceil(d_analytic), 1)
+    d = _first_passing(lambda d: bound_relative(params, d) <= tau)
     return BitsResult(
         d_bits=d,
         d_analytic=d_analytic,

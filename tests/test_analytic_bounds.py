@@ -23,6 +23,7 @@ from xtalk_quant.analytic_bounds import (
 from xtalk_quant.channel_model import ToneGrid
 from xtalk_quant.errors import (
     BitDepthTooSmall,
+    BoundError,
     BoundInapplicable,
     FloorNonpositive,
     InvalidParams,
@@ -108,6 +109,76 @@ class TestSimplifiedBound:
         assert bound_simplified_per_tone(2, 1.0, 50, 0.0) == pytest.approx(
             2.0**-46.5, rel=1e-12
         )
+
+
+def _scalar_or_nan(bound, *args):
+    """One scalar bound call, NaN where it does not apply."""
+    try:
+        return bound(*args)
+    except BoundError:
+        return math.nan
+
+
+class TestToneArrays:
+    """A tone array gives each tone's scalar bound, bit for bit, and NaN exactly
+    where the scalar call raises; only a bound that applies on no tone raises.
+    Hypothesis supplies edge values, a seeded generator full-mantissa ones."""
+
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=3.0),
+                st.floats(min_value=0.0, max_value=1e10),
+                st.floats(min_value=0.0, max_value=1.2),
+            ),
+            max_size=8,
+        ),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=40),
+        st.floats(min_value=1.0, max_value=100.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_equals_scalar_calls(self, p, edge_tones, seed, d, rho):
+        self._check(p, edge_tones, np.random.default_rng(seed), 32, d, rho)
+
+    @pytest.mark.parametrize("d", [4, 10, 16])
+    def test_many_full_mantissa_tones(self, d):
+        # scalar x ** 2 (libm pow) and numpy's square differ on ~0.08% of inputs
+        self._check(10, [], np.random.default_rng(d), 5000, d, 3.7)
+
+    @staticmethod
+    def _check(p, edge_tones, rng, n, d, rho):
+        drawn = zip(rng.uniform(0, 3, n), 10 ** rng.uniform(0, 10, n), rng.uniform(0, 1.2, n))
+        r, snr, t = (np.array(col) for col in zip(*edge_tones, *drawn))
+        cases = [
+            (bound_general_per_tone, BoundInapplicable, (p, rho, t, snr),
+             lambda k: (p, rho, float(t[k]), float(snr[k]))),
+            (bound_main_per_tone, BitDepthTooSmall, (p, r, d, snr, rho),
+             lambda k: (p, float(r[k]), d, float(snr[k]), rho)),
+            (bound_simplified_per_tone, BoundInapplicable, (p, r, d, snr, rho),
+             lambda k: (p, float(r[k]), d, float(snr[k]), rho)),
+        ]
+        for bound, error, array_args, scalar_args in cases:
+            expected = np.array([_scalar_or_nan(bound, *scalar_args(k)) for k in range(len(r))])
+            skipped = np.isnan(expected)
+            if skipped.all():
+                with pytest.raises(error):
+                    bound(*array_args)
+                continue
+            got = bound(*array_args)
+            assert np.array_equal(np.isnan(got), skipped), bound.__name__
+            assert got[~skipped].tobytes() == expected[~skipped].tobytes(), bound.__name__
+
+    def test_raise_names_the_failed_condition(self):
+        with pytest.raises(BoundInapplicable, match="r <= 1"):
+            bound_simplified_per_tone(4, np.array([1.5, 2.0]), 20, np.array([1e6, 1e6]))
+        with pytest.raises(BoundInapplicable, match="increase d"):
+            bound_simplified_per_tone(4, np.array([1.5, 0.5]), 2, np.array([1e6, 1e6]))
+        with pytest.raises(BitDepthTooSmall) as err:
+            bound_main_per_tone(4, np.array([3.0, 7.0]), 2, np.array([1e6, 1e6]))
+        # the least word length at which some tone is admissible
+        assert err.value.min_bits == min_admissible_bits(3.0)
 
 
 class TestDominationChain:

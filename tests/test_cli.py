@@ -441,6 +441,41 @@ class TestReportGoldens:
         assert got == (GOLDEN_DIR / golden).read_bytes()
 
 
+class TestBatchedBounds:
+    """The per-tone bounds run once per word length on the whole tone array, and
+    a per-tone design is one call; counted through the ``cli`` names that the
+    benchmark's tracer patches."""
+
+    NAMES = ("bound_general_per_tone", "bound_main_per_tone", "bound_simplified_per_tone",
+             "bits_for_tone_loss")
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.NAMES, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        return counts
+
+    def test_bound_calls_each_per_tone_bound_once_per_word_length(self, calls, fast_args, tmp_path):
+        out = tmp_path / "bound.tsv"
+        argv = ["bound", "--which", "all", "--d-min", "10", "--d-max", "20", "--out", str(out)]
+        assert run([*argv, *fast_args]) == 0
+        assert calls["bound_general_per_tone"] == 11
+        assert calls["bound_simplified_per_tone"] == 11
+        assert calls["bound_main_per_tone"] == 0  # the main column is the band form
+
+    def test_tone_design_is_one_call(self, calls, fast_args, capsys):
+        assert run(["design-bits", "--target-tone", "0.1", *fast_args]) == 0
+        assert calls["bits_for_tone_loss"] == 1
+
+
 class TestSweep:
     def test_rows_with_errors_recorded(self, tmp_path, fast_args):
         out = tmp_path / "sweep.tsv"

@@ -14,7 +14,7 @@ from xtalk_quant.analytic_bounds import (
 from xtalk_quant.design import (
     MAX_BITS,
     QuadraticBudget,
-    _probe,
+    _first_passing,
     bits_for_relative_loss,
     bits_for_tone_loss,
     solve_quadratic_budget,
@@ -63,6 +63,15 @@ class TestQuadraticLemma:
         # d_exact really is the crossing point
         assert q.value(sol.d_exact) == pytest.approx(q.T, rel=1e-9)
 
+    def test_exact_root_finite_where_b_squared_overflows(self):
+        # a 600 bits/s/Hz tone target: B = 2^601 v, so B^2 alone is inf
+        a, b, t = 1e9, 2.0**601 * math.sqrt(2) * 1.3, 2.0**600 - 1.0
+        q = QuadraticBudget(a, b, t)
+        d_exact = solve_quadratic_budget(q).d_exact
+        assert math.isfinite(d_exact)
+        assert q.value(d_exact) == pytest.approx(t, rel=1e-12)
+        assert math.isfinite(bits_for_tone_loss(4, 0.3, 1e9, 600.0).d_exact)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParams):
             QuadraticBudget(0.0, 1.0, 1.0)
@@ -92,15 +101,48 @@ class TestBitsForToneLoss:
         rng = np.random.default_rng(3)
         for _ in range(60):
             p = int(rng.integers(2, 30))
-            r = float(rng.uniform(0, 1.5))
-            snr = 10 ** rng.uniform(1, 9)
+            n = int(rng.integers(1, 9))
+            r = rng.uniform(0, 1.5, n)
+            snr = 10 ** rng.uniform(1, 9, n)
             t = 10 ** rng.uniform(-3, 0.5)
             res = bits_for_tone_loss(p, r, snr, t)
             assert res.bound_value <= t
-            # minimality: one bit less either violates the target or the floor
+            assert np.all(bound_main_per_tone(p, r, res.d_bits, snr) <= t)
+            # minimality: one bit less violates the target or the floor on some tone
             d_less = res.d_bits - 1
-            if d_less >= 1 and d_less >= min_admissible_bits(r):
-                assert bound_main_per_tone(p, r, d_less, snr) > t
+            if d_less >= 1 and d_less >= min_admissible_bits(r.max()):
+                assert np.any(bound_main_per_tone(p, r, d_less, snr) > t)
+
+    @given(
+        st.integers(min_value=2, max_value=30),
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=2.0), st.floats(min_value=1.0, max_value=1e9)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.floats(min_value=1e-3, max_value=60.0),
+        st.floats(min_value=1.0, max_value=100.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tone_array_gives_first_worst_tone(self, p, tones, t, rho):
+        # the maximum over tones, with the figures of the first tone needing it
+        per_tone = [bits_for_tone_loss(p, r, snr, t, rho) for r, snr in tones]
+        r, snr = (np.array(col) for col in zip(*tones))
+        assert bits_for_tone_loss(p, r, snr, t, rho) == max(per_tone, key=lambda res: res.d_bits)
+
+    def test_large_target_scans_up_from_the_floor(self, monkeypatch):
+        # the closed form asks for about 96 bits; the scan stops at the floor
+        from xtalk_quant import design
+
+        calls = []
+        scalar = design.bound_main_per_tone
+        monkeypatch.setattr(
+            design, "bound_main_per_tone", lambda *a, **k: calls.append(a) or scalar(*a, **k)
+        )
+        res = bits_for_tone_loss(10, np.array([0.5, 0.8]), np.array([1e6, 1e7]), 100.0)
+        assert res.d_analytic > 90
+        assert res.d_bits == 2 and res.floored
+        assert [a[2] for a in calls] == [2, 2]  # the scan at the floor, then the result's figure
 
     def test_monotone_in_target_snr_users(self):
         rate = math.log2(1 + 1e6 / GAP)
@@ -172,13 +214,13 @@ class TestBitsForRelativeLoss:
 
 
 class TestWordLengthCap:
-    """No verified word length exceeds MAX_BITS, wherever the analytic start lies."""
+    """No verified word length exceeds MAX_BITS, wherever the analytic d lies."""
 
-    def test_probe_start_above_cap(self):
+    def test_scan_stops_at_cap(self):
         with pytest.raises(TargetUnreachable):
-            _probe(lambda d: d > MAX_BITS, MAX_BITS + 30, 1)
-        assert _probe(lambda d: d >= MAX_BITS, MAX_BITS + 30, 1) == MAX_BITS
-        assert _probe(lambda d: d >= 20, MAX_BITS + 30, 1) == 20
+            _first_passing(lambda d: d > MAX_BITS)
+        assert _first_passing(lambda d: d >= MAX_BITS) == MAX_BITS
+        assert _first_passing(lambda d: d >= 20) == 20
 
     def test_relative_target_beyond_cap_unreachable(self):
         # the closed form asks for about 999 bits
