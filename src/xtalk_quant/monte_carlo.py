@@ -24,6 +24,16 @@ scales the interference by 4^-d and Delta_ii by 2^-d.  Power-of-two scaling
 is exact in floating point, so every report is bitwise identical to a fresh
 draw at that d alone.
 
+Each worker of the tone loop owns one workspace (``_Workspace``), made on
+its first tone of a sweep and reused on every later tone and word length,
+so quantization-only trials allocate no (n, p, p) array per tone.  U is
+drawn into it plane by plane, through a float plane that lives in the Q U
+buffer until the matmul fills it.  Once Q U is formed, U's memory holds the
+two |Delta_ij|^2 planes of ``interference_terms`` and then a and q for up to
+``D_BLOCK`` word lengths per pass of the kernel: fewer numpy calls, the same
+operations on each element.  A tone's results never live in a workspace, so
+they are the same bits at any ``XTALK_THREADS``.
+
 The worst case is taken before the log.  A user's loss,
 rate - log1p(eSNR q)/ln 2, falls as q grows, and each floating-point step
 from q to the loss is monotone, so the worst trial is the one with the least
@@ -36,6 +46,7 @@ so ``run_trials_sweep`` and those statistics form them all.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,6 +65,8 @@ MEAN = "mean"
 QUANTILE = "quantile"
 
 RETRY_CAP = 5  # fresh E1 draws per singular trial before giving up
+D_BLOCK = 4  # most word lengths per pass of the per-d kernel: fewer numpy calls per d
+_UNIT_SCALE = np.ones((1, 1, 1))  # CSI trials scale Delta before the kernel, one d per pass
 
 
 @dataclass(frozen=True)
@@ -117,24 +130,52 @@ def _tone_count_threads() -> int:
     return int(raw)
 
 
-def _map_tones(fn, n_tones: int):
-    """Yield ``fn(k)`` for every tone in tone order.  With several threads the
-    tones run a chunk at a time, so at most one chunk of results is held."""
+def _map_tones(fn, n_tones: int, make_workspace):
+    """Yield ``fn(k, workspace)`` for every tone in tone order, where
+    ``workspace`` is the calling worker's own, made by ``make_workspace`` on
+    its first tone and reused on every later one.  With several threads the
+    tones run a chunk at a time, so at most one chunk of results is held;
+    ``fn`` must return nothing that lives in its workspace."""
     threads = _tone_count_threads()
     if threads == 1:
+        workspace = make_workspace()
         for k in range(n_tones):
-            yield fn(k)
+            yield fn(k, workspace)
         return
+    local = threading.local()
+
+    def run(k: int):
+        if not hasattr(local, "workspace"):
+            local.workspace = make_workspace()
+        return fn(k, local.workspace)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for start in range(0, n_tones, threads):
-            yield from pool.map(fn, range(start, min(start + threads, n_tones)))
+            yield from pool.map(run, range(start, min(start + threads, n_tones)))
 
 
-def _draw_e2(seed: int, tone: int, n: int, p: int, zero: bool) -> np.ndarray:
-    """Base variates U, real/imag parts uniform on [-1, 1]; E2 = 2^-d U."""
-    if zero:
-        return np.zeros((n, p, p), dtype=complex)
-    return streams.uniform_complex(streams.stream(seed, streams.MC_E2, tone), (n, p, p))
+class _Workspace:
+    """One worker's trial buffers for a sweep of n trials of p users.
+
+    U and Q U are complex (n, p, p).  The float plane that the draw passes
+    through lives in the first half of Q U, which the matmul overwrites only
+    after the draw is copied into U.  U is not read after Q U is formed, so
+    its memory then serves, in turn, as the two |Delta_ij|^2 planes of
+    ``interference_terms`` and as a, q, the kernel's scratch and the (p, n)
+    copy of q for a block of ``block`` word lengths; with p = 1 these are too
+    large for it and get their own.  The interference terms are (n, p).
+    """
+
+    def __init__(self, n: int, p: int, block: int):
+        self.u = np.empty((n, p, p), dtype=complex)
+        self.qu = np.empty((n, p, p), dtype=complex)
+        self.plane = self.qu.reshape(-1).view(float)[: n * p * p].reshape(n, p, p)
+        free = self.u.reshape(-1).view(float)
+        self.terms = (free.reshape(2, n, p, p), *np.empty((3, n, p)))
+        size = 4 * block * n * p
+        a, q, tmp, q_t = (free[:size] if size <= free.size else np.empty(size)).reshape(4, -1)
+        self.ratio = tuple(x.reshape(block, n, p) for x in (a, q, tmp))
+        self.q_t = q_t.reshape(block, p, n)
 
 
 def run_trials(ensemble: ChannelEnsemble, budget: LinkBudget, config: TrialConfig) -> TrialReport:
@@ -201,44 +242,61 @@ def _sweep_tones(
     gap = budget.gap
     n_tones = ensemble.grid.count
     scales = [2.0 ** (-d) for d in d_values]
+    block = max(1, min(D_BLOCK, p // 2))  # a block's 4 (n, p) buffers fit in U for p >= 2
+    scale_blocks = [
+        np.array(scales[i : i + block])[:, None, None] for i in range(0, len(scales), block)
+    ]
     snr_all, q_all = budget.snr(ensemble), ensemble.Q
     per_trial = band_joint or config.statistic != WORST_CASE
 
-    def one_tone(k: int):
+    def one_tone(k: int, ws: _Workspace):
         snr = snr_all[k]
         esnr = snr / gap
         rate = np.log1p(esnr) / LN2
         q_mat = q_all[k]
-        qu = q_mat[None, :, :] @ _draw_e2(seed, k, n, p, config.zero_errors)
+        if config.zero_errors:
+            ws.u.fill(0.0)
+        else:
+            rng = streams.stream(seed, streams.MC_E2, k)
+            streams.uniform_complex(rng, ws.u.shape, ws.u, ws.plane)
+        qu = np.matmul(q_mat, ws.u, out=ws.qu)
         failures: list = []
         if e1_samples is None:
-            cross, dii = interference_terms(qu, psd_lin)
-            terms = ((cross, dii, s) for s in scales)
+            terms = interference_terms(qu, psd_lin, out=ws.terms)
+            per_block = ((terms, s) for s in scale_blocks)
         else:
             e1 = streams.csi_error(streams.stream(seed, streams.MC_E1, k), snr, e1_samples, (n,))
             m_inv = _invert_with_resampling(q_mat, e1, snr, e1_samples, seed, k, failures)
             e1_term = e1 @ m_inv
-            terms = (interference_terms(s * qu - e1_term, psd_lin) + (1.0,) for s in scales)
+            per_block = (
+                (interference_terms(s * qu - e1_term, psd_lin, out=ws.terms), _UNIT_SCALE)
+                for s in scales
+            )
         stats, losses = [], []
-        for cross, dii, s in terms:
-            q = interference_ratio(snr, cross, dii, s)[1]
+        for (cross, re, im), s in per_block:
+            k_d = s.shape[0]
+            q = interference_ratio(snr, cross, re, im, s, out=[b[:k_d] for b in ws.ratio])[1]
             if per_trial:
-                loss = rate - np.log1p(esnr * q) / LN2
-                stats.append(_reduce(loss, config))
+                q = np.log1p(np.multiply(esnr, q, out=q), out=q)
+                q /= LN2
+                loss = np.subtract(rate, q, out=None if band_joint else q)
+                stats.extend(_reduce(loss_d, config) for loss_d in loss)
                 if band_joint:
-                    losses.append(loss)
+                    losses.extend(loss)
             else:
                 # q -> loss is monotone decreasing, so the worst trial is the one with the
                 # least q; the min runs over a contiguous (p, n) copy, the fast axis
-                q_min = np.ascontiguousarray(q.T).min(axis=1)
-                stats.append(rate - np.log1p(esnr * q_min) / LN2)
+                q_t = ws.q_t[:k_d]
+                np.copyto(q_t, q.transpose(0, 2, 1))
+                stats.extend(rate - np.log1p(esnr * q_t.min(axis=2)) / LN2)
         return stats, losses, rate, failures
 
     per_tone = np.empty((len(d_values), p, n_tones))
     rate = np.empty((p, n_tones))
     joint = np.zeros((len(d_values), n, p)) if band_joint else None
     failures: list = []
-    for k, (stats, losses, rates, tone_failures) in enumerate(_map_tones(one_tone, n_tones)):
+    tones = _map_tones(one_tone, n_tones, lambda: _Workspace(n, p, block))
+    for k, (stats, losses, rates, tone_failures) in enumerate(tones):
         per_tone[:, :, k] = stats
         if band_joint:
             for acc, loss in zip(joint, losses):

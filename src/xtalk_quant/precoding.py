@@ -137,10 +137,10 @@ def quantize_precoder(
         pq = (np.round(work.real * s) + 1j * np.round(work.imag * s)) / s
     else:
         p = P.shape[-1]
-        u = np.stack([
-            streams.uniform_complex(streams.stream(spec.seed, streams.E2, k), (p, p))
-            for k in range(box.size)
-        ])
+        u = np.empty((box.size, p, p), dtype=complex)
+        plane = np.empty((p, p))
+        for k in range(box.size):
+            streams.uniform_complex(streams.stream(spec.seed, streams.E2, k), (p, p), u[k], plane)
         pq = work + spec.step * u.reshape(P.shape)
 
     pq = pq * scale[..., None, None]

@@ -134,34 +134,64 @@ def loss_arrays(
     return {"loss": loss, "rate": rate, "a": a, "q": q, "k": k}
 
 
-def interference_terms(delta: np.ndarray, psd_lin: np.ndarray) -> tuple:
+def interference_terms(
+    delta: np.ndarray, psd_lin: np.ndarray, out: tuple | None = None
+) -> tuple:
     """The O(p^2) half of the loss kernel.
 
-    Returns ``cross`` = sum_{j != i} (P_j / P_i) |Delta_ij|^2 and the diagonal
-    Delta_ii, both of shape (..., p).  Scaling ``delta`` by a power of two
-    scales Delta_ii by it and ``cross`` by its square, exactly.
+    Returns ``cross`` = sum_{j != i} (P_j / P_i) |Delta_ij|^2 and the real and
+    imaginary parts of the diagonal Delta_ii, each a contiguous (..., p) array.
+    Scaling ``delta`` by a power of two scales Delta_ii by it and ``cross`` by
+    its square, exactly.  ``out`` = (planes, cross, re, im) takes the results
+    in caller-owned buffers: ``planes`` is a C-contiguous float scratch of
+    shape (2, ..., p, p) that must not overlap ``delta``, the rest are (..., p).
     """
-    ad2 = delta.real**2 + delta.imag**2
-    tot = ad2 @ psd_lin
-    dii = np.diagonal(delta, axis1=-2, axis2=-1).copy()  # the trial engine reads it once per d
-    own = psd_lin * (dii.real**2 + dii.imag**2)
-    cross = np.maximum(tot - own, 0.0) / psd_lin
-    return cross, dii
+    if out is None:
+        out = np.empty((2, *delta.shape)), *np.empty((3, *delta.shape[:-1]))
+    planes, cross, re, im = out
+    ad2 = np.square(delta.real, out=planes[0])
+    ad2 += np.square(delta.imag, out=planes[1])
+    tot = np.matmul(ad2, psd_lin, out=cross)
+    dii = np.diagonal(delta, axis1=-2, axis2=-1)
+    np.copyto(re, dii.real)  # the trial engine reads them once per d
+    np.copyto(im, dii.imag)
+    # P_i |Delta_ii|^2, in the planes, which are free once tot is formed
+    own, own_im = (plane.reshape(-1)[: re.size].reshape(re.shape) for plane in planes)
+    np.square(re, out=own)
+    own += np.square(im, out=own_im)
+    own *= psd_lin
+    tot -= own
+    np.maximum(tot, 0.0, out=tot)
+    tot /= psd_lin
+    return cross, re, im
 
 
 def interference_ratio(
-    snr: np.ndarray, cross: np.ndarray, dii: np.ndarray, scale: float = 1.0
+    snr: np.ndarray,
+    cross: np.ndarray,
+    re: np.ndarray,
+    im: np.ndarray,
+    scale: float = 1.0,
+    out: tuple | None = None,
 ) -> tuple:
     """``a`` and ``q`` of every user under the perturbation ``scale`` * Delta,
-    from Delta's ``interference_terms``; ``scale`` is a power of two, so the
-    scaled terms are exact.  Raises ``NumericalError`` if either is not finite."""
-    a = cross * (scale * scale) * snr
-    re = dii.real * scale
-    re += 1.0
-    im = dii.imag * scale
-    q = np.square(re, out=re)
-    q += np.square(im, out=im)
-    q = q / (a + 1.0)  # not in place: an (..., p) snr may broadcast a past dii's shape
+    from Delta's ``interference_terms``; ``scale`` is a power of two, or an
+    array of them that broadcasts against the terms (a block of word lengths
+    along a leading axis), so the scaled terms are exact.  ``out`` = (a, q,
+    scratch) takes them in caller-owned buffers of the broadcast shape of
+    ``cross``, ``snr`` and ``scale``.  Raises ``NumericalError`` if either is
+    not finite."""
+    if out is None:
+        shape = np.broadcast_shapes(cross.shape, np.shape(snr), np.shape(scale))
+        out = np.empty((3, *shape))
+    a, q, tmp = out
+    np.multiply(cross, scale * scale, out=a)
+    a *= snr
+    np.multiply(re, scale, out=q)
+    q += 1.0
+    np.square(q, out=q)
+    q += np.square(np.multiply(im, scale, out=tmp), out=tmp)
+    q /= np.add(a, 1.0, out=tmp)
     if not (np.isfinite(a).all() and np.isfinite(q).all()):
         raise NumericalError("non-finite interference statistics")
     return a, q

@@ -29,10 +29,28 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     )
 
 
-def uniform_complex(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Complex draws with real and imaginary parts i.i.d. uniform on [-1, 1]."""
-    z = rng.uniform(-1.0, 1.0, size=(2, *shape))
-    return z[0] + 1j * z[1]
+def uniform_complex(
+    rng: np.random.Generator,
+    shape: tuple,
+    out: np.ndarray | None = None,
+    plane: np.ndarray | None = None,
+) -> np.ndarray:
+    """Complex draws with real and imaginary parts i.i.d. uniform on [-1, 1].
+
+    All real parts are drawn first, then all imaginary parts, bitwise as
+    ``z = rng.uniform(-1, 1, (2, *shape)); z[0] + 1j * z[1]``: numpy's uniform
+    is low + (high - low) * next_double, and 2x - 1 rounds like -1 + 2x.  The
+    draw goes into ``out`` (complex) through ``plane`` (float, C-contiguous),
+    both of ``shape``; either is allocated when not given.
+    """
+    out = np.empty(shape, dtype=complex) if out is None else out
+    plane = np.empty(shape) if plane is None else plane
+    for part in (out.real, out.imag):
+        rng.random(out=plane)
+        plane *= 2.0
+        plane -= 1.0
+        part[...] = plane
+    return out
 
 
 def csi_error(

@@ -99,6 +99,34 @@ class TestSynthesis:
             with pytest.raises(ValueError):
                 arr.flat[0] = 2.0
 
+    def test_callers_stack_stays_writeable_and_apart(self):
+        H = np.stack([np.eye(2, dtype=complex)] * 2)
+        ens = ChannelEnsemble(ToneGrid(1e6, 2.2e6, 1e6), H)
+        assert not np.shares_memory(ens.H, H)
+        assert H.flags.writeable
+        H[1, 0, 1] = 0.5
+        assert ens.H[1, 0, 1] == 0.0
+
+    @pytest.mark.parametrize("source", ["synthesize", "load"])
+    def test_fresh_stack_is_handed_over_uncopied(self, tmp_path, monkeypatch, source):
+        grid = ToneGrid(1e6, 1e6 + 3.5 * 1e5, 1e5)
+        path = tmp_path / "chan.json"
+        save_channel(synthesize_channel(reference_params(p=3), grid, 4), path)
+        adopt, handed = ChannelEnsemble._adopt.__func__, []
+
+        def spy(cls, grid, H):
+            handed.append(H)
+            return adopt(cls, grid, H)
+
+        monkeypatch.setattr(ChannelEnsemble, "_adopt", classmethod(spy))
+        if source == "load":
+            ens = load_channel(path)
+        else:
+            ens = synthesize_channel(reference_params(p=3), grid, 4)
+        [stack] = handed
+        assert np.shares_memory(ens.H, stack)
+        assert not ens.H.flags.writeable
+
     def test_r_nondecreasing_in_frequency(self):
         # flat K and zero phases make r(f) exactly linear in f
         grid = ToneGrid(1e5, 20e6, 1e6)
@@ -439,8 +467,8 @@ class TestChannelFiles:
             tracemalloc.stop()
         assert back.grid.count == 2000
         # The read holds the file's bytes and its decoded text at once; after
-        # it come the text and the per-record arrays, then the stack and the
-        # ensemble's copy of it. A loader that keeps the whole parsed document
+        # it come the text and the per-record arrays, then the stack, which the
+        # ensemble takes without a copy. A loader that keeps the whole parsed document
         # (a list per number pair) peaks near 4x the text here.
         assert peak < 2 * text + stack, (peak, text, stack)
 

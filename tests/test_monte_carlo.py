@@ -1,11 +1,15 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dominant_tone
+from conftest import random_dominant_tone, reference_params
 
 from xtalk_quant.analytic_bounds import bound_main_per_tone
+from xtalk_quant.channel_model import ToneGrid, synthesize_channel
 from xtalk_quant.errors import InvalidParams, SingularChannel, TargetUnreachable
 from xtalk_quant import monte_carlo, streams
 from xtalk_quant.monte_carlo import (
@@ -89,10 +93,40 @@ class TestRunTrials:
     def test_thread_count_does_not_change_results(
         self, small_ensemble, small_budget, monkeypatch
     ):
-        base = run_trials(small_ensemble, small_budget, _config(11, seed=7))
-        monkeypatch.setenv("XTALK_THREADS", "4")
-        threaded = run_trials(small_ensemble, small_budget, _config(11, seed=7))
-        assert np.array_equal(base.per_tone, threaded.per_tone)
+        """Every worker owns its trial workspace, so each engine path gives the
+        same bits on one thread as on several (34 tones: each worker reuses its
+        workspace on many of them)."""
+        ens, budget = small_ensemble, small_budget
+
+        def engine_paths() -> dict:
+            out = {"run_trials": run_trials(ens, budget, _config(11, seed=7)).per_tone}
+            # min_bits_empirical's worst case before the log
+            worst, rate, _, _ = monte_carlo._sweep_tones(
+                ens, budget, _config(1, n=100, seed=7), range(1, 33), band_joint=False
+            )
+            out.update(worst=worst, worst_rate=rate)
+            for label, cfg in [
+                ("mean", _config(1, n=100, seed=7, statistic="mean")),
+                ("csi", _config(1, n=100, seed=7, e1_samples=1000)),
+            ]:
+                for rep in run_trials_sweep(ens, budget, cfg, (8, 12, 16)):
+                    for name in ("per_tone", "band_per_bin", "band_joint"):
+                        out[label, rep.d_bits, name] = getattr(rep, name)
+            return out
+
+        monkeypatch.delenv("XTALK_THREADS", raising=False)
+        base = engine_paths()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often: a buffer shared by workers shows up
+        try:
+            for threads in ("2", "4"):
+                monkeypatch.setenv("XTALK_THREADS", threads)
+                threaded = engine_paths()
+                assert threaded.keys() == base.keys()
+                for key, value in base.items():
+                    assert np.array_equal(value, threaded[key]), (threads, key)
+        finally:
+            sys.setswitchinterval(interval)
 
     @given(
         st.integers(min_value=0, max_value=2**63),
@@ -180,6 +214,23 @@ class TestOneDrawServesEveryWordLength:
         reports = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
         self._check(reports, small_ensemble, small_budget, cfg, d_values)
 
+    @pytest.mark.parametrize("p", [1, 3, 5, 10])
+    def test_every_block_of_word_lengths(self, p):
+        # p sets how many word lengths share a kernel pass (1, 1, 2 and 4 here;
+        # p = 1 keeps them outside U), and 7 word lengths leave a partial block
+        rng = np.random.default_rng(p)
+        ensemble = random_dominant_tone(rng, p, 0.3)
+        budget = LinkBudget(-60.0, -140.0, 10.7, ensemble.grid)
+        for e1_samples in (None, 1000):
+            cfg = _config(1, n=50, seed=p, e1_samples=e1_samples)
+            d_values = range(3, 10)
+            reports = run_trials_sweep(ensemble, budget, cfg, d_values)
+            self._check(reports, ensemble, budget, cfg, d_values)
+            per_tone, _, _, _ = monte_carlo._sweep_tones(
+                ensemble, budget, cfg, d_values, band_joint=False
+            )
+            assert np.array_equal(per_tone, [rep.per_tone for rep in reports])
+
     @pytest.mark.parametrize("e1_samples", [None, 1000], ids=["None", "csi1"])
     def test_two_threads_match_one(self, small_ensemble, small_budget, monkeypatch, e1_samples):
         cfg = _config(1, n=100, e1_samples=e1_samples)
@@ -245,6 +296,36 @@ class TestWorstCaseBeforeTheLog:
         for target in (0.1, 0.02, 0.005, 1e-3):
             first = next(r.d_bits for r in reports if np.max(r.eta_per_tone) <= target)
             assert min_bits_empirical(small_ensemble, small_budget, cfg, target) == first
+
+
+class TestWorkspaceMemory:
+    """The engine's traced peak is one worker's workspace (U and Q U, complex
+    (n, p, p)) plus O(n p len(d)): it does not grow with the tone count."""
+
+    N, P, D_VALUES = 1000, 10, (8, 12, 16)
+
+    def _peak_beyond_outputs(self, n_tones: int) -> int:
+        grid = ToneGrid(1e6, 1e6 + (n_tones - 0.5) * 1e5, 1e5)
+        ensemble = synthesize_channel(reference_params(self.P), grid, 5)
+        ensemble.Q  # derived once per ensemble, outside the measurement
+        budget = LinkBudget(-60.0, -140.0, 10.7, grid)
+        tracemalloc.start()
+        try:
+            run_trials_sweep(ensemble, budget, _config(1, n=self.N, seed=3), self.D_VALUES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, p, n_d = self.N, self.P, len(self.D_VALUES)
+        # per-tone statistic and rate, and the per-trial band accumulator
+        outputs = 8 * (n_d * p * n_tones + p * n_tones + n_d * n * p)
+        return peak - outputs
+
+    def test_peak_is_one_workspace_at_any_tone_count(self):
+        n, p, n_d = self.N, self.P, len(self.D_VALUES)
+        few, many = self._peak_beyond_outputs(8), self._peak_beyond_outputs(64)
+        # a leak of one (n, p) float array per tone would add 56 of them
+        assert many <= few + n * p * 8
+        assert many <= 2 * (n * p * p * 16) + 6 * (n * p * n_d * 8)
 
 
 class TestCsiTrials:
