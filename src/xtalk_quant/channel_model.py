@@ -170,29 +170,16 @@ class ChannelSnapshot:
 class ChannelEnsemble:
     """The channel matrices of every tone of a grid as one (tones, p, p) stack.
 
-    ``H`` is a read-only copy of the stack it is given (``load_channel`` and
-    ``synthesize_channel`` hand over their fresh stack uncopied), and ``D`` a
-    read-only view of its diagonals; ``r`` and ``Q`` are derived from it for
-    all tones at once, on first use.  A single tone is an ensemble over a
-    one-tone grid.
+    ``H`` is a read-only copy of the stack it is given and ``D`` a read-only
+    view of its diagonals; ``r`` and ``Q`` are derived from it for all tones
+    at once, on first use.  A single tone is an ensemble over a one-tone grid.
     """
 
     grid: ToneGrid
     H: np.ndarray
 
     def __post_init__(self):
-        self._take(np.array(self.H, dtype=complex, order="C"))
-
-    @classmethod
-    def _adopt(cls, grid: ToneGrid, H: np.ndarray) -> ChannelEnsemble:
-        """An ensemble over ``H``, a fresh stack that nothing else holds,
-        without the constructor's copy; ``H`` becomes read-only."""
-        ensemble = object.__new__(cls)
-        object.__setattr__(ensemble, "grid", grid)
-        ensemble._take(np.ascontiguousarray(H, dtype=complex))
-        return ensemble
-
-    def _take(self, H: np.ndarray) -> None:
+        H = np.array(self.H, dtype=complex, order="C")
         if H.ndim != 3 or H.shape[1] != H.shape[2]:
             raise InvalidParams(f"channel stack must have shape (tones, p, p), got {H.shape}")
         if H.shape[0] != self.grid.count:
@@ -277,7 +264,7 @@ def synthesize_channel(
         ])
         H = mag * np.exp(1j * ph)
 
-    return ChannelEnsemble._adopt(grid, H)
+    return ChannelEnsemble(grid=grid, H=H)
 
 
 def calibrate_k_mean_slope(
@@ -412,7 +399,7 @@ def load_channel(path) -> ChannelEnsemble:
     # .view pairs the floats exactly as complex(re, im) does
     H = np.stack(records).view(complex).reshape(n, p, p)
     del records  # the per-tone lists, freed before the tone checks run
-    return ChannelEnsemble._adopt(grid, H)
+    return ChannelEnsemble(grid=grid, H=H)
 
 
 _HEADER_TYPES = {

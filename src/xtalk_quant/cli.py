@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -41,6 +42,7 @@ from .precoding import delta_entry_bound, make_bundle
 from .rate_analysis import build_report
 from .reports import LazyRows, render_table, scenario_hash
 from .scenario import Scenario
+from .units import db_to_linear
 
 _SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
 
@@ -53,12 +55,13 @@ def _load_scenario(args) -> Scenario:
     return replace(scen, **flags)
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_report(args, scen: Scenario, tables, **meta) -> None:
+    """Write each (kind, columns, rows) table, under the scenario's hash and
+    ``meta``, to --out or else stdout, one rendered table at a time."""
+    meta["scenario_hash"] = scenario_hash(scen.to_dict())
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        for kind, columns, rows in tables:
+            fh.write(render_table(kind, meta, columns, rows, __version__))
 
 
 def _werner_bound_params(scen: Scenario, ensemble) -> WernerBoundParams:
@@ -66,15 +69,14 @@ def _werner_bound_params(scen: Scenario, ensemble) -> WernerBoundParams:
     if isinstance(scen.psd_dbm_hz, list):
         raise InvalidParams("the closed-form band bounds need one psd_dbm_hz for all users")
     fit = fit_row_dominance(ensemble)
-    snr0 = 10.0 ** ((scen.psd_dbm_hz - scen.noise_dbm_hz) / 10.0)
     return WernerBoundParams.from_amplitude_aggregate(
         amplitude_aggregate=fit_alpha(ensemble),
         gamma1=max(fit.gamma1, 0.0),
         gamma2=max(fit.gamma2, 0.0),
         p=ensemble.p,
-        snr0=snr0,
+        snr0=float(db_to_linear(scen.psd_dbm_hz - scen.noise_dbm_hz)),
         bandwidth_hz=ensemble.grid.bandwidth,
-        gap=10.0 ** (scen.gamma_db / 10.0),
+        gap=float(db_to_linear(scen.gamma_db)),
     )
 
 
@@ -126,7 +128,6 @@ def cmd_analyze(args) -> int:
     delta = make_bundle(ensemble, spec, snr=snr, normalize=args.normalize).delta
     report = build_report(budget, ensemble, delta)
 
-    meta = {"scenario_hash": scenario_hash(scen.to_dict()), "d_bits": spec.d_bits}
     columns = (report.rate, report.rate_perturbed, report.loss, report.a, report.q, report.k)
     freqs = ensemble.freqs.tolist()
     rows = LazyRows(ensemble.p * len(freqs), lambda: (
@@ -136,30 +137,14 @@ def cmd_analyze(args) -> int:
     ))
     band = zip(report.band_rate.tolist(), report.band_loss.tolist(), report.eta.tolist())
     band_rows = [("band", u, *values) for u, values in enumerate(band)]
-    table = render_table(
-        "loss-report",
-        meta,
-        [
-            "user",
-            "freq_hz",
-            "rate_bps_hz",
-            "rate_perturbed_bps_hz",
-            "loss_bps_hz",
-            "a",
-            "q",
-            "k",
-        ],
-        rows,
-        __version__,
-    )
-    table += render_table(
-        "loss-report-band",
-        meta,
-        ["row", "user", "band_rate_bps", "band_loss_bps", "eta"],
-        band_rows,
-        __version__,
-    )
-    _emit(args, table)
+    header = [
+        "user", "freq_hz", "rate_bps_hz", "rate_perturbed_bps_hz", "loss_bps_hz", "a", "q", "k"
+    ]
+    tables = [
+        ("loss-report", header, rows),
+        ("loss-report-band", ["row", "user", "band_rate_bps", "band_loss_bps", "eta"], band_rows),
+    ]
+    _write_report(args, scen, tables, d_bits=spec.d_bits)
     worst = max(report.eta[np.isfinite(report.eta)].tolist(), default=float("nan"))
     print(f"band relative loss: worst user eta = {worst:.6g}", file=sys.stderr)
     return 0
@@ -215,12 +200,7 @@ def cmd_bound(args) -> int:
             raise
 
     rows = [[d] + [cell(name, d) for name in which] for d in range(args.d_min, args.d_max + 1)]
-
-    meta = {"scenario_hash": scenario_hash(scen.to_dict())}
-    table = render_table(
-        "bound-curves", meta, ["d_bits"] + list(which), rows, __version__
-    )
-    _emit(args, table)
+    _write_report(args, scen, [("bound-curves", ["d_bits", *which], rows)])
     return 0
 
 
@@ -290,21 +270,15 @@ def cmd_simulate(args) -> int:
         )
         for rep in reports
     ]
-
-    meta = {
-        "scenario_hash": scenario_hash(scen.to_dict()),
-        "statistic": scen.statistic,
-        "n_trials": scen.n_trials,
-        "csi_samples": scen.csi_samples or 0,
-    }
-    table = render_table(
-        "simulation",
-        meta,
-        ["d_bits", "stat_tone_bps_hz", "stat_band_bps", "stat_band_joint_bps", "eta_band"],
-        rows,
-        __version__,
+    columns = ["d_bits", "stat_tone_bps_hz", "stat_band_bps", "stat_band_joint_bps", "eta_band"]
+    _write_report(
+        args,
+        scen,
+        [("simulation", columns, rows)],
+        statistic=scen.statistic,
+        n_trials=scen.n_trials,
+        csi_samples=scen.csi_samples or 0,
     )
-    _emit(args, table)
     return 0
 
 
@@ -318,18 +292,10 @@ def cmd_sweep(args) -> int:
         raise InvalidParams(f"--lengths must be comma-separated meters: {args.lengths!r}") from exc
     sweep = sweep_bits_vs_loop_length(lengths, template, args.target_relative, scen.loop_length_m)
     rows = [tuple("" if v is None else v for v in astuple(row)) for row in sweep]
-    meta = {
-        "scenario_hash": scenario_hash(scen.to_dict()),
-        "target_relative": args.target_relative,
-    }
-    table = render_table(
-        "bits-vs-length",
-        meta,
-        ["length_m", "d_min_bits", "bound_at_d", "c_floor", "error"],
-        rows,
-        __version__,
+    columns = ["length_m", "d_min_bits", "bound_at_d", "c_floor", "error"]
+    _write_report(
+        args, scen, [("bits-vs-length", columns, rows)], target_relative=args.target_relative
     )
-    _emit(args, table)
     return 0
 
 

@@ -24,15 +24,16 @@ scales the interference by 4^-d and Delta_ii by 2^-d.  Power-of-two scaling
 is exact in floating point, so every report is bitwise identical to a fresh
 draw at that d alone.
 
-Each worker of the tone loop owns one workspace (``_Workspace``), made on
-its first tone of a sweep and reused on every later tone and word length,
-so quantization-only trials allocate no (n, p, p) array per tone.  U is
-drawn into it plane by plane, through a float plane that lives in the Q U
-buffer until the matmul fills it.  Once Q U is formed, U's memory holds the
-two |Delta_ij|^2 planes of ``interference_terms`` and then a and q for up to
-``D_BLOCK`` word lengths per pass of the kernel: fewer numpy calls, the same
-operations on each element.  A tone's results never live in a workspace, so
-they are the same bits at any ``XTALK_THREADS``.
+A sweep starts by making one workspace (``_Workspace``) per worker of the
+tone loop, ``min(XTALK_THREADS, tones)`` of them, and each is reused on
+every tone and word length it runs, so quantization-only trials allocate no
+(n, p, p) array per tone.  U is drawn into it plane by plane, through a
+float plane that lives in the Q U buffer until the matmul fills it.  Once
+Q U is formed, U's memory holds the two |Delta_ij|^2 planes of
+``interference_terms`` and then a and q for up to ``D_BLOCK`` word lengths
+per pass of the kernel: fewer numpy calls, the same operations on each
+element.  A tone's results never live in a workspace, so they are the same
+bits at any ``XTALK_THREADS``.
 
 The worst case is taken before the log.  A user's loss,
 rate - log1p(eSNR q)/ln 2, falls as q grows, and each floating-point step
@@ -46,8 +47,8 @@ so ``run_trials_sweep`` and those statistics form them all.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,27 +132,18 @@ def _tone_count_threads() -> int:
 
 
 def _map_tones(fn, n_tones: int, make_workspace):
-    """Yield ``fn(k, workspace)`` for every tone in tone order, where
-    ``workspace`` is the calling worker's own, made by ``make_workspace`` on
-    its first tone and reused on every later one.  With several threads the
-    tones run a chunk at a time, so at most one chunk of results is held;
-    ``fn`` must return nothing that lives in its workspace."""
-    threads = _tone_count_threads()
-    if threads == 1:
-        workspace = make_workspace()
-        for k in range(n_tones):
-            yield fn(k, workspace)
-        return
-    local = threading.local()
-
-    def run(k: int):
-        if not hasattr(local, "workspace"):
-            local.workspace = make_workspace()
-        return fn(k, local.workspace)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    """Yield ``fn(k, workspace)`` for every tone in tone order.  The tones run
+    a chunk of ``min(XTALK_THREADS, n_tones)`` at a time, tone j of a chunk on
+    workspace j, made by ``make_workspace`` when the loop starts; a chunk
+    starts only once the previous one is drained, so no two running tones
+    share a workspace and at most one chunk of results is held.  ``fn`` must
+    return nothing that lives in its workspace."""
+    threads = min(_tone_count_threads(), n_tones)
+    workspaces = [make_workspace() for _ in range(threads)]
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
         for start in range(0, n_tones, threads):
-            yield from pool.map(run, range(start, min(start + threads, n_tones)))
+            yield from run(fn, range(start, min(start + threads, n_tones)), workspaces)
 
 
 class _Workspace:

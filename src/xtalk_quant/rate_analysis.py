@@ -143,8 +143,8 @@ def interference_terms(
     imaginary parts of the diagonal Delta_ii, each a contiguous (..., p) array.
     Scaling ``delta`` by a power of two scales Delta_ii by it and ``cross`` by
     its square, exactly.  ``out`` = (planes, cross, re, im) takes the results
-    in caller-owned buffers: ``planes`` is a C-contiguous float scratch of
-    shape (2, ..., p, p) that must not overlap ``delta``, the rest are (..., p).
+    in caller-owned buffers: ``planes`` is a float scratch of shape
+    (2, ..., p, p) that must not overlap ``delta``, the rest are (..., p).
     """
     if out is None:
         out = np.empty((2, *delta.shape)), *np.empty((3, *delta.shape[:-1]))
@@ -155,12 +155,7 @@ def interference_terms(
     dii = np.diagonal(delta, axis1=-2, axis2=-1)
     np.copyto(re, dii.real)  # the trial engine reads them once per d
     np.copyto(im, dii.imag)
-    # P_i |Delta_ii|^2, in the planes, which are free once tot is formed
-    own, own_im = (plane.reshape(-1)[: re.size].reshape(re.shape) for plane in planes)
-    np.square(re, out=own)
-    own += np.square(im, out=own_im)
-    own *= psd_lin
-    tot -= own
+    tot -= (np.square(re) + np.square(im)) * psd_lin  # P_i |Delta_ii|^2
     np.maximum(tot, 0.0, out=tot)
     tot /= psd_lin
     return cross, re, im

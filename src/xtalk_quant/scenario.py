@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields
 from .channel_model import (
     DEFAULT_K_MEAN_SLOPE,
     DEFAULT_K_SIGMA_LOG,
+    DMT_SPACING_HZ,
     ChannelEnsemble,
     ToneGrid,
     WernerParams,
@@ -88,8 +89,6 @@ class Scenario:
     # -- construction helpers -------------------------------------------------
 
     def grid(self) -> ToneGrid:
-        from .channel_model import DMT_SPACING_HZ
-
         return ToneGrid(self.f_start, self.f_end, DMT_SPACING_HZ * self.decimation)
 
     def werner_params(self) -> WernerParams:

@@ -298,6 +298,52 @@ class TestWorstCaseBeforeTheLog:
             assert min_bits_empirical(small_ensemble, small_budget, cfg, target) == first
 
 
+class TestMoreThreadsThanTones:
+    """``XTALK_THREADS`` above the tone count: a sweep makes at most one
+    workspace and one thread per tone, and gives the same bits as one thread."""
+
+    @pytest.mark.parametrize("n_tones", [1, 3])
+    def test_eight_threads_match_one(self, monkeypatch, n_tones):
+        grid = ToneGrid(1e6, 1e6 + (n_tones - 0.5) * 1e5, 1e5)
+        ensemble = synthesize_channel(reference_params(p=4), grid, 8)
+        budget = LinkBudget(-60.0, -140.0, 10.7, grid)
+        made, pools = [], []
+        make_workspace, make_pool = monte_carlo._Workspace, monte_carlo.ThreadPoolExecutor
+
+        def workspace(*args):
+            made.append(args)
+            return make_workspace(*args)
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return make_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(monte_carlo, "_Workspace", workspace)
+        monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", pool)
+
+        def sweeps(threads: str) -> list:
+            monkeypatch.setenv("XTALK_THREADS", threads)
+            out = []
+            for e1_samples in (None, 1000):
+                made.clear()
+                cfg = _config(1, n=60, e1_samples=e1_samples)
+                for rep in run_trials_sweep(ensemble, budget, cfg, (6, 10, 14)):
+                    out += [rep.per_tone, rep.rate_per_tone, rep.band_per_bin, rep.band_joint]
+                assert 1 <= len(made) <= min(int(threads), n_tones)
+            made.clear()
+            out += monte_carlo._sweep_tones(
+                ensemble, budget, _config(1, n=60), range(1, 33), band_joint=False
+            )[:2]
+            assert 1 <= len(made) <= min(int(threads), n_tones)
+            return out
+
+        one, eight = sweeps("1"), sweeps("8")
+        assert len(one) == len(eight)
+        for a, b in zip(one, eight):
+            assert np.array_equal(a, b)
+        assert pools == ([n_tones] * 3 if n_tones > 1 else [])
+
+
 class TestWorkspaceMemory:
     """The engine's traced peak is one worker's workspace (U and Q U, complex
     (n, p, p)) plus O(n p len(d)): it does not grow with the tone count."""
