@@ -22,12 +22,11 @@ from .channel_model import (
     save_channel,
     synthesize_channel,
 )
-# CLI (analyze, bound): precoders, quantizers, Delta and its entry ceiling t
+# CLI (analyze): precoders, quantizers and Delta
 from .precoding import (
     PerturbationSpec,
     PrecoderBundle,
     build_delta,
-    delta_entry_bound,
     ideal_precoder,
     make_bundle,
     quantize_precoder,
@@ -40,7 +39,8 @@ from .rate_analysis import (
     build_report,
     loss_exact,
 )
-# paper: the bound chain (criteria 2, 6, 7, 8, 9); CLI: bound's columns
+# paper: the bound chain and Delta's entry ceiling t (criteria 2, 6, 7, 8, 9);
+# CLI: bound's columns
 from .analytic_bounds import (
     WernerBoundParams,
     bound_asymptotic_coefficient,
@@ -50,6 +50,7 @@ from .analytic_bounds import (
     bound_relative,
     bound_simplified_per_tone,
     bound_werner_decay,
+    delta_entry_bound,
     j_integral_bound,
     spectral_efficiency_floor,
     min_admissible_bits,

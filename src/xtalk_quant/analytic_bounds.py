@@ -48,13 +48,19 @@ def min_admissible_bits(r):
     return 0.5 + _log2(1.0 + r)
 
 
+def delta_entry_bound(r, d_bits: float):
+    """t = sqrt(2) (1+r) 2^-d: the entrywise ceiling on Delta under quantization
+    alone."""
+    return SQRT2 * (1.0 + r) * 2.0 ** (-d_bits)
+
+
 def _floor_term(r, d_bits: float):
-    """-2 log2(1 - sqrt(2)(1+r) 2^-d), the diagonal-contraction penalty.
+    """-2 log2(1 - t), t = ``delta_entry_bound(r, d)``: the diagonal-contraction penalty.
 
     Shared by the per-tone and band bounds so their single-tone consistency is
     bitwise.  ``min_bits`` is the least word length admissible on some tone.
     """
-    z = SQRT2 * (1.0 + r) * 2.0 ** (-d_bits)
+    z = delta_entry_bound(r, d_bits)
     inadmissible = z >= 1.0
     if np.all(inadmissible):
         r_min = np.min(r)
@@ -82,7 +88,7 @@ def bound_general_per_tone(p: int, psd_ratio_max: float, t_max, snr):
     return num - 2.0 * _log1p(-t) / LN2
 
 
-def _gamma(p: int, r, d_bits: float, rho: float):
+def gamma_factor(p: int, r, d_bits: float, rho: float):
     """2 (p-1) (1+r)^2 4^-d rho, the SNR factor of the main and simplified bounds."""
     if rho < 1.0:
         raise InvalidParams("PSD dynamic range rho must be >= 1")
@@ -95,7 +101,7 @@ def bound_main_per_tone(p: int, r, d_bits: float, snr, rho: float = 1.0):
     The equal-PSD form is the rho = 1 case and the bounded-PSD-dynamic-range
     generalization multiplies the same gamma by rho, so one routine serves both.
     """
-    return _log1p(_gamma(p, r, d_bits, rho) * snr) / LN2 + _floor_term(r, d_bits)
+    return _log1p(gamma_factor(p, r, d_bits, rho) * snr) / LN2 + _floor_term(r, d_bits)
 
 
 def bound_main_band(
@@ -111,7 +117,7 @@ def bound_main_band(
     snr_per_tone = np.asarray(snr_per_tone, dtype=float)
     if snr_per_tone.size != grid.count:
         raise InvalidParams(f"{snr_per_tone.size} SNR values for {grid.count} tones")
-    gamma = _gamma(p, r_max, d_bits, rho)
+    gamma = gamma_factor(p, r_max, d_bits, rho)
     integral = float(np.sum(np.log1p(gamma * snr_per_tone)) / LN2) * grid.spacing
     return integral + grid.bandwidth * _floor_term(r_max, d_bits)
 
@@ -120,19 +126,19 @@ def bound_simplified_per_tone(p: int, r, d_bits: float, snr, rho: float = 1.0):
     """Looser per-tone form 2^(-d+3.5) + log2(1 + 8 rho (p-1) SNR 2^-2d), r <= 1:
     the main bound with gamma taken at r = 1."""
     too_wide = r > 1.0
-    skipped = too_wide | (SQRT2 * (1.0 + r) * 2.0 ** (-d_bits) > 0.5)
+    skipped = too_wide | (delta_entry_bound(r, d_bits) > 0.5)
     if np.all(skipped):
         raise BoundInapplicable(
             f"simplified bound needs r <= 1, got {np.min(r)}" if np.all(too_wide)
             else "simplified bound needs sqrt(2)(1+r)2^-d <= 1/2; increase d"
         )
     snr = np.where(skipped, np.nan, snr)
-    return 2.0 ** (-d_bits + 3.5) + _log1p(_gamma(p, 1.0, d_bits, rho) * snr) / LN2
+    return 2.0 ** (-d_bits + 3.5) + _log1p(gamma_factor(p, 1.0, d_bits, rho) * snr) / LN2
 
 
 def bound_asymptotic_coefficient(r_max: float, bandwidth_hz: float) -> float:
-    """c with band_bound(d) * 2^d -> c as d grows: 2 sqrt(2) (1+r_max) B / ln 2."""
-    return 2.0 * SQRT2 * (1.0 + r_max) * bandwidth_hz / LN2
+    """c with band_bound(d) * 2^d -> c as d grows: 2 t(r_max, d=0) B / ln 2."""
+    return 2.0 * delta_entry_bound(r_max, 0) * bandwidth_hz / LN2
 
 
 def werner_snr_profile(snr0: float, alpha_ell: float, freqs) -> np.ndarray:

@@ -311,9 +311,7 @@ def fit_alpha(ensemble: ChannelEnsemble) -> float:
 
     Pooled over users and tones, slope-only (the model has no intercept).
     """
-    mags = np.abs(np.ascontiguousarray(ensemble.D.T))  # (p, tones)
-    if np.any(mags == 0.0):
-        raise SingularDiagonal("zero diagonal magnitude")
+    mags = np.abs(np.ascontiguousarray(ensemble.D.T))  # (p, tones), nonzero by construction
     if np.any(mags > 1.0 + 1e-12):
         raise InvalidParams("diagonal magnitudes must lie in (0, 1]")
     x = np.sqrt(ensemble.freqs)

@@ -24,6 +24,7 @@ from .analytic_bounds import (
     bound_relative,
     bound_simplified_per_tone,
     bound_werner_decay,
+    delta_entry_bound,
     min_admissible_bits,
 )
 from .channel_model import fit_alpha, fit_row_dominance, load_channel, save_channel
@@ -38,7 +39,7 @@ from .errors import (
 )
 # run_trials stays bound here for the benchmark's tracing, which patches cli.run_trials
 from .monte_carlo import run_trials, run_trials_sweep  # noqa: F401
-from .precoding import delta_entry_bound, make_bundle
+from .precoding import make_bundle
 from .rate_analysis import build_report
 from .reports import LazyRows, render_table, scenario_hash
 from .scenario import Scenario
@@ -170,12 +171,14 @@ def cmd_bound(args) -> int:
     p, grid, r_max = ensemble.p, ensemble.grid, ensemble.r_max
     r, snr, rho = _tone_inputs(scen, ensemble)
     wparams = _werner_bound_params(scen, ensemble) if {"werner", "relative"} & set(which) else None
-    if {"main", "general", "simplified"} & set(which) and args.d_min < min_admissible_bits(r_max):
-        raise BitDepthTooSmall(
-            f"d={args.d_min} below the admissibility floor; minimum admissible d = "
-            f"{min_admissible_bits(r_max):.3f}",
-            min_bits=min_admissible_bits(r_max),
-        )
+    if {"main", "general", "simplified"} & set(which):
+        floor = min_admissible_bits(r_max)
+        if args.d_min < floor:
+            raise BitDepthTooSmall(
+                f"d={args.d_min} below the admissibility floor; minimum admissible d = "
+                f"{floor:.3f}",
+                min_bits=floor,
+            )
 
     def tone_mean(v):
         """Rectangle-mean of a per-tone bound over the tones where it applies."""
@@ -183,7 +186,7 @@ def cmd_bound(args) -> int:
 
     columns = {
         "general": lambda d: tone_mean(
-            bound_general_per_tone(p, rho, delta_entry_bound(ensemble, d), snr)
+            bound_general_per_tone(p, rho, delta_entry_bound(r, d), snr)
         ),
         "main": lambda d: bound_main_band(p, r_max, d, snr, grid, rho=rho) / grid.bandwidth,
         "simplified": lambda d: tone_mean(bound_simplified_per_tone(p, r, d, snr, rho)),

@@ -26,6 +26,8 @@ from .analytic_bounds import (
     WernerBoundParams,
     bound_main_per_tone,
     bound_relative,
+    delta_entry_bound,
+    gamma_factor,
     min_admissible_bits,
 )
 from .errors import BitDepthTooSmall, InvalidParams, TargetUnreachable, XtalkError
@@ -104,7 +106,8 @@ def bits_for_tone_loss(p: int, r, snr, t: float, rho: float = 1.0) -> BitsResult
     first d of an upward scan from its admissibility floor that meets the
     target; the result is that of the first tone needing the most bits.
 
-    Its closed form: with u = 2 rho (p-1)(1+r)^2 SNR and v = sqrt(2)(1+r),
+    Its closed form: with u = ``gamma_factor`` at d = 0 times SNR, i.e.
+    2 rho (p-1)(1+r)^2 SNR, and v = ``delta_entry_bound`` at d = 0, i.e. sqrt(2)(1+r),
 
         d(t) = log2(1.25 v 2^(t+1) / (t ln 2))     small-t branch
                0.5 log2(6.25 u / (t ln 2))         otherwise
@@ -133,8 +136,8 @@ def bits_for_tone_loss(p: int, r, snr, t: float, rho: float = 1.0) -> BitsResult
     d = _first_passing(all_met)
     k = int(np.argmax(d_tone))  # the first tone that needs d bits
     r_k, snr_k = float(r[k]), float(snr[k])
-    u = 2.0 * rho * (p - 1) * (1.0 + r_k) ** 2 * snr_k
-    v = SQRT2 * (1.0 + r_k)
+    u = gamma_factor(p, r_k, 0, rho) * snr_k
+    v = delta_entry_bound(r_k, 0)
     b_local = 2.0 ** (t + 1.0) * v
     if 2.0**t - 1.0 <= b_local * b_local / (4.0 * u):
         d_analytic = math.log2(1.25 * b_local / (t * LN2))

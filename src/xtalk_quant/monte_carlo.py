@@ -90,6 +90,8 @@ class TrialConfig:
         if self.statistic == QUANTILE:
             if self.quantile_q is None or not 0.0 < self.quantile_q < 1.0:
                 raise InvalidParams("quantile statistic needs q in (0, 1)")
+        elif self.quantile_q is not None:
+            raise InvalidParams(f"quantile_q is read only by the {QUANTILE!r} statistic")
 
 
 @dataclass

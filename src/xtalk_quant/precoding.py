@@ -25,7 +25,6 @@ import numpy as np
 from . import streams
 from .channel_model import ChannelEnsemble
 from .errors import InvalidParams, NumericalError, RangeError, SingularChannel
-from .units import SQRT2
 
 COND_LIMIT = 1e12
 IDENTITY_CHECK_TOL = 1e-10
@@ -75,7 +74,6 @@ class PrecoderBundle:
     """Stacks over tones; ``e1`` is None without an estimation-error model."""
 
     p_ideal: np.ndarray
-    p_perturbed: np.ndarray
     e1: np.ndarray | None
     e2: np.ndarray
     delta: np.ndarray
@@ -147,26 +145,22 @@ def quantize_precoder(
     return QuantizedPrecoder(p_quantized=pq, e2=pq - P, scale=scale)
 
 
-def build_delta(channel: ChannelEnsemble, e1: np.ndarray | None, e2: np.ndarray) -> np.ndarray:
-    """Equivalent-channel perturbation of every tone for given error stacks.
+def build_delta(
+    channel: ChannelEnsemble, p_estimated: np.ndarray, e1: np.ndarray | None, e2: np.ndarray
+) -> np.ndarray:
+    """Equivalent-channel perturbation of every tone, given the precoder the
+    quantizer acted on (ideal, or (I + D^{-1}F + E1)^{-1} with ``e1``) and E2.
 
-    Also re-derives H P~ = D (I + Delta) from scratch and fails loudly if the
-    identity does not hold to ``IDENTITY_CHECK_TOL`` (relative to max |d_ii|)
-    on some tone.
+    Also checks H P~ = D (I + Delta) for the deployed P~ = ``p_estimated`` + E2
+    and fails loudly if the identity does not hold to ``IDENTITY_CHECK_TOL``
+    (relative to max |d_ii|) on some tone.
     """
-    Q = channel.Q
-    eye = np.eye(channel.p)
-    e2 = np.asarray(e2, dtype=complex)
-    delta = Q @ e2
-    if e1 is None or not np.any(e1):
-        p_perturbed = _solve(channel, Q, eye)
-    else:
-        e1 = np.asarray(e1, dtype=complex)
-        p_perturbed = _solve(channel, Q + e1, eye)  # (I + D^{-1}F + E1)^{-1}
-        delta -= e1 @ p_perturbed
-    p_perturbed += e2
+    delta = channel.Q @ e2
+    if e1 is not None:
+        delta -= e1 @ p_estimated
+    p_perturbed = p_estimated + e2
     resid = channel.H @ p_perturbed  # H P~ - D (I + Delta), formed in place
-    rhs = np.add(delta, eye, out=p_perturbed)  # P~ is not needed any more
+    rhs = np.add(delta, np.eye(channel.p), out=p_perturbed)  # P~ is not needed any more
     rhs *= channel.D[:, :, None]
     resid -= rhs
     del p_perturbed, rhs
@@ -200,12 +194,6 @@ def _solve(channel: ChannelEnsemble, m: np.ndarray, rhs: np.ndarray) -> np.ndarr
     return out
 
 
-def delta_entry_bound(channel: ChannelEnsemble, d_bits: int) -> np.ndarray:
-    """2^(-d+1/2) (1 + r) per tone: entrywise ceiling on Delta under
-    quantization only."""
-    return SQRT2 * 2.0 ** (-d_bits) * (1.0 + channel.r)
-
-
 def make_bundle(
     channel: ChannelEnsemble,
     spec: PerturbationSpec,
@@ -232,12 +220,7 @@ def make_bundle(
         p_estimated = _solve(channel, channel.Q + e1, np.eye(channel.p))
 
     quant = quantize_precoder(p_estimated, spec, normalize=normalize)
-    delta = build_delta(channel, e1, quant.e2)
-    return PrecoderBundle(
-        p_ideal=p_ideal,
-        p_perturbed=quant.p_quantized,
-        e1=e1,
-        e2=quant.e2,
-        delta=delta,
-        scale=quant.scale,
-    )
+    e2, scale = quant.e2, quant.scale
+    del quant  # Delta needs only E2: let the quantized stack go before it is built
+    delta = build_delta(channel, p_estimated, e1, e2)
+    return PrecoderBundle(p_ideal=p_ideal, e1=e1, e2=e2, delta=delta, scale=scale)

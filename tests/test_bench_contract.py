@@ -14,19 +14,19 @@ import numpy as np
 import pytest
 
 import xtalk_quant
-from xtalk_quant import Scenario, monte_carlo
+from xtalk_quant import Scenario, cli, monte_carlo, precoding
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def _patch_points():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.PATCH_POINTS
+    return spans
 
 
-PATCH_POINTS = _patch_points()
+PATCH_POINTS = _load_spans().PATCH_POINTS
 
 
 @pytest.mark.parametrize(
@@ -54,3 +54,34 @@ def test_entry_points_on_a_small_scenario(tmp_path):
     assert ensemble.grid.spacing > 0
     config = scen.trial_config(e2_model="uniform_random")
     assert 1 <= monte_carlo.min_bits_empirical(ensemble, budget, config, 0.01) <= 32
+
+
+def test_traced_round_on_a_small_scenario(tmp_path, monkeypatch, capsys):
+    """The benchmark's ``--trace 1`` path: its observers read positional
+    arguments and results of patched names, so a signature change to one of
+    them fails here rather than only in a traced benchmark run."""
+    monkeypatch.chdir(tmp_path)
+    small = ["--users", "4", "--decimation", "208", "--seed", "5"]
+    tracer = _load_spans().Tracer()
+    tracer.install("xtalk_quant")
+    try:
+        assert cli.run(["synth-channel", *small, "--out", "chan.json"]) == 0
+        for argv in (
+            ["analyze", "--channel-file", "chan.json", "--normalize", "--out", "analyze.tsv"],
+            ["bound", "--out", "bound.tsv"],
+            ["design-bits", "--target-tone", "0.1"],
+            ["simulate", "--d-range", "8:10", "--n-trials", "20", "--out", "sim.tsv"],
+        ):
+            assert cli.run([*argv, *small]) == 0, capsys.readouterr().err
+        scen = Scenario(users=4, decimation=208, seed=5, n_trials=20)
+        ensemble = scen.ensemble()
+        budget, config = scen.budget(ensemble.grid), scen.trial_config(d_bits=12)
+        report = monte_carlo.run_trials(ensemble, budget, config)
+        assert report.trial_failures == []
+    finally:
+        tracer.uninstall()
+    assert cli.make_bundle is precoding.make_bundle  # every original is back
+    spans = {tracer.names[name_id] for name_id, *_ in tracer.spans}
+    assert {"precoding.make_bundle", "precoding.build_delta"} <= spans
+    for key in ("file_bytes", "report_rows", "trials"):
+        assert tracer.counts.get(key, 0) > 0, key

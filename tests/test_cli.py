@@ -367,6 +367,15 @@ class TestSimulate:
         assert "e1_samples must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    def test_quantile_q_with_the_worst_case_statistic_exit_2(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        Scenario(users=4, decimation=208, seed=5, n_trials=20, quantile_q=0.5).save(scen)
+        out = tmp_path / "r.tsv"
+        argv = ["simulate", "--config", str(scen), "--d-range", "10:10", "--out", str(out)]
+        assert run(argv) == 2
+        assert "quantile_q" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["two", "0", "-3"])
     def test_invalid_thread_count_exit_2(self, monkeypatch, capsys, fast_args, value):
         monkeypatch.setenv("XTALK_THREADS", value)

@@ -59,6 +59,12 @@ class TestTrialConfig:
         spec = Scenario(e2_model=E2_DETERMINISTIC, csi_samples=1000).trial_config().spec
         assert (spec.e2_model, spec.e1_samples) == (E2_UNIFORM, 1000)
 
+    @pytest.mark.parametrize("statistic", ["worst_case", "mean"])
+    def test_quantile_q_without_the_quantile_statistic_refused(self, statistic):
+        # no statistic but the quantile reads q, so a q given with another is refused
+        with pytest.raises(InvalidParams, match="quantile_q"):
+            _config(12, statistic=statistic, q=0.5)
+
 
 class TestRunTrials:
     @pytest.mark.parametrize("d_values", [[0], [-3], [8, 0, 12]])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xtalk_quant import precoding, streams
+from xtalk_quant.analytic_bounds import delta_entry_bound
 from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid
 from xtalk_quant.errors import NumericalError, RangeError, SingularChannel
 from xtalk_quant.precoding import (
@@ -12,7 +14,6 @@ from xtalk_quant.precoding import (
     E2_UNIFORM,
     PerturbationSpec,
     build_delta,
-    delta_entry_bound,
     ideal_precoder,
     make_bundle,
     quantize_precoder,
@@ -131,12 +132,12 @@ class TestQuantizer:
 class TestDelta:
     def test_zero_errors_zero_delta(self, small_ensemble):
         z = np.zeros_like(small_ensemble.H)
-        assert np.all(build_delta(small_ensemble, None, z) == 0.0)
+        assert np.all(build_delta(small_ensemble, ideal_precoder(small_ensemble), None, z) == 0.0)
 
     def test_quantization_only_closed_form(self, small_ensemble):
         rng = np.random.default_rng(2)
         e2 = np.stack([_uniform_errors(rng, small_ensemble.p, 10) for _ in small_ensemble.freqs])
-        delta = build_delta(small_ensemble, None, e2)
+        delta = build_delta(small_ensemble, ideal_precoder(small_ensemble), None, e2)
         for k in range(small_ensemble.grid.count):
             assert np.allclose(delta[k], small_ensemble.Q[k] @ e2[k], rtol=0, atol=1e-16)
 
@@ -145,17 +146,19 @@ class TestDelta:
         tone = random_dominant_tone(rng, 3, 0.4)
         e1 = 1e-3 * (rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3)))
         e2 = 1e-4 * (rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3)))
-        delta = build_delta(tone, e1, e2)[0]  # raises NumericalError on violation
+        p_est = np.linalg.solve(tone.Q + e1, np.eye(3))
+        delta = build_delta(tone, p_est, e1, e2)[0]  # raises NumericalError on violation
         p_pert = np.linalg.inv(tone.Q[0] + e1[0]) + e2[0]
         lhs = tone.H[0] @ p_pert
         rhs = tone.D[0][:, None] * (np.eye(3) + delta)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(tone.D))
 
     def test_singular_tone_named(self):
+        # ideal_precoder refuses the singular tone before any Delta is built
         H = np.stack([np.eye(2), np.eye(2), np.ones((2, 2)), np.ones((2, 2))]).astype(complex)
         chan = ChannelEnsemble(ToneGrid(1e6, 1e6 + 3.5, 1.0), H)
         with pytest.raises(SingularChannel) as err:
-            build_delta(chan, None, np.zeros_like(H))
+            make_bundle(chan, PerturbationSpec(d_bits=12))
         assert err.value.tone == 2
 
     def test_identity_violation_names_tone(self, monkeypatch):
@@ -167,8 +170,19 @@ class TestDelta:
         e2[2] = 1e-4
         monkeypatch.setattr(precoding, "IDENTITY_CHECK_TOL", 1e-300)
         with pytest.raises(NumericalError, match="identity violated") as err:
-            build_delta(chan, None, e2)
+            build_delta(chan, ideal_precoder(chan), None, e2)
         assert err.value.tone == 2
+
+    def test_precoder_that_does_not_zero_force_names_tone(self, small_ensemble):
+        # H (P + E2) = D (I + Q E2) holds iff H P = D: the check sees the
+        # precoder that was quantized, not a second inverse
+        P = ideal_precoder(small_ensemble)
+        e2 = np.zeros_like(P)
+        assert np.all(build_delta(small_ensemble, P, None, e2) == 0.0)
+        P[7, 0, 1] += 1e-6
+        with pytest.raises(NumericalError, match="identity violated") as err:
+            build_delta(small_ensemble, P, None, e2)
+        assert err.value.tone == 7
 
     def test_delta_affine_in_e2(self):
         rng = np.random.default_rng(4)
@@ -176,16 +190,17 @@ class TestDelta:
         e1 = 1e-3 * (rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
         e2a = 1e-4 * (rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
         e2b = 1e-4 * (rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
-        base = build_delta(tone, e1, np.zeros_like(e2a))
-        da = build_delta(tone, e1, e2a) - base
-        db = build_delta(tone, e1, e2b) - base
-        dab = build_delta(tone, e1, e2a + e2b) - base
+        p_est = np.linalg.solve(tone.Q + e1, np.eye(4))
+        base = build_delta(tone, p_est, e1, np.zeros_like(e2a))
+        da = build_delta(tone, p_est, e1, e2a) - base
+        db = build_delta(tone, p_est, e1, e2b) - base
+        dab = build_delta(tone, p_est, e1, e2a + e2b) - base
         assert np.allclose(dab, da + db, atol=1e-12)
 
     def test_entry_bound_dominates(self, small_ensemble):
         rng = np.random.default_rng(6)
         d = 9
-        ceiling = delta_entry_bound(small_ensemble, d)[-1]
+        ceiling = delta_entry_bound(small_ensemble.r, d)[-1]
         assert ceiling == pytest.approx(2.0 ** (-d + 0.5) * (1 + small_ensemble.r[-1]), rel=1e-12)
         q_mat = small_ensemble.Q[-1]
         worst = 0.0
@@ -196,12 +211,12 @@ class TestDelta:
 
     def test_entry_bound_values(self):
         flat = one_tone(0.0, np.eye(2))
-        assert delta_entry_bound(flat, 1)[0] == pytest.approx(2.0**-0.5, rel=1e-12)
+        assert delta_entry_bound(flat.r, 1)[0] == pytest.approx(2.0**-0.5, rel=1e-12)
         fitted = one_tone(1e6, np.array([[1.0, 0.1596], [0.0, 1.0]]))
-        assert delta_entry_bound(fitted, 14)[0] == pytest.approx(
+        assert delta_entry_bound(fitted.r, 14)[0] == pytest.approx(
             2.0**-13.5 * 1.1596, rel=1e-12
         )
-        assert delta_entry_bound(fitted, 14)[0] == pytest.approx(1.0009e-4, rel=1e-4)
+        assert delta_entry_bound(fitted.r, 14)[0] == pytest.approx(1.0009e-4, rel=1e-4)
 
 
 class TestBundle:
@@ -211,9 +226,6 @@ class TestBundle:
         two = ChannelEnsemble(ToneGrid(snap.freq, snap.freq + 1.5, 1.0), np.stack([snap.H, snap.H]))
         spec = PerturbationSpec(d_bits=12, e2_model=E2_UNIFORM, seed=77)
         bundle = make_bundle(two, spec)
-        assert np.allclose(
-            bundle.p_perturbed, bundle.p_ideal + bundle.e2, atol=1e-15
-        )
         # distinct tones draw from distinct streams under one seed
         assert not np.array_equal(bundle.e2[0], bundle.e2[1])
         again = make_bundle(two, spec)
@@ -224,7 +236,21 @@ class TestBundle:
         spec_csi = PerturbationSpec(d_bits=12, e2_model=E2_UNIFORM, e1_samples=1000, seed=77)
         bundle = make_bundle(two, spec_csi, snr=small_budget.snr(two), normalize=True)
         est = np.linalg.inv(two.Q + bundle.e1)
-        assert np.allclose(bundle.p_perturbed, est + bundle.e2, atol=1e-12)
+        assert np.allclose(bundle.delta, two.Q @ bundle.e2 - bundle.e1 @ est, atol=1e-12)
+
+    def test_peak_memory_below_five_and_a_half_stacks(self, reference_ensemble):
+        # one solve per precoder, and the quantized stack is let go before
+        # Delta is built
+        ensemble = reference_ensemble
+        ensemble.D, ensemble.Q  # cached beforehand, so only the bundle is counted
+        spec = PerturbationSpec(d_bits=14)
+        tracemalloc.start()
+        try:
+            make_bundle(ensemble, spec, normalize=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * ensemble.H.nbytes
 
 
 def _philox(seed, *key):
