@@ -24,16 +24,25 @@ scales the interference by 4^-d and Delta_ii by 2^-d.  Power-of-two scaling
 is exact in floating point, so every report is bitwise identical to a fresh
 draw at that d alone.
 
-A sweep starts by making one workspace (``_Workspace``) per worker of the
-tone loop, ``min(XTALK_THREADS, tones)`` of them, and each is reused on
-every tone and word length it runs, so quantization-only trials allocate no
-(n, p, p) array per tone.  U is drawn into it plane by plane, through a
-float plane that lives in the Q U buffer until the matmul fills it.  Once
-Q U is formed, U's memory holds the two |Delta_ij|^2 planes of
-``interference_terms`` and then a and q for up to ``D_BLOCK`` word lengths
-per pass of the kernel: fewer numpy calls, the same operations on each
-element.  A tone's results never live in a workspace, so they are the same
-bits at any ``XTALK_THREADS``.
+The workers split each tone's trials, not the tones: worker c owns trial
+slice [t0_c, t1_c) of every tone and walks the tones in order, with no
+barrier between tones.  There are at most ``XTALK_THREADS`` slices (the
+usable cores when it is unset) of about ``MIN_SLICE`` trials or more, each
+starting on a multiple of 4.  A worker draws only its own trials
+(``streams.uniform_complex`` skips the others') into its own workspace
+(``_Workspace``), reused on every tone and word length, so quantization-only
+trials allocate no (n, p, p) array per tone.  U is drawn into it plane by
+plane, through a float plane that lives in the Q U buffer until the matmul
+fills it.  Once Q U is formed, U's memory holds the two |Delta_ij|^2 planes
+of ``interference_terms`` and then a and q for up to ``D_BLOCK`` word
+lengths per pass of the kernel: fewer numpy calls, the same operations on
+each element.  Each slice keeps its own worst case (or least q), the slices
+combine by an exact max (or min), and each worker adds its tones to its own
+columns of ``band_joint`` in tone order, so every result is the same bits at
+any ``XTALK_THREADS``.  CSI trials and the mean and quantile statistics run
+as one slice: E1's Gaussian draw takes a varying number of words and is
+resampled in trial order, the mean sums the trials in order, and the
+quantile needs all of them.
 
 The worst case is taken before the log.  A user's loss,
 rate - log1p(eSNR q)/ln 2, falls as q grows, and each floating-point step
@@ -46,9 +55,9 @@ so ``run_trials_sweep`` and those statistics form them all.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +76,7 @@ QUANTILE = "quantile"
 
 RETRY_CAP = 5  # fresh E1 draws per singular trial before giving up
 D_BLOCK = 4  # most word lengths per pass of the per-d kernel: fewer numpy calls per d
+MIN_SLICE = 8  # fewest trials worth a worker: a smaller n_trials runs on one
 _UNIT_SCALE = np.ones((1, 1, 1))  # CSI trials scale Delta before the kernel, one d per pass
 
 
@@ -125,31 +135,29 @@ def _reduce(losses: np.ndarray, config: TrialConfig) -> np.ndarray:
     return np.quantile(losses, config.quantile_q, axis=0)
 
 
-def _tone_count_threads() -> int:
-    """Worker threads for the tone loop: ``XTALK_THREADS``, 1 when unset."""
-    raw = os.environ.get("XTALK_THREADS", "1")
+def _engine_threads() -> int:
+    """Worker threads of the trial engine: ``XTALK_THREADS``, or the usable
+    cores when it is unset."""
+    raw = os.environ.get("XTALK_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     if not raw.isdecimal() or int(raw) < 1:
         raise InvalidParams(f"XTALK_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
 
 
-def _map_tones(fn, n_tones: int, make_workspace):
-    """Yield ``fn(k, workspace)`` for every tone in tone order.  The tones run
-    a chunk of ``min(XTALK_THREADS, n_tones)`` at a time, tone j of a chunk on
-    workspace j, made by ``make_workspace`` when the loop starts; a chunk
-    starts only once the previous one is drained, so no two running tones
-    share a workspace and at most one chunk of results is held.  ``fn`` must
-    return nothing that lives in its workspace."""
-    threads = min(_tone_count_threads(), n_tones)
-    workspaces = [make_workspace() for _ in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        for start in range(0, n_tones, threads):
-            yield from run(fn, range(start, min(start + threads, n_tones)), workspaces)
+def _trial_slices(n: int, threads: int) -> list[int]:
+    """Bounds of the workers' trial slices: at most ``threads`` slices of
+    about ``MIN_SLICE`` trials or more, each starting on a multiple of 4."""
+    count = max(1, min(threads, n // MIN_SLICE))
+    units = -(-n // 4)
+    return [min(n, 4 * (units * c // count)) for c in range(count + 1)]
 
 
 class _Workspace:
-    """One worker's trial buffers for a sweep of n trials of p users.
+    """One worker's trial buffers for its slice of n trials of p users.
 
     U and Q U are complex (n, p, p).  The float plane that the draw passes
     through lives in the first half of Q U, which the matmul overwrites only
@@ -158,6 +166,7 @@ class _Workspace:
     ``interference_terms`` and as a, q, the kernel's scratch and the (p, n)
     copy of q for a block of ``block`` word lengths; with p = 1 these are too
     large for it and get their own.  The interference terms are (n, p).
+    A worker makes its workspace when it starts and reuses it on every tone.
     """
 
     def __init__(self, n: int, p: int, block: int):
@@ -227,13 +236,12 @@ def _sweep_tones(
     (p, tones), with ``band_joint`` the per-trial losses summed over tones
     (len(d_values), n_trials, p) and else None, and the resampled trials.
     Per-trial losses are formed only when ``band_joint`` or the statistic
-    reads them; the worst case alone takes one log1p per (user, d).
+    reads them; the worst case alone takes one log1p per (user, tone, d).
     """
     p = ensemble.p
     n = config.n_trials
     seed, e1_samples = config.spec.seed, config.spec.e1_samples
     psd_lin = budget.psd_linear(p)
-    gap = budget.gap
     n_tones = ensemble.grid.count
     scales = [2.0 ** (-d) for d in d_values]
     block = max(1, min(D_BLOCK, p // 2))  # a block's 4 (n, p) buffers fit in U for p >= 2
@@ -241,63 +249,78 @@ def _sweep_tones(
         np.array(scales[i : i + block])[:, None, None] for i in range(0, len(scales), block)
     ]
     snr_all, q_all = budget.snr(ensemble), ensemble.Q
-    per_trial = band_joint or config.statistic != WORST_CASE
-
-    def one_tone(k: int, ws: _Workspace):
-        snr = snr_all[k]
-        esnr = snr / gap
-        rate = np.log1p(esnr) / LN2
-        q_mat = q_all[k]
-        if config.zero_errors:
-            ws.u.fill(0.0)
-        else:
-            rng = streams.stream(seed, streams.MC_E2, k)
-            streams.uniform_complex(rng, ws.u.shape, ws.u, ws.plane)
-        qu = np.matmul(q_mat, ws.u, out=ws.qu)
-        failures: list = []
-        if e1_samples is None:
-            terms = interference_terms(qu, psd_lin, out=ws.terms)
-            per_block = ((terms, s) for s in scale_blocks)
-        else:
-            e1 = streams.csi_error(streams.stream(seed, streams.MC_E1, k), snr, e1_samples, (n,))
-            m_inv = _invert_with_resampling(q_mat, e1, snr, e1_samples, seed, k, failures)
-            e1_term = e1 @ m_inv
-            per_block = (
-                (interference_terms(s * qu - e1_term, psd_lin, out=ws.terms), _UNIT_SCALE)
-                for s in scales
-            )
-        stats, losses = [], []
-        for (cross, re, im), s in per_block:
-            k_d = s.shape[0]
-            q = interference_ratio(snr, cross, re, im, s, out=[b[:k_d] for b in ws.ratio])[1]
-            if per_trial:
-                q = np.log1p(np.multiply(esnr, q, out=q), out=q)
-                q /= LN2
-                loss = np.subtract(rate, q, out=None if band_joint else q)
-                stats.extend(_reduce(loss_d, config) for loss_d in loss)
-                if band_joint:
-                    losses.extend(loss)
-            else:
-                # q -> loss is monotone decreasing, so the worst trial is the one with the
-                # least q; the min runs over a contiguous (p, n) copy, the fast axis
-                q_t = ws.q_t[:k_d]
-                np.copyto(q_t, q.transpose(0, 2, 1))
-                stats.extend(rate - np.log1p(esnr * q_t.min(axis=2)) / LN2)
-        return stats, losses, rate, failures
-
-    per_tone = np.empty((len(d_values), p, n_tones))
-    rate = np.empty((p, n_tones))
+    esnr_all = snr_all / budget.gap
+    rate_all = np.log1p(esnr_all) / LN2
+    worst = config.statistic == WORST_CASE
+    per_trial = band_joint or not worst
     joint = np.zeros((len(d_values), n, p)) if band_joint else None
-    failures: list = []
-    tones = _map_tones(one_tone, n_tones, lambda: _Workspace(n, p, block))
-    for k, (stats, losses, rates, tone_failures) in enumerate(tones):
-        per_tone[:, :, k] = stats
-        if band_joint:
-            for acc, loss in zip(joint, losses):
-                acc += loss
-        rate[:, k] = rates
-        failures.extend(tone_failures)
-    return per_tone, rate, joint, failures
+    threads = _engine_threads()
+    if e1_samples is not None or not worst:
+        threads = 1  # one slice: see the module docstring
+    bounds = _trial_slices(n, threads)
+
+    def run_slice(t0: int, t1: int) -> tuple:
+        """Every tone's trials t0..t1-1, in tone order: per (d, user, tone)
+        the statistic of the slice (the least q when no per-trial loss is
+        read), and ``band_joint``'s columns t0..t1-1."""
+        ws = _Workspace(t1 - t0, p, block)
+        part = np.empty((len(d_values), p, n_tones))
+        failures: list = []
+        for k in range(n_tones):
+            snr, esnr, rate, q_mat = snr_all[k], esnr_all[k], rate_all[k], q_all[k]
+            if config.zero_errors:
+                ws.u.fill(0.0)
+            else:
+                rng = streams.stream(seed, streams.MC_E2, k)
+                streams.uniform_complex(rng, ws.u.shape, ws.u, ws.plane, start=t0, total=n)
+            qu = np.matmul(q_mat, ws.u, out=ws.qu)
+            if e1_samples is None:
+                terms = interference_terms(qu, psd_lin, out=ws.terms)
+                per_block = ((terms, s) for s in scale_blocks)
+            else:
+                e1 = streams.csi_error(
+                    streams.stream(seed, streams.MC_E1, k), snr, e1_samples, (n,)
+                )
+                m_inv = _invert_with_resampling(q_mat, e1, snr, e1_samples, seed, k, failures)
+                e1_term = e1 @ m_inv
+                per_block = (
+                    (interference_terms(s * qu - e1_term, psd_lin, out=ws.terms), _UNIT_SCALE)
+                    for s in scales
+                )
+            i = 0
+            for (cross, re, im), s in per_block:
+                k_d = s.shape[0]
+                q = interference_ratio(snr, cross, re, im, s, out=[b[:k_d] for b in ws.ratio])[1]
+                if per_trial:
+                    q = np.log1p(np.multiply(esnr, q, out=q), out=q)
+                    q /= LN2
+                    loss = np.subtract(rate, q, out=q)
+                    if band_joint:
+                        joint[i : i + k_d, t0:t1] += loss
+                    for j, loss_d in enumerate(loss, start=i):
+                        part[j, :, k] = _reduce(loss_d, config)
+                else:
+                    # q -> loss is monotone decreasing, so the worst trial is the one with the
+                    # least q; the min runs over a contiguous (p, n) copy, the fast axis
+                    q_t = ws.q_t[:k_d]
+                    np.copyto(q_t, q.transpose(0, 2, 1))
+                    part[i : i + k_d, :, k] = q_t.min(axis=2)
+                i += k_d
+        return part, failures
+
+    if len(bounds) == 2:
+        slices = [run_slice(0, n)]
+    else:
+        with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+            slices = list(pool.map(run_slice, bounds[:-1], bounds[1:]))
+    parts = [part for part, _ in slices]
+    rate = np.ascontiguousarray(rate_all.T)
+    if per_trial:
+        per_tone = functools.reduce(np.maximum, parts)  # a lone mean or quantile passes through
+    else:
+        q_min = functools.reduce(np.minimum, parts)
+        per_tone = rate - np.log1p(esnr_all.T * q_min) / LN2
+    return per_tone, rate, joint, [f for _, failures in slices for f in failures]
 
 
 def _invert_with_resampling(

@@ -62,9 +62,8 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class QuantizedPrecoder:
-    """Quantized stack, its error E2 and the per-tone block scale."""
+    """The quantization error E2 and the per-tone block scale."""
 
-    p_quantized: np.ndarray
     e2: np.ndarray
     scale: np.ndarray
 
@@ -142,7 +141,8 @@ def quantize_precoder(
         pq = work + spec.step * u.reshape(P.shape)
 
     pq = pq * scale[..., None, None]
-    return QuantizedPrecoder(p_quantized=pq, e2=pq - P, scale=scale)
+    pq -= P  # E2, formed in place: the quantized stack is not kept beside it
+    return QuantizedPrecoder(e2=pq, scale=scale)
 
 
 def build_delta(
@@ -220,7 +220,5 @@ def make_bundle(
         p_estimated = _solve(channel, channel.Q + e1, np.eye(channel.p))
 
     quant = quantize_precoder(p_estimated, spec, normalize=normalize)
-    e2, scale = quant.e2, quant.scale
-    del quant  # Delta needs only E2: let the quantized stack go before it is built
-    delta = build_delta(channel, p_estimated, e1, e2)
-    return PrecoderBundle(p_ideal=p_ideal, e1=e1, e2=e2, delta=delta, scale=scale)
+    delta = build_delta(channel, p_estimated, e1, quant.e2)
+    return PrecoderBundle(p_ideal=p_ideal, e1=e1, e2=quant.e2, delta=delta, scale=quant.scale)

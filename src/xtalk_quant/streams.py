@@ -34,6 +34,8 @@ def uniform_complex(
     shape: tuple,
     out: np.ndarray | None = None,
     plane: np.ndarray | None = None,
+    start: int = 0,
+    total: int | None = None,
 ) -> np.ndarray:
     """Complex draws with real and imaginary parts i.i.d. uniform on [-1, 1].
 
@@ -42,15 +44,38 @@ def uniform_complex(
     is low + (high - low) * next_double, and 2x - 1 rounds like -1 + 2x.  The
     draw goes into ``out`` (complex) through ``plane`` (float, C-contiguous),
     both of ``shape``; either is allocated when not given.
+
+    With ``start`` and ``total`` the draw is rows [start, start + shape[0])
+    of a draw of ``total`` rows, bitwise: each plane skips the words of the
+    rows before it (``_skip``), so a worker draws only its own slice.
     """
     out = np.empty(shape, dtype=complex) if out is None else out
     plane = np.empty(shape) if plane is None else plane
-    for part in (out.real, out.imag):
+    rows = shape[0]
+    row_words = plane.size // rows
+    total = rows if total is None else total
+    for part, skip in ((out.real, start), (out.imag, total - rows)):
+        _skip(rng, skip * row_words)
         rng.random(out=plane)
         plane *= 2.0
         plane -= 1.0
         part[...] = plane
     return out
+
+
+def _skip(rng: np.random.Generator, words: int) -> None:
+    """Move a Philox generator ``words`` doubles ahead, one 64-bit word each:
+    through the rest of its buffered 4-word block, whole blocks by
+    ``advance``, then single words."""
+    if not words:
+        return
+    bits = rng.bit_generator
+    left = min(words, 4 - bits.state["buffer_pos"])
+    blocks, rest = divmod(words - left, 4)
+    rng.random(left)
+    if blocks:
+        bits.advance(blocks)
+    rng.random(rest)
 
 
 def csi_error(

@@ -8,6 +8,7 @@ without failing any other test; these fail instead.
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -56,13 +57,28 @@ def test_entry_points_on_a_small_scenario(tmp_path):
     assert 1 <= monte_carlo.min_bits_empirical(ensemble, budget, config, 0.01) <= 32
 
 
-def test_traced_round_on_a_small_scenario(tmp_path, monkeypatch, capsys):
+def _traced_round(tmp_path, monkeypatch, capsys):
     """The benchmark's ``--trace 1`` path: its observers read positional
     arguments and results of patched names, so a signature change to one of
-    them fails here rather than only in a traced benchmark run."""
+    them fails here rather than only in a traced benchmark run.  Its spans
+    assume one thread, so a patched name called from an engine worker fails
+    too."""
     monkeypatch.chdir(tmp_path)
     small = ["--users", "4", "--decimation", "208", "--seed", "5"]
     tracer = _load_spans().Tracer()
+    off_main, wrap = [], tracer.wrap
+
+    def wrap_on_main_thread(name, fn):
+        traced = wrap(name, fn)
+
+        def call(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return traced(*args, **kwargs)
+
+        return call
+
+    tracer.wrap = wrap_on_main_thread
     tracer.install("xtalk_quant")
     try:
         assert cli.run(["synth-channel", *small, "--out", "chan.json"]) == 0
@@ -81,7 +97,19 @@ def test_traced_round_on_a_small_scenario(tmp_path, monkeypatch, capsys):
     finally:
         tracer.uninstall()
     assert cli.make_bundle is precoding.make_bundle  # every original is back
+    assert off_main == []
     spans = {tracer.names[name_id] for name_id, *_ in tracer.spans}
     assert {"precoding.make_bundle", "precoding.build_delta"} <= spans
     for key in ("file_bytes", "report_rows", "trials"):
         assert tracer.counts.get(key, 0) > 0, key
+
+
+def test_traced_round_on_a_small_scenario(tmp_path, monkeypatch, capsys):
+    _traced_round(tmp_path, monkeypatch, capsys)
+
+
+def test_traced_round_on_two_engine_threads(tmp_path, monkeypatch, capsys):
+    # 20 trials make two slices, so the engine runs two workers
+    monkeypatch.setenv("XTALK_THREADS", "2")
+    assert len(monte_carlo._trial_slices(20, 2)) == 3
+    _traced_round(tmp_path, monkeypatch, capsys)

@@ -1,4 +1,6 @@
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,12 @@ from conftest import random_dominant_tone, reference_params
 
 from xtalk_quant.analytic_bounds import bound_main_per_tone
 from xtalk_quant.channel_model import ToneGrid, synthesize_channel
-from xtalk_quant.errors import InvalidParams, SingularChannel, TargetUnreachable
+from xtalk_quant.errors import (
+    InvalidParams,
+    NumericalError,
+    SingularChannel,
+    TargetUnreachable,
+)
 from xtalk_quant import monte_carlo, streams
 from xtalk_quant.monte_carlo import (
     RETRY_CAP,
@@ -112,6 +119,7 @@ class TestRunTrials:
             )
             out.update(worst=worst, worst_rate=rate)
             for label, cfg in [
+                ("worst", _config(1, n=100, seed=7)),  # slices share band_joint's accumulator
                 ("mean", _config(1, n=100, seed=7, statistic="mean")),
                 ("csi", _config(1, n=100, seed=7, e1_samples=1000)),
             ]:
@@ -305,54 +313,108 @@ class TestWorstCaseBeforeTheLog:
 
 
 class TestMoreThreadsThanTones:
-    """``XTALK_THREADS`` above the tone count: a sweep makes at most one
-    workspace and one thread per tone, and gives the same bits as one thread."""
+    """``XTALK_THREADS`` above the tone count: the workers split each tone's
+    trials, not the tones, so a worst-case sweep makes one workspace per trial
+    slice, the slices' trials add up to ``n_trials``, and 1, 3 or 8 threads
+    give the same bits.  CSI trials and the mean run as one slice."""
+
+    N = 60
 
     @pytest.mark.parametrize("n_tones", [1, 3])
     def test_eight_threads_match_one(self, monkeypatch, n_tones):
         grid = ToneGrid(1e6, 1e6 + (n_tones - 0.5) * 1e5, 1e5)
         ensemble = synthesize_channel(reference_params(p=4), grid, 8)
         budget = LinkBudget(-60.0, -140.0, 10.7, grid)
-        made, pools = [], []
-        make_workspace, make_pool = monte_carlo._Workspace, monte_carlo.ThreadPoolExecutor
+        made = []
+        make_workspace = monte_carlo._Workspace
 
-        def workspace(*args):
-            made.append(args)
-            return make_workspace(*args)
-
-        def pool(max_workers):
-            pools.append(max_workers)
-            return make_pool(max_workers=max_workers)
+        def workspace(n, p, block):
+            made.append(n)
+            return make_workspace(n, p, block)
 
         monkeypatch.setattr(monte_carlo, "_Workspace", workspace)
-        monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", pool)
+
+        def check_workspaces(threads: int, one_slice: bool):
+            slices = 1 if one_slice else min(threads, self.N // monte_carlo.MIN_SLICE)
+            assert len(made) == slices
+            assert sum(made) == self.N
+            made.clear()
 
         def sweeps(threads: str) -> list:
             monkeypatch.setenv("XTALK_THREADS", threads)
             out = []
-            for e1_samples in (None, 1000):
-                made.clear()
-                cfg = _config(1, n=60, e1_samples=e1_samples)
+            for kwargs in ({}, {"e1_samples": 1000}, {"statistic": "mean"}):
+                cfg = _config(1, n=self.N, **kwargs)
                 for rep in run_trials_sweep(ensemble, budget, cfg, (6, 10, 14)):
                     out += [rep.per_tone, rep.rate_per_tone, rep.band_per_bin, rep.band_joint]
-                assert 1 <= len(made) <= min(int(threads), n_tones)
-            made.clear()
+                check_workspaces(int(threads), one_slice=bool(kwargs))
             out += monte_carlo._sweep_tones(
-                ensemble, budget, _config(1, n=60), range(1, 33), band_joint=False
+                ensemble, budget, _config(1, n=self.N), range(1, 33), band_joint=False
             )[:2]
-            assert 1 <= len(made) <= min(int(threads), n_tones)
+            check_workspaces(int(threads), one_slice=False)
             return out
 
-        one, eight = sweeps("1"), sweeps("8")
-        assert len(one) == len(eight)
-        for a, b in zip(one, eight):
-            assert np.array_equal(a, b)
-        assert pools == ([n_tones] * 3 if n_tones > 1 else [])
+        one = sweeps("1")
+        for threads in ("3", "8"):
+            other = sweeps(threads)
+            assert len(one) == len(other)
+            for a, b in zip(one, other):
+                assert np.array_equal(a, b), threads
+
+    def test_slices_start_on_multiples_of_four(self):
+        for n in (1, 7, 8, 9, 17, 60, 100, 1000, 1001):
+            for threads in (1, 2, 3, 8):
+                bounds = monte_carlo._trial_slices(n, threads)
+                assert bounds[0] == 0 and bounds[-1] == n
+                assert all(t % 4 == 0 for t in bounds[:-1])
+                assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+                assert len(bounds) - 1 == max(1, min(threads, n // monte_carlo.MIN_SLICE))
+
+    def test_worker_error_propagates_after_every_thread_joins(
+        self, small_ensemble, small_budget, monkeypatch
+    ):
+        # the second slice fails on tone 3; the caller sees that error, typed
+        real_ratio = monte_carlo.interference_ratio
+
+        def ratio(snr, cross, *args, **kwargs):
+            if cross.shape[0] == 52 and np.array_equal(snr, small_budget.snr(small_ensemble)[3]):
+                raise NumericalError("tone 3 broke")
+            return real_ratio(snr, cross, *args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
+        monkeypatch.setenv("XTALK_THREADS", "2")
+        assert monte_carlo._trial_slices(100, 2) == [0, 48, 100]
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="^tone 3 broke$"):
+            run_trials_sweep(small_ensemble, small_budget, _config(1, n=100), (8, 12))
+        assert threading.active_count() == before
+
+
+class TestEngineThreads:
+    """``XTALK_THREADS`` unset means the usable cores."""
+
+    def test_unset_means_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("XTALK_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert monte_carlo._engine_threads() == 3
+
+    def test_without_affinity_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("XTALK_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert monte_carlo._engine_threads() == 5
+
+    def test_set_value_wins(self, monkeypatch):
+        monkeypatch.setenv("XTALK_THREADS", "4")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert monte_carlo._engine_threads() == 4
 
 
 class TestWorkspaceMemory:
-    """The engine's traced peak is one worker's workspace (U and Q U, complex
-    (n, p, p)) plus O(n p len(d)): it does not grow with the tone count."""
+    """The engine's traced peak is one workspace (U and Q U, complex (n, p, p),
+    split among the workers by trial slice) plus O(n p len(d)): it does not
+    grow with the tone count."""
 
     N, P, D_VALUES = 1000, 10, (8, 12, 16)
 
@@ -372,12 +434,23 @@ class TestWorkspaceMemory:
         outputs = 8 * (n_d * p * n_tones + p * n_tones + n_d * n * p)
         return peak - outputs
 
-    def test_peak_is_one_workspace_at_any_tone_count(self):
+    def test_peak_is_one_workspace_at_any_tone_count(self, monkeypatch):
+        # on one worker the peak is the same on every run, so a per-tone leak shows
+        monkeypatch.setenv("XTALK_THREADS", "1")
         n, p, n_d = self.N, self.P, len(self.D_VALUES)
         few, many = self._peak_beyond_outputs(8), self._peak_beyond_outputs(64)
         # a leak of one (n, p) float array per tone would add 56 of them
         assert many <= few + n * p * 8
         assert many <= 2 * (n * p * p * 16) + 6 * (n * p * n_d * 8)
+
+    def test_trial_slices_share_one_workspace(self, monkeypatch):
+        # two workers hold half a workspace each; the 64 KB buffers numpy's
+        # broadcasting ufuncs take may coincide across them, so the peak varies
+        # by a buffer from run to run and only its ceiling is pinned here
+        monkeypatch.setenv("XTALK_THREADS", "2")
+        n, p, n_d = self.N, self.P, len(self.D_VALUES)
+        assert len(monte_carlo._trial_slices(n, 2)) == 3
+        assert self._peak_beyond_outputs(64) <= 2 * (n * p * p * 16) + 6 * (n * p * n_d * 8)
 
 
 class TestCsiTrials:

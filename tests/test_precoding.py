@@ -73,14 +73,14 @@ class TestQuantizer:
     def test_identity_is_exactly_representable(self):
         for d in (1, 5, 14):
             out = quantize_precoder(np.eye(4).astype(complex), PerturbationSpec(d_bits=d))
-            assert np.array_equal(out.p_quantized, np.eye(4).astype(complex))
+            assert np.array_equal(np.eye(4) + out.e2, np.eye(4).astype(complex))
             assert np.all(out.e2 == 0.0)
 
     def test_rounding_example(self):
         out = quantize_precoder(
             np.array([[0.3 + 0.0j]]), PerturbationSpec(d_bits=2)
         )
-        assert out.p_quantized[0, 0] == 0.25
+        assert 0.3 + out.e2[0, 0] == 0.25  # 0.25 - 0.3 is exact, so E2 recovers the rounded value
         assert out.e2[0, 0] == pytest.approx(-0.05, abs=1e-15)
         assert abs(out.e2[0, 0]) <= 2.0**-3
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xtalk_quant import streams
 
@@ -42,3 +44,44 @@ class TestUniformComplex:
         for shape in [(1, 3, 3), (2, 2, 2)]:
             got = streams.uniform_complex(rng, shape)
             assert np.array_equal(got.view(float), _numpy_uniform_complex(ref, shape).view(float))
+
+
+@st.composite
+def _split_draws(draw):
+    """(n, p, tone, slice bounds): n trials of p x p split at multiples of 4."""
+    n = draw(st.integers(min_value=1, max_value=70))
+    p = draw(st.integers(min_value=1, max_value=7))
+    tone = draw(st.integers(min_value=0, max_value=2**16))
+    cuts = draw(st.sets(st.sampled_from(range(4, n, 4)))) if n > 4 else set()
+    return n, p, tone, [0, *sorted(cuts), n]
+
+
+class TestSlicedDraw:
+    """A worker draws only its own trials: the real plane from word t0 p^2,
+    the imaginary one from (n + t0) p^2.  Concatenated, the slices are the
+    full draw bit for bit; with n p^2 odd, the imaginary plane starts inside
+    a Philox block and the skip discards words one by one."""
+
+    @given(_split_draws())
+    @example((13, 3, 0, [0, 4, 12, 13]))  # n p^2 = 117
+    @example((9, 1, 5, [0, 8, 9]))
+    @settings(max_examples=80, deadline=None)
+    def test_slices_concatenate_to_the_full_draw(self, case):
+        n, p, tone, bounds = case
+        full = streams.uniform_complex(streams.stream(11, streams.MC_E2, tone), (n, p, p))
+        parts = [
+            streams.uniform_complex(
+                streams.stream(11, streams.MC_E2, tone), (t1 - t0, p, p), start=t0, total=n
+            )
+            for t0, t1 in zip(bounds, bounds[1:])
+        ]
+        assert np.array_equal(np.concatenate(parts).view(float), full.view(float))
+
+    def test_skip_from_inside_a_block(self):
+        # after 3 single draws the generator sits inside its first 4-word block
+        rng, ref = streams.stream(2, streams.MC_E2, 1), streams.stream(2, streams.MC_E2, 1)
+        rng.random(3)
+        got = streams.uniform_complex(rng, (2, 3, 3), start=1, total=5)
+        ref.random(3)
+        whole = _numpy_uniform_complex(ref, (5, 3, 3))
+        assert np.array_equal(got.view(float), whole[1:3].view(float))
