@@ -25,7 +25,6 @@ from .channel_model import (
 # CLI (analyze): precoders, quantizers and Delta
 from .precoding import (
     PerturbationSpec,
-    PrecoderBundle,
     build_delta,
     ideal_precoder,
     make_bundle,

@@ -125,8 +125,8 @@ def cmd_analyze(args) -> int:
     budget = scen.budget(ensemble.grid)
     spec = scen.perturbation()
     snr = budget.snr(ensemble) if spec.e1_samples else None
-    # only Delta is kept: the bundle's other stacks are freed before rendering
-    delta = make_bundle(ensemble, spec, snr=snr, normalize=args.normalize).delta
+    # make_bundle returns Delta alone: no other precoder stack outlives it
+    delta = make_bundle(ensemble, spec, snr=snr, normalize=args.normalize)
     report = build_report(budget, ensemble, delta)
 
     columns = (report.rate, report.rate_perturbed, report.loss, report.a, report.q, report.k)

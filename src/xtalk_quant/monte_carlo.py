@@ -308,11 +308,8 @@ def _sweep_tones(
                 i += k_d
         return part, failures
 
-    if len(bounds) == 2:
-        slices = [run_slice(0, n)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
-            slices = list(pool.map(run_slice, bounds[:-1], bounds[1:]))
+    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+        slices = list(pool.map(run_slice, bounds[:-1], bounds[1:]))
     parts = [part for part, _ in slices]
     rate = np.ascontiguousarray(rate_all.T)
     if per_trial:

@@ -13,7 +13,10 @@ equivalent channel D (I + Delta) with
 
 Everything here is pure and works on whole tone stacks: the channel is a
 ``ChannelEnsemble`` and matrices are (tones, p, p) arrays, each tone computed
-independently.  Batching over trials lives in :mod:`xtalk_quant.monte_carlo`.
+independently.  Every stack solved here, H for the ideal precoder and
+I + D^{-1}F + E1 for the estimated one, first passes one condition guard: a
+tone whose condition number exceeds ``COND_LIMIT`` raises ``SingularChannel``.
+Batching over trials lives in :mod:`xtalk_quant.monte_carlo`.
 """
 
 from __future__ import annotations
@@ -68,31 +71,29 @@ class QuantizedPrecoder:
     scale: np.ndarray
 
 
-@dataclass(frozen=True)
-class PrecoderBundle:
-    """Stacks over tones; ``e1`` is None without an estimation-error model."""
-
-    p_ideal: np.ndarray
-    e1: np.ndarray | None
-    e2: np.ndarray
-    delta: np.ndarray
-    scale: np.ndarray
+def _conditioned(channel: ChannelEnsemble, m: np.ndarray, name: str) -> np.ndarray:
+    """``m``, the (tones, p, p) stack ``name`` about to be solved, once every
+    tone's condition number is at most ``COND_LIMIT``; the first tone that is
+    not (a singular or non-finite one counts as cond = inf) raises."""
+    finite = np.isfinite(m).all(axis=(1, 2))
+    cond = np.full(finite.shape, np.inf)
+    cond[finite] = np.linalg.cond(m if finite.all() else m[finite])  # SVD refuses nan and inf
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))  # also catches nan
+    if bad.size:
+        k = int(bad[0])
+        raise SingularChannel(
+            f"{name} condition estimate {cond[k]:.3e} exceeds {COND_LIMIT:.1e} "
+            f"at f={channel.grid.freq(k)} Hz",
+            tone=k,
+        )
+    return m
 
 
 def ideal_precoder(channel: ChannelEnsemble) -> np.ndarray:
     """Solve H P = diag(D) on every tone with one refinement step; refuse
     tones whose condition number exceeds ``COND_LIMIT`` (the first one found
     raises)."""
-    H = channel.H
-    cond = np.linalg.cond(H)
-    bad = np.flatnonzero(~(cond <= COND_LIMIT))  # also catches nan
-    if bad.size:
-        k = int(bad[0])
-        raise SingularChannel(
-            f"channel condition estimate {cond[k]:.3e} exceeds {COND_LIMIT:.1e} "
-            f"at f={channel.grid.freq(k)} Hz",
-            tone=k,
-        )
+    H = _conditioned(channel, channel.H, "channel")
     rhs = np.zeros_like(H)
     idx = np.arange(channel.p)
     rhs[:, idx, idx] = channel.D
@@ -176,49 +177,35 @@ def build_delta(
     return delta
 
 
-def _solve(channel: ChannelEnsemble, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the (tones, p, p) systems; the first singular or non-finite tone raises."""
-    try:
-        out = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        out = np.full(m.shape, np.nan, dtype=complex)
-        for k, mk in enumerate(m):  # find the singular tone
-            try:
-                out[k] = np.linalg.solve(mk, rhs)
-            except np.linalg.LinAlgError:
-                break
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
-    if bad.size:
-        k = int(bad[0])
-        raise SingularChannel(f"singular system at f={channel.grid.freq(k)} Hz", tone=k)
-    return out
-
-
 def make_bundle(
     channel: ChannelEnsemble,
     spec: PerturbationSpec,
     snr: np.ndarray | None = None,
     normalize: bool = False,
-) -> PrecoderBundle:
-    """Ideal precoders, their perturbation per ``spec``, and the resulting
-    Delta, for every tone.
+) -> np.ndarray:
+    """Delta of every tone: the precoder quantized per ``spec``, and the
+    equivalent-channel perturbation it leaves.
 
-    With an estimation-error model (``snr``: the (tones, p) raw SNR) the
-    quantizer acts on the *estimated* precoder (I + D^{-1}F + E1)^{-1},
-    matching the additive error split; tone k's E1 comes from stream (E1, k).
+    Without an estimation-error model the quantizer acts on the ideal
+    precoder.  With one (``snr``: the (tones, p) raw SNR) it acts on the
+    *estimated* precoder (I + D^{-1}F + E1)^{-1} instead, matching the
+    additive error split; tone k's E1 comes from stream (E1, k).  H and
+    I + D^{-1}F + E1 are both held to ``COND_LIMIT``.
     """
-    p_ideal = ideal_precoder(channel)
-    e1 = None
-    p_estimated = p_ideal
-    if spec.e1_samples is not None:
+    if spec.e1_samples is None:
+        e1 = None
+        p_estimated = ideal_precoder(channel)
+    else:
         if snr is None:
             raise InvalidParams("snr required for the estimation-error model")
+        _conditioned(channel, channel.H, "channel")
         e1 = np.stack([
             streams.csi_error(streams.stream(spec.seed, streams.E1, k), snr[k], spec.e1_samples)
             for k in range(channel.grid.count)
         ])
-        p_estimated = _solve(channel, channel.Q + e1, np.eye(channel.p))
+        p_estimated = np.linalg.solve(
+            _conditioned(channel, channel.Q + e1, "estimated channel"), np.eye(channel.p)
+        )
 
-    quant = quantize_precoder(p_estimated, spec, normalize=normalize)
-    delta = build_delta(channel, p_estimated, e1, quant.e2)
-    return PrecoderBundle(p_ideal=p_ideal, e1=e1, e2=quant.e2, delta=delta, scale=quant.scale)
+    e2 = quantize_precoder(p_estimated, spec, normalize=normalize).e2
+    return build_delta(channel, p_estimated, e1, e2)

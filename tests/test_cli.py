@@ -389,6 +389,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 class TestSimulateGolden:
     """``simulate --d-range 8:20`` report bytes, pinned on the small scenario."""
 
+    @pytest.mark.parametrize("threads", [None, "1", "3"], ids=["unset", "1", "3"])
     @pytest.mark.parametrize(
         "golden, extra",
         [
@@ -396,7 +397,12 @@ class TestSimulateGolden:
             ("simulate_d8-20_csi1000.tsv", ["--csi-samples", "1000"]),
         ],
     )
-    def test_report_bytes(self, tmp_path, fast_args, golden, extra):
+    def test_report_bytes(self, tmp_path, monkeypatch, fast_args, golden, extra, threads):
+        # the same bytes at any worker count, not only this machine's core count
+        if threads is None:
+            monkeypatch.delenv("XTALK_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("XTALK_THREADS", threads)
         out = tmp_path / golden
         assert run(["simulate", "--d-range", "8:20", *extra, "--out", str(out), *fast_args]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()

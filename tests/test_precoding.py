@@ -153,13 +153,40 @@ class TestDelta:
         rhs = tone.D[0][:, None] * (np.eye(3) + delta)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(tone.D))
 
-    def test_singular_tone_named(self):
-        # ideal_precoder refuses the singular tone before any Delta is built
+    @pytest.mark.parametrize("e1_samples", [None, 1000], ids=["ideal", "csi"])
+    def test_singular_tone_named(self, e1_samples):
+        # the singular channel is refused before any Delta is built, with or
+        # without an estimation-error model
         H = np.stack([np.eye(2), np.eye(2), np.ones((2, 2)), np.ones((2, 2))]).astype(complex)
         chan = ChannelEnsemble(ToneGrid(1e6, 1e6 + 3.5, 1.0), H)
-        with pytest.raises(SingularChannel) as err:
-            make_bundle(chan, PerturbationSpec(d_bits=12))
+        spec = PerturbationSpec(d_bits=12, e2_model=E2_UNIFORM, e1_samples=e1_samples)
+        with pytest.raises(SingularChannel, match="channel condition estimate inf") as err:
+            make_bundle(chan, spec, snr=np.full((4, 2), 1e8), normalize=True)
         assert err.value.tone == 2
+
+    def test_ill_conditioned_estimate_named(self):
+        # cond(H) = 2e9 passes, but cond(Q) = 1e15 on tone 2: Q + E1 must be
+        # refused by conditioning too, not only when it is exactly singular
+        bad = [[1.0, 1e-6], [1.0, 1e-6 * (1 + 1e-3)]]
+        H = np.stack([np.eye(2), [[1.0, 0.1], [0.1, 1.0]], bad]).astype(complex)
+        chan = ChannelEnsemble(ToneGrid(1e6, 1e6 + 2.5, 1.0), H)
+        assert np.linalg.cond(H[2]) <= COND_LIMIT < np.linalg.cond(chan.Q[2])
+        spec = PerturbationSpec(d_bits=12, e2_model=E2_UNIFORM, e1_samples=10**12)
+        with pytest.raises(SingularChannel, match="estimated channel condition") as err:
+            make_bundle(chan, spec, snr=np.full((3, 2), 1e8), normalize=True)
+        assert err.value.tone == 2
+
+    def test_non_finite_estimate_named(self):
+        # a zero SNR (a user without power) makes E1 infinite on that tone:
+        # refused as singular, not left to the SVD behind the condition number
+        chan = ChannelEnsemble(ToneGrid(1e6, 1e6 + 2.5, 1.0), np.stack([np.eye(2)] * 3) + 0j)
+        snr = np.full((3, 2), 1e8)
+        snr[1, 0] = 0.0
+        spec = PerturbationSpec(d_bits=12, e2_model=E2_UNIFORM, e1_samples=1000)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(SingularChannel, match="condition estimate inf") as err:
+                make_bundle(chan, spec, snr=snr, normalize=True)
+        assert err.value.tone == 1
 
     def test_identity_violation_names_tone(self, monkeypatch):
         # identity tones with E2 = 0 have a zero residual; tone 2's is not
@@ -225,18 +252,24 @@ class TestBundle:
         snap = small_ensemble.snapshots[2]
         two = ChannelEnsemble(ToneGrid(snap.freq, snap.freq + 1.5, 1.0), np.stack([snap.H, snap.H]))
         spec = PerturbationSpec(d_bits=12, e2_model=E2_UNIFORM, seed=77)
-        bundle = make_bundle(two, spec)
+        delta = make_bundle(two, spec)
+        e2 = quantize_precoder(ideal_precoder(two), spec).e2
         # distinct tones draw from distinct streams under one seed
-        assert not np.array_equal(bundle.e2[0], bundle.e2[1])
-        again = make_bundle(two, spec)
-        assert np.array_equal(again.e2, bundle.e2)
+        assert not np.array_equal(e2[0], e2[1])
+        assert np.array_equal(delta, two.Q @ e2)
+        assert np.array_equal(make_bundle(two, spec), delta)
 
         # estimated precoders routinely poke just over the unit box, so the
         # estimation-error path needs the explicit block-scaling opt-in
         spec_csi = PerturbationSpec(d_bits=12, e2_model=E2_UNIFORM, e1_samples=1000, seed=77)
-        bundle = make_bundle(two, spec_csi, snr=small_budget.snr(two), normalize=True)
-        est = np.linalg.inv(two.Q + bundle.e1)
-        assert np.allclose(bundle.delta, two.Q @ bundle.e2 - bundle.e1 @ est, atol=1e-12)
+        snr = small_budget.snr(two)
+        delta = make_bundle(two, spec_csi, snr=snr, normalize=True)
+        e1 = np.stack([
+            streams.csi_error(streams.stream(77, streams.E1, k), snr[k], 1000) for k in range(2)
+        ])
+        est = np.linalg.inv(two.Q + e1)
+        e2 = quantize_precoder(est, spec_csi, normalize=True).e2
+        assert np.allclose(delta, two.Q @ e2 - e1 @ est, atol=1e-12)
 
     def test_peak_memory_below_five_and_a_half_stacks(self, reference_ensemble):
         # one solve per precoder, and the quantized stack is let go before
@@ -262,9 +295,11 @@ def _philox(seed, *key):
 def _per_tone_reference(ensemble, budget, spec, normalize):
     """The per-tone make_bundle -> build_report path that the batched code
     replaced, kept as the oracle: one tone at a time, E2 from stream (2, k)
-    and E1 from stream (3, k), then the loss kernel on that tone alone."""
+    and E1 from stream (3, k), then the loss kernel on that tone alone.
+    Returns the report columns and each tone's block scale."""
     p, n, d = ensemble.p, ensemble.grid.count, spec.d_bits
     cols = {key: np.empty((p, n)) for key in ("rate", "loss", "a", "q", "k")}
+    scales = np.empty(n)
     for k, snap in enumerate(ensemble.snapshots):
         H, D = snap.H, snap.D
         F = H.copy()
@@ -287,6 +322,7 @@ def _per_tone_reference(ensemble, budget, spec, normalize):
             assert normalize
             scale = float(2.0 ** math.ceil(math.log2(box)))
             work = est / scale
+        scales[k] = scale
         if spec.e2_model == E2_DETERMINISTIC:
             s = 2.0**d
             pq = (np.round(work.real * s) + 1j * np.round(work.imag * s)) / s
@@ -301,7 +337,7 @@ def _per_tone_reference(ensemble, budget, spec, normalize):
         out = loss_arrays(snr, budget.gap, budget.psd_linear(p), delta)
         for key, col in cols.items():
             col[:, k] = out[key]
-    return cols
+    return cols, scales
 
 
 class TestBatchedPathMatchesPerTone:
@@ -323,9 +359,9 @@ class TestBatchedPathMatchesPerTone:
     @staticmethod
     def _check(ensemble, budget, spec, normalize):
         snr = budget.snr(ensemble) if spec.e1_samples else None
-        bundle = make_bundle(ensemble, spec, snr=snr, normalize=normalize)
-        report = build_report(budget, ensemble, bundle.delta)
-        assert 1.0 in bundle.scale and np.any(bundle.scale > 1.0)  # both branches
-        ref = _per_tone_reference(ensemble, budget, spec, normalize)
+        delta = make_bundle(ensemble, spec, snr=snr, normalize=normalize)
+        report = build_report(budget, ensemble, delta)
+        ref, scales = _per_tone_reference(ensemble, budget, spec, normalize)
+        assert 1.0 in scales and np.any(scales > 1.0)  # both branches
         for key, col in ref.items():
             assert np.array_equal(getattr(report, key), col), key
