@@ -51,6 +51,11 @@ q.  When nothing reads the per-trial losses (``min_bits_empirical`` with the
 worst-case statistic), each (user, tone, d) takes one log1p of min_t q_t.
 ``band_joint`` and the mean and quantile statistics need every trial's loss,
 so ``run_trials_sweep`` and those statistics form them all.
+
+``min_bits_empirical`` needs only the first word length that meets its
+target on every tone, so it sweeps one kernel pass of word lengths at a
+time, lowest first, and drops a pass at the first tone where all of its word
+lengths miss (on the reference scenario tone 0 rules out d = 1..16 at 1 %).
 """
 
 from __future__ import annotations
@@ -126,13 +131,13 @@ class TrialReport:
         return self.per_tone / self.rate_per_tone
 
 
-def _reduce(losses: np.ndarray, config: TrialConfig) -> np.ndarray:
-    """(trials, p) -> (p,) per the configured statistic."""
+def _reduce(losses: np.ndarray, config: TrialConfig, axis: int = 0) -> np.ndarray:
+    """The configured statistic over the trial ``axis`` of ``losses``."""
     if config.statistic == WORST_CASE:
-        return losses.max(axis=0)
+        return losses.max(axis=axis)
     if config.statistic == MEAN:
-        return losses.mean(axis=0)
-    return np.quantile(losses, config.quantile_q, axis=0)
+        return losses.mean(axis=axis)
+    return np.quantile(losses, config.quantile_q, axis=axis)
 
 
 def _engine_threads() -> int:
@@ -146,6 +151,12 @@ def _engine_threads() -> int:
     if not raw.isdecimal() or int(raw) < 1:
         raise InvalidParams(f"XTALK_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def _block(p: int) -> int:
+    """Word lengths per pass of the per-d kernel: a block's 4 (n, p) buffers
+    fit in U for p >= 2."""
+    return max(1, min(D_BLOCK, p // 2))
 
 
 def _trial_slices(n: int, threads: int) -> list[int]:
@@ -229,7 +240,8 @@ def _sweep_tones(
     config: TrialConfig,
     d_values,
     band_joint: bool,
-) -> tuple:
+    target: float | None = None,
+) -> tuple | None:
     """The trial engine behind ``run_trials_sweep`` and ``min_bits_empirical``.
 
     Returns the per-tone statistic (len(d_values), p, tones), the rate
@@ -237,6 +249,13 @@ def _sweep_tones(
     (len(d_values), n_trials, p) and else None, and the resampled trials.
     Per-trial losses are formed only when ``band_joint`` or the statistic
     reads them; the worst case alone takes one log1p per (user, tone, d).
+
+    With a relative-loss ``target``, after each tone every worker marks the
+    word lengths whose statistic over its own slice already misses the
+    target on that tone (NaN misses it too).  The slices combine by an exact
+    max (or min of q), so a miss in one slice is a miss of the whole tone.
+    Once every word length is marked the workers stop at their next tone and
+    None is returned.
     """
     p = ensemble.p
     n = config.n_trials
@@ -244,7 +263,7 @@ def _sweep_tones(
     psd_lin = budget.psd_linear(p)
     n_tones = ensemble.grid.count
     scales = [2.0 ** (-d) for d in d_values]
-    block = max(1, min(D_BLOCK, p // 2))  # a block's 4 (n, p) buffers fit in U for p >= 2
+    block = _block(p)
     scale_blocks = [
         np.array(scales[i : i + block])[:, None, None] for i in range(0, len(scales), block)
     ]
@@ -258,6 +277,7 @@ def _sweep_tones(
     if e1_samples is not None or not worst:
         threads = 1  # one slice: see the module docstring
     bounds = _trial_slices(n, threads)
+    failed = np.zeros(len(d_values), dtype=bool)  # workers only set flags: no lock needed
 
     def run_slice(t0: int, t1: int) -> tuple:
         """Every tone's trials t0..t1-1, in tone order: per (d, user, tone)
@@ -267,6 +287,8 @@ def _sweep_tones(
         part = np.empty((len(d_values), p, n_tones))
         failures: list = []
         for k in range(n_tones):
+            if target is not None and failed.all():
+                break
             snr, esnr, rate, q_mat = snr_all[k], esnr_all[k], rate_all[k], q_all[k]
             if config.zero_errors:
                 ws.u.fill(0.0)
@@ -297,8 +319,7 @@ def _sweep_tones(
                     loss = np.subtract(rate, q, out=q)
                     if band_joint:
                         joint[i : i + k_d, t0:t1] += loss
-                    for j, loss_d in enumerate(loss, start=i):
-                        part[j, :, k] = _reduce(loss_d, config)
+                    part[i : i + k_d, :, k] = _reduce(loss, config, axis=1)
                 else:
                     # q -> loss is monotone decreasing, so the worst trial is the one with the
                     # least q; the min runs over a contiguous (p, n) copy, the fast axis
@@ -306,10 +327,17 @@ def _sweep_tones(
                     np.copyto(q_t, q.transpose(0, 2, 1))
                     part[i : i + k_d, :, k] = q_t.min(axis=2)
                 i += k_d
+            if target is not None:
+                stat = part[:, :, k]
+                if not per_trial:  # the final combine's elementwise ops, on this slice's q
+                    stat = rate - np.log1p(esnr * stat) / LN2
+                failed[~np.all(stat / rate <= target, axis=1)] = True
         return part, failures
 
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
         slices = list(pool.map(run_slice, bounds[:-1], bounds[1:]))
+    if target is not None and failed.all():
+        return None
     parts = [part for part, _ in slices]
     rate = np.ascontiguousarray(rate_all.T)
     if per_trial:
@@ -363,17 +391,24 @@ def min_bits_empirical(
     """Smallest word length in 1..``d_max`` whose per-tone relative loss
     statistic meets ``target_eta``.
 
-    One sweep over d = 1..``d_max`` tabulates the statistic from one draw per
-    tone, and the first d that meets the target is returned.
+    Word lengths are swept one kernel pass at a time, lowest first, and a
+    pass stops at the first tone where all of its word lengths miss the
+    target, so the result is the first passing d of ``run_trials_sweep``'s
+    full table.  An error raised only at tones that a stopped pass never
+    reaches is not raised.
     """
     if not 0.0 < target_eta <= 1.0:
         raise InvalidParams("target_eta must lie in (0, 1]")
     if d_max < 1:
         raise InvalidParams("d_max must be >= 1")
-    per_tone, rate, _, _ = _sweep_tones(
-        ensemble, budget, config, range(1, d_max + 1), band_joint=False
-    )
-    for d, stat in enumerate(per_tone, start=1):
-        if np.max(stat / rate) <= target_eta:
-            return d
+    block = _block(ensemble.p)
+    for lo in range(1, d_max + 1, block):
+        window = range(lo, min(lo + block, d_max + 1))
+        swept = _sweep_tones(ensemble, budget, config, window, band_joint=False, target=target_eta)
+        if swept is None:
+            continue
+        per_tone, rate, _, _ = swept
+        for d, stat in zip(window, per_tone):
+            if np.max(stat / rate) <= target_eta:
+                return d
     raise TargetUnreachable(f"worst-case relative loss still above {target_eta} at d={d_max}")

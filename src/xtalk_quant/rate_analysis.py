@@ -155,7 +155,10 @@ def interference_terms(
     dii = np.diagonal(delta, axis1=-2, axis2=-1)
     np.copyto(re, dii.real)  # the trial engine reads them once per d
     np.copyto(im, dii.imag)
-    tot -= (np.square(re) + np.square(im)) * psd_lin  # P_i |Delta_ii|^2
+    # P_i |Delta_ii|^2, in the planes: they are free once ``cross`` is formed
+    sq = planes.reshape(-1)[: 2 * re.size].reshape(2, *re.shape)
+    np.add(np.square(re, out=sq[0]), np.square(im, out=sq[1]), out=sq[0])
+    tot -= np.multiply(sq[0], psd_lin, out=sq[0])
     np.maximum(tot, 0.0, out=tot)
     tot /= psd_lin
     return cross, re, im

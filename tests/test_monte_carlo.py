@@ -622,14 +622,152 @@ class TestMinBitsEmpirical:
         # a table that is not monotone in d, where a bisection returns 6
         table = [0.5, 0.005, 0.5, 0.5, 0.5, 0.005, 0.005, 0.005]
 
-        def sweep(ensemble, budget, config, d_values, band_joint):
-            # per-tone statistic (d, users, tones) over a unit rate: eta is the table
+        def sweep(ensemble, budget, config, d_values, band_joint, target=None):
+            # per-tone statistic (d, users, tones) over a unit rate: eta is the table;
+            # a window whose every word length misses the target stops early
             per_tone = np.array([[[table[d - 1]]] for d in d_values])
+            if target is not None and np.all(per_tone > target):
+                return None
             return per_tone, np.ones((1, 1)), None, []
 
         monkeypatch.setattr(monte_carlo, "_sweep_tones", sweep)
         assert _bisect_table(table, 0.01) == 6
         assert min_bits_empirical(small_ensemble, small_budget, _config(8), 0.01, d_max=8) == 2
+
+
+class TestScanStopsEarly:
+    """min_bits_empirical scans word lengths one kernel pass at a time and
+    drops a pass at the first tone where all of its word lengths miss the
+    target; the answer is still the first passing d of the full table."""
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"statistic": "mean"}, {"statistic": "quantile", "q": 0.9}, {"e1_samples": 1000}],
+        ids=["worst", "mean", "quantile", "csi"],
+    )
+    def test_first_passing_d_of_the_full_table(
+        self, small_ensemble, small_budget, monkeypatch, threads, kwargs
+    ):
+        # the workers share the word lengths' miss flags; switching often
+        # makes a lost or early flag show
+        monkeypatch.setenv("XTALK_THREADS", threads)
+        cfg = _config(8, n=100, seed=5, **kwargs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for d_max in (32, 12):
+                reports = run_trials_sweep(
+                    small_ensemble, small_budget, cfg, range(1, d_max + 1)
+                )
+                for target in (1.0, 0.3, 0.02, 1e-3, 1e-6):
+                    first = next(
+                        (r.d_bits for r in reports if np.max(r.eta_per_tone) <= target), None
+                    )
+                    try:
+                        found = min_bits_empirical(
+                            small_ensemble, small_budget, cfg, target, d_max
+                        )
+                    except TargetUnreachable:
+                        found = None
+                    assert found == first, (d_max, target)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_pass_returns_none_only_when_every_word_length_misses(
+        self, small_ensemble, small_budget, monkeypatch, threads
+    ):
+        monkeypatch.setenv("XTALK_THREADS", threads)
+        cfg, d_values = _config(8, n=100), (5, 6)
+        full = monte_carlo._sweep_tones(small_ensemble, small_budget, cfg, d_values, False)
+        worst = np.max(full[0] / full[1], axis=(1, 2))
+        assert worst[1] < worst[0]
+        # a pass that some word length survives returns the full pass's bits
+        for target in (1.0, (worst[0] + worst[1]) / 2):
+            kept = monte_carlo._sweep_tones(
+                small_ensemble, small_budget, cfg, d_values, False, target=target
+            )
+            assert np.array_equal(kept[0], full[0]) and np.array_equal(kept[1], full[1])
+        missed = monte_carlo._sweep_tones(
+            small_ensemble, small_budget, cfg, d_values, False, target=worst[1] / 2
+        )
+        assert missed is None
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_kernel_passes_on_the_reference_scenario(self, monkeypatch, threads):
+        # tone 0 (Q = I, 80 dB SNR) misses a 1 % target at d = 1..16, so the
+        # four windows below d = 17 stop there and only 17..20 covers every tone
+        monkeypatch.setenv("XTALK_THREADS", threads)
+        scen = Scenario()
+        ensemble = scen.ensemble()
+        cfg = scen.trial_config(e2_model=E2_UNIFORM)
+        calls = []
+        real_ratio = monte_carlo.interference_ratio
+
+        def ratio(*args, **kwargs):
+            calls.append(1)
+            return real_ratio(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
+        assert min_bits_empirical(ensemble, scen.budget(ensemble.grid), cfg, 0.01) == 17
+        slices = len(monte_carlo._trial_slices(cfg.n_trials, int(threads))) - 1
+        n_tones = ensemble.grid.count
+        # a full scan of d = 1..32 makes 8 passes of 4 word lengths per tone and slice
+        assert n_tones * slices <= len(calls) <= (n_tones + 2 * 4) * slices
+
+    def test_error_after_every_window_stopped_is_not_raised(
+        self, small_ensemble, small_budget, monkeypatch
+    ):
+        # CSI trial 7 of tone 5 is singular after every resample; with 100
+        # training samples every d misses 1e-6 on tone 0 already
+        tone, trial = 5, 7
+        snrs = small_budget.snr(small_ensemble)
+        q_mat, real_csi_error = small_ensemble.Q[tone], streams.csi_error
+
+        def csi_error(rng, snr, n_samples, trials=()):
+            if not np.array_equal(snr, snrs[tone]):
+                return real_csi_error(rng, snr, n_samples, trials)
+            if not trials:  # a resample lands on the singular point again
+                return -q_mat
+            e1 = real_csi_error(rng, snr, n_samples, trials)
+            e1[trial] = -q_mat
+            return e1
+
+        monkeypatch.setattr(streams, "csi_error", csi_error)
+        cfg = _config(8, n=20, e1_samples=100)
+        with pytest.raises(SingularChannel) as err:
+            run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 9))
+        assert err.value.tone == tone
+        with pytest.raises(TargetUnreachable):
+            min_bits_empirical(small_ensemble, small_budget, cfg, 1e-6, d_max=8)
+
+    def test_error_at_a_failed_word_length_is_not_raised(
+        self, small_ensemble, small_budget, monkeypatch
+    ):
+        # the kernel breaks on tone 5 at d = 1 (p = 4: d = 1 and 2 share a
+        # pass), which misses the target on tone 0 already; the same break in
+        # the answer's own pass is still raised
+        cfg = _config(8, n=100)
+        answer = min_bits_empirical(small_ensemble, small_budget, cfg, 0.02)
+        assert answer > 2
+        snr5 = small_budget.snr(small_ensemble)[5]
+        real_ratio = monte_carlo.interference_ratio
+        broken = []
+
+        def ratio(snr, cross, re, im, scale=1.0, out=None):
+            if np.array_equal(snr, snr5) and np.any(np.isin(scale, broken)):
+                raise NumericalError("tone 5 overflowed")
+            return real_ratio(snr, cross, re, im, scale, out)
+
+        monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
+        broken[:] = [2.0**-1]
+        with pytest.raises(NumericalError):
+            run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 33))
+        assert min_bits_empirical(small_ensemble, small_budget, cfg, 0.02) == answer
+        broken[:] = [2.0**-answer]
+        with pytest.raises(NumericalError):
+            min_bits_empirical(small_ensemble, small_budget, cfg, 0.02)
 
 
 def _bisect_table(worst, target):
