@@ -56,6 +56,18 @@ so ``run_trials_sweep`` and those statistics form them all.
 target on every tone, so it sweeps one kernel pass of word lengths at a
 time, lowest first, and drops a pass at the first tone where all of its word
 lengths miss (on the reference scenario tone 0 rules out d = 1..16 at 1 %).
+Quantization-only trials draw E2 = 2^-d U inside the box that
+``rate_analysis.worst_case_loss`` maximizes over exactly, so no trial's loss,
+and no statistic of them, exceeds that supremum.  Before a pass draws
+anything, each tone whose supremum meets the target at every word length of
+the pass, with ``CERT_MARGIN`` to spare, is certified and skipped; a pass
+with no tone left returns its lowest word length (on the reference scenario
+at 1 % every tone is certified at d = 17..20, so only tone 0 is ever drawn).
+
+A CSI trial whose Q + E1 is singular, or whose condition number exceeds
+``precoding.COND_LIMIT``, is resampled.  ||M||_F ||inv(M)||_F bounds the
+condition number from above and is read off the inverse already formed, so
+only the trials it flags pay for an exact condition number.
 """
 
 from __future__ import annotations
@@ -70,8 +82,8 @@ import numpy as np
 from . import streams
 from .channel_model import ChannelEnsemble
 from .errors import InvalidParams, SingularChannel, TargetUnreachable
-from .precoding import E2_UNIFORM, PerturbationSpec
-from .rate_analysis import LinkBudget, interference_ratio, interference_terms
+from .precoding import COND_LIMIT, E2_UNIFORM, PerturbationSpec, condition_numbers
+from .rate_analysis import LinkBudget, interference_ratio, interference_terms, worst_case_loss
 from .rate_analysis import loss_arrays  # noqa: F401  (bench/spans.py patches monte_carlo.loss_arrays)
 from .units import LN2
 
@@ -79,9 +91,10 @@ WORST_CASE = "worst_case"
 MEAN = "mean"
 QUANTILE = "quantile"
 
-RETRY_CAP = 5  # fresh E1 draws per singular trial before giving up
+RETRY_CAP = 5  # fresh E1 draws per singular or ill-conditioned trial before giving up
 D_BLOCK = 4  # most word lengths per pass of the per-d kernel: fewer numpy calls per d
 MIN_SLICE = 8  # fewest trials worth a worker: a smaller n_trials runs on one
+CERT_MARGIN = 1e-9  # loss/rate a certified tone keeps below the target; the kernel errs ~1e-14
 _UNIT_SCALE = np.ones((1, 1, 1))  # CSI trials scale Delta before the kernel, one d per pass
 
 
@@ -241,6 +254,7 @@ def _sweep_tones(
     d_values,
     band_joint: bool,
     target: float | None = None,
+    tones: np.ndarray | None = None,
 ) -> tuple | None:
     """The trial engine behind ``run_trials_sweep`` and ``min_bits_empirical``.
 
@@ -256,6 +270,10 @@ def _sweep_tones(
     max (or min of q), so a miss in one slice is a miss of the whole tone.
     Once every word length is marked the workers stop at their next tone and
     None is returned.
+
+    With ``tones`` (ascending tone indices) only those tones are drawn, and
+    the statistic and the rate hold only their columns.  A tone's stream is
+    keyed by its index, so its draws do not depend on which tones are given.
     """
     p = ensemble.p
     n = config.n_trials
@@ -278,15 +296,16 @@ def _sweep_tones(
         threads = 1  # one slice: see the module docstring
     bounds = _trial_slices(n, threads)
     failed = np.zeros(len(d_values), dtype=bool)  # workers only set flags: no lock needed
+    tones = np.arange(n_tones) if tones is None else tones
 
     def run_slice(t0: int, t1: int) -> tuple:
         """Every tone's trials t0..t1-1, in tone order: per (d, user, tone)
         the statistic of the slice (the least q when no per-trial loss is
         read), and ``band_joint``'s columns t0..t1-1."""
         ws = _Workspace(t1 - t0, p, block)
-        part = np.empty((len(d_values), p, n_tones))
+        part = np.empty((len(d_values), p, len(tones)))
         failures: list = []
-        for k in range(n_tones):
+        for c, k in enumerate(tones):
             if target is not None and failed.all():
                 break
             snr, esnr, rate, q_mat = snr_all[k], esnr_all[k], rate_all[k], q_all[k]
@@ -319,16 +338,16 @@ def _sweep_tones(
                     loss = np.subtract(rate, q, out=q)
                     if band_joint:
                         joint[i : i + k_d, t0:t1] += loss
-                    part[i : i + k_d, :, k] = _reduce(loss, config, axis=1)
+                    part[i : i + k_d, :, c] = _reduce(loss, config, axis=1)
                 else:
                     # q -> loss is monotone decreasing, so the worst trial is the one with the
                     # least q; the min runs over a contiguous (p, n) copy, the fast axis
                     q_t = ws.q_t[:k_d]
                     np.copyto(q_t, q.transpose(0, 2, 1))
-                    part[i : i + k_d, :, k] = q_t.min(axis=2)
+                    part[i : i + k_d, :, c] = q_t.min(axis=2)
                 i += k_d
             if target is not None:
-                stat = part[:, :, k]
+                stat = part[:, :, c]
                 if not per_trial:  # the final combine's elementwise ops, on this slice's q
                     stat = rate - np.log1p(esnr * stat) / LN2
                 failed[~np.all(stat / rate <= target, axis=1)] = True
@@ -339,12 +358,12 @@ def _sweep_tones(
     if target is not None and failed.all():
         return None
     parts = [part for part, _ in slices]
-    rate = np.ascontiguousarray(rate_all.T)
+    rate = np.ascontiguousarray(rate_all[tones].T)
     if per_trial:
         per_tone = functools.reduce(np.maximum, parts)  # a lone mean or quantile passes through
     else:
         q_min = functools.reduce(np.minimum, parts)
-        per_tone = rate - np.log1p(esnr_all.T * q_min) / LN2
+        per_tone = rate - np.log1p(esnr_all[tones].T * q_min) / LN2
     return per_tone, rate, joint, [f for _, failures in slices for f in failures]
 
 
@@ -357,28 +376,46 @@ def _invert_with_resampling(
     tone: int,
     failures: list,
 ) -> np.ndarray:
-    """inv(Q + E1) per trial; singular trials get a fresh E1 draw (in place,
-    so the caller's delta uses the same matrices), up to ``RETRY_CAP`` times."""
+    """inv(Q + E1) per trial; a trial whose Q + E1 is singular or has a
+    condition number above ``COND_LIMIT`` gets a fresh E1 draw (in place, so
+    the caller's delta uses the same matrices), up to ``RETRY_CAP`` times."""
+    m = q_mat[None, :, :] + e1
     try:
-        return np.linalg.inv(q_mat[None, :, :] + e1)
+        out = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        pass
-    out = np.empty_like(e1)
+        out, redo = np.empty_like(e1), range(e1.shape[0])
+    else:
+        redo = _ill_conditioned(m, out)
     resampler = streams.stream(seed, streams.MC_E1_RESAMPLE, tone)
-    for t in range(e1.shape[0]):
+    for t in redo:
         for attempt in range(RETRY_CAP + 1):
+            m_t = q_mat + e1[t]
             try:
-                out[t] = np.linalg.inv(q_mat + e1[t])
-                break
+                out[t] = np.linalg.inv(m_t)
             except np.linalg.LinAlgError:
-                failures.append((tone, t, attempt))
-                if attempt == RETRY_CAP:
-                    raise SingularChannel(
-                        f"tone {tone} trial {t} singular after {RETRY_CAP} resamples",
-                        tone=tone,
-                    )
-                e1[t] = streams.csi_error(resampler, snr, n_samples)
+                pass
+            else:
+                if not _ill_conditioned(m_t[None], out[t : t + 1]).size:
+                    break
+            failures.append((tone, t, attempt))
+            if attempt == RETRY_CAP:
+                raise SingularChannel(
+                    f"tone {tone} trial {t} singular or ill-conditioned after "
+                    f"{RETRY_CAP} resamples",
+                    tone=tone,
+                )
+            e1[t] = streams.csi_error(resampler, snr, n_samples)
     return out
+
+
+def _ill_conditioned(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
+    """Indices of the trials whose condition number exceeds ``COND_LIMIT``.
+    ||M||_F ||inv(M)||_F >= cond_2(M), so only the trials it flags pay for
+    the exact ``condition_numbers``."""
+    planes = (x.reshape(len(x), -1).view(float) for x in (m, m_inv))
+    norm2 = [np.einsum("ti,ti->t", x, x) for x in planes]  # squared Frobenius norms
+    flagged = np.flatnonzero(~(norm2[0] * norm2[1] <= COND_LIMIT**2))  # nan is flagged too
+    return flagged[~(condition_numbers(m[flagged]) <= COND_LIMIT)]
 
 
 def min_bits_empirical(
@@ -393,22 +430,38 @@ def min_bits_empirical(
 
     Word lengths are swept one kernel pass at a time, lowest first, and a
     pass stops at the first tone where all of its word lengths miss the
-    target, so the result is the first passing d of ``run_trials_sweep``'s
-    full table.  An error raised only at tones that a stopped pass never
-    reaches is not raised.
+    target.  Without estimation error a pass first certifies every tone whose
+    exact worst case (``worst_case_loss`` at half-width 2^-d) stays at least
+    ``CERT_MARGIN`` below the target at each of its word lengths, and draws
+    only the others; when none is left the pass's lowest d passes.  The
+    result is the first passing d of ``run_trials_sweep``'s full table.  An
+    error raised only at tones that a stopped pass never reaches, or only at
+    a tone certified for its pass, is not raised.
     """
     if not 0.0 < target_eta <= 1.0:
         raise InvalidParams("target_eta must lie in (0, 1]")
     if d_max < 1:
         raise InvalidParams("d_max must be >= 1")
     block = _block(ensemble.p)
+    certify = config.spec.e1_samples is None
+    if certify:
+        rate = np.log1p(budget.snr(ensemble) / budget.gap).T / LN2  # the engine's rate
     for lo in range(1, d_max + 1, block):
         window = range(lo, min(lo + block, d_max + 1))
-        swept = _sweep_tones(ensemble, budget, config, window, band_joint=False, target=target_eta)
+        tones = None
+        if certify:
+            widths = np.array([2.0 ** (-d) for d in window])[:, None]
+            sup = worst_case_loss(budget, ensemble, widths) / rate
+            tones = np.flatnonzero(~np.all(sup <= target_eta - CERT_MARGIN, axis=(0, 1)))
+            if not tones.size:
+                return window[0]
+        swept = _sweep_tones(
+            ensemble, budget, config, window, band_joint=False, target=target_eta, tones=tones
+        )
         if swept is None:
             continue
-        per_tone, rate, _, _ = swept
+        per_tone, drawn_rate, _, _ = swept
         for d, stat in zip(window, per_tone):
-            if np.max(stat / rate) <= target_eta:
+            if np.max(stat / drawn_rate) <= target_eta:
                 return d
     raise TargetUnreachable(f"worst-case relative loss still above {target_eta} at d={d_max}")

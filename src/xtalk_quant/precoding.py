@@ -71,13 +71,20 @@ class QuantizedPrecoder:
     scale: np.ndarray
 
 
+def condition_numbers(m: np.ndarray) -> np.ndarray:
+    """2-norm condition number of every matrix of the (n, p, p) stack ``m``;
+    a non-finite matrix counts as cond = inf."""
+    finite = np.isfinite(m).all(axis=(1, 2))
+    cond = np.full(finite.shape, np.inf)
+    cond[finite] = np.linalg.cond(m if finite.all() else m[finite])  # SVD refuses nan and inf
+    return cond
+
+
 def _conditioned(channel: ChannelEnsemble, m: np.ndarray, name: str) -> np.ndarray:
     """``m``, the (tones, p, p) stack ``name`` about to be solved, once every
     tone's condition number is at most ``COND_LIMIT``; the first tone that is
     not (a singular or non-finite one counts as cond = inf) raises."""
-    finite = np.isfinite(m).all(axis=(1, 2))
-    cond = np.full(finite.shape, np.inf)
-    cond[finite] = np.linalg.cond(m if finite.all() else m[finite])  # SVD refuses nan and inf
+    cond = condition_numbers(m)
     bad = np.flatnonzero(~(cond <= COND_LIMIT))  # also catches nan
     if bad.size:
         k = int(bad[0])

@@ -16,6 +16,9 @@ log2(1 + eSNR) - log2(1 + eSNR * q), which avoids the cancellation in
 1 - k at high SNR; both ``a`` and ``q`` are reported as defined.
 Band quantities are rectangle-rule sums (each tone owns one bin of width
 ``grid.spacing``).
+
+``worst_case_loss`` gives the exact supremum of every user's loss over a box
+of quantization errors, in closed form (see its docstring).
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import numpy as np
 from .channel_model import ChannelEnsemble, ToneGrid
 from .errors import InvalidBudget, InvalidParams, NumericalError
 from .units import LN2, db_to_linear
+
+WORST_CASE_BLOCK = 8  # tones per block of worst_case_loss: its temporaries stay O(block p^2)
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,11 @@ class LinkBudget:
     def noise_linear(self) -> float:
         return float(db_to_linear(self.noise_dbm_hz))
 
-    def snr(self, ensemble: ChannelEnsemble) -> np.ndarray:
-        """(tones, p) raw (gap-free) linear SNR_i = P_i |d_ii|^2 / noise."""
+    def snr(self, ensemble: ChannelEnsemble, tones: slice = slice(None)) -> np.ndarray:
+        """(tones, p) raw (gap-free) linear SNR_i = P_i |d_ii|^2 / noise, of
+        every tone or of the block ``tones``."""
         p_lin = self.psd_linear(ensemble.p)
-        return p_lin * np.abs(ensemble.D) ** 2 / self.noise_linear()
+        return p_lin * np.abs(ensemble.D[tones]) ** 2 / self.noise_linear()
 
     def snr_matrix(self, ensemble: ChannelEnsemble) -> np.ndarray:
         """(p, tones) raw SNR array."""
@@ -230,3 +236,77 @@ def build_report(
     band_loss = cols["loss"].sum(axis=1) * spacing
     eta = np.divide(band_loss, band_rate, out=np.full(p, np.nan), where=band_rate != 0.0)
     return LossReport(band_rate=band_rate, band_loss=band_loss, eta=eta, **cols)
+
+
+def worst_case_loss(
+    budget: LinkBudget, ensemble: ChannelEnsemble, half_width
+) -> np.ndarray:
+    """Exact supremum of every user's loss on every tone under Delta = Q E2,
+    over all E2 whose real and imaginary parts lie in [-h, h], h = ``half_width``.
+
+    Delta_ij = sum_m Q_im E2_mj, so every entry of row i ranges over one
+    zonotope Z_i with the 2p generators h Q_im and i h Q_im, and the columns
+    of E2 are free of each other.  q_i therefore falls as low as
+    dist(-1, Z_i)^2 / (1 + SNR_i R_i^2 sum_{j != i} P_j / P_i), where
+    R_i = max |Z_i| is reached by every off-diagonal entry at once and
+    dist(-1, Z_i) by the diagonal one; the loss is the kernel's
+    rate - log1p(eSNR q)/ln 2 at that q.  Z_i's vertices: flip each generator
+    into the upper half-plane, sort them by angle, v_0 = sum g and
+    v_k = v_{k-1} - 2 g_(k), k = 1..2p; the negated chain closes the polygon.
+
+    ``half_width`` (> 0) broadcasts against the tones: a float or a (tones,)
+    array gives (p, tones), and a (k, 1) or (k, tones) array gives
+    (k, p, tones).  Each tone's polygon is built once at unit half-width
+    (R scales by h, dist(-1, hZ) = h dist(-1/h, Z)) and the tones are taken
+    ``WORST_CASE_BLOCK`` at a time, so the temporaries do not grow with the
+    tone count.
+    """
+    n_tones, p = ensemble.grid.count, ensemble.p
+    widths = np.asarray(half_width, dtype=float)
+    widths = np.broadcast_to(widths, np.broadcast_shapes(widths.shape, (n_tones,)))
+    if not np.all(np.isfinite(widths) & (widths > 0.0)):
+        raise InvalidParams("half_width must be positive and finite")
+    psd = budget.psd_linear(p)
+    spread = (psd.sum() - psd) / psd  # sum_{j != i} P_j / P_i
+    out = np.empty((*widths.shape[:-1], p, n_tones))
+    for k0 in range(0, n_tones, WORST_CASE_BLOCK):
+        tones = slice(k0, k0 + WORST_CASE_BLOCK)
+        h = widths[..., tones, None]
+        radius, dist = _zonotope_reach(ensemble.Q[tones], -1.0 / h)
+        snr = budget.snr(ensemble, tones)
+        esnr = snr / budget.gap
+        q = np.square(dist * h) / (1.0 + snr * np.square(radius * h) * spread)
+        loss = np.log1p(esnr) / LN2 - np.log1p(esnr * q) / LN2
+        out[..., tones] = np.swapaxes(loss, -1, -2)
+    return out
+
+
+def _zonotope_reach(q_mat: np.ndarray, point: np.ndarray) -> tuple:
+    """R_i = max |Z_i|, (tones, p), and dist(``point``, Z_i), (..., tones, p),
+    for every row i of every tone's Q, Z_i the unit-half-width zonotope of
+    ``worst_case_loss``; ``q_mat`` is (tones, p, p) and ``point`` is a
+    negative real (..., tones, 1).
+
+    The chain v_0..v_2p is the half of Z_i's boundary whose outward normals
+    n have Re n <= 0.  An edge that separates x < 0 from Z_i has
+    <n, x> > max_Z <n, z> >= 0 (Z_i holds 0), so Re n < 0, and so does the
+    nearest boundary point's normal, x - z: the chain's edges decide both.
+    """
+    g = np.concatenate((q_mat, 1j * q_mat), axis=-1)  # (tones, p, 2p) generators
+    g = np.where((g.imag < 0.0) | ((g.imag == 0.0) & (g.real < 0.0)), -g, g)
+    g = np.take_along_axis(g, np.argsort(np.angle(g), axis=-1), axis=-1)
+    top = g.sum(axis=-1, keepdims=True)
+    chain = np.concatenate((top, top - 2.0 * np.cumsum(g, axis=-1)), axis=-1)  # counterclockwise
+    radius = np.abs(chain).max(axis=-1)
+    ar, ai = chain.real[..., :-1], chain.imag[..., :-1]  # edge k runs from a_k along e_k
+    edge = np.diff(chain, axis=-1)
+    er, ei = edge.real, edge.imag
+    length2 = np.square(er) + np.square(ei)
+    x = point[..., None]
+    inside = np.all(ei * ar - er * ai >= ei * x, axis=-1)  # cross(e_k, x - a_k) >= 0
+    t = np.zeros(np.broadcast_shapes(x.shape, er.shape))
+    # a zero generator (Q = I off the diagonal) gives a zero-length edge: t = 0 there
+    np.divide(er * (x - ar) - ei * ai, length2, out=t, where=length2 > 0.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    near = np.hypot(x - ar - t * er, ai + t * ei).min(axis=-1)
+    return radius, np.where(inside, 0.0, near)

@@ -20,6 +20,7 @@ from xtalk_quant.errors import (
 )
 from xtalk_quant import monte_carlo, streams
 from xtalk_quant.monte_carlo import (
+    CERT_MARGIN,
     RETRY_CAP,
     TrialConfig,
     _invert_with_resampling,
@@ -27,8 +28,8 @@ from xtalk_quant.monte_carlo import (
     run_trials,
     run_trials_sweep,
 )
-from xtalk_quant.precoding import E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec
-from xtalk_quant.rate_analysis import LinkBudget, loss_arrays
+from xtalk_quant.precoding import COND_LIMIT, E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec
+from xtalk_quant.rate_analysis import LinkBudget, loss_arrays, worst_case_loss
 from xtalk_quant.reports import render_table
 from xtalk_quant.scenario import Scenario
 from xtalk_quant.units import LN2
@@ -508,6 +509,40 @@ class TestResampling:
             for name in ("per_tone", "rate_per_tone", "band_per_bin", "band_joint", "band_rate"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
 
+    def test_ill_conditioned_trial_is_resampled(self, small_ensemble, small_budget):
+        # Q + E1 = diag(1, 1, 1, 1e-14) on trial 1 inverts without LinAlgError,
+        # but its condition number is far above COND_LIMIT
+        q_mat, snr = small_ensemble.Q[2], small_budget.snr(small_ensemble)[2]
+        seed, n_samples = 42, 1000
+        e1 = _draw_e1(seed, 2, 3, snr, n_samples)
+        e1[1] = np.diag([1.0, 1.0, 1.0, 1e-14]) - q_mat
+        assert 1e13 < np.linalg.cond(q_mat + e1[1]) < 1e15
+        np.linalg.inv(q_mat + e1)
+        failures = []
+        m_inv = _invert_with_resampling(q_mat, e1, snr, n_samples, seed, 2, failures)
+        assert failures == [(2, 1, 0)]
+        assert np.all(np.linalg.cond(q_mat + e1) <= COND_LIMIT)
+        assert np.allclose(m_inv @ (q_mat + e1), np.eye(4))
+
+    def test_ill_conditioned_trial_is_recorded_by_the_sweep(
+        self, small_ensemble, small_budget, monkeypatch
+    ):
+        tone, trial = 5, 7
+        snrs = small_budget.snr(small_ensemble)
+        q_mat, real_csi_error = small_ensemble.Q[tone], streams.csi_error
+
+        def csi_error(rng, snr, n_samples, trials=()):
+            e1 = real_csi_error(rng, snr, n_samples, trials)
+            if trials and np.array_equal(snr, snrs[tone]):  # the tone's primary draw
+                e1[trial] = np.diag([1.0, 1.0, 1.0, 1e-14]) - q_mat
+            return e1
+
+        monkeypatch.setattr(streams, "csi_error", csi_error)
+        cfg = _config(1, n=20, e1_samples=1000)
+        rep = run_trials_sweep(small_ensemble, small_budget, cfg, [12])
+        assert rep[0].trial_failures == [(tone, trial, 0)]
+        assert np.all(np.isfinite(rep[0].per_tone))
+
     def test_exhausted_resamples_name_the_tone(self, small_ensemble, small_budget, monkeypatch):
         q_mat, snr = small_ensemble.Q[3], small_budget.snr(small_ensemble)[3]
         e1 = _draw_e1(42, 3, 2, snr, 1000)
@@ -622,9 +657,10 @@ class TestMinBitsEmpirical:
         # a table that is not monotone in d, where a bisection returns 6
         table = [0.5, 0.005, 0.5, 0.5, 0.5, 0.005, 0.005, 0.005]
 
-        def sweep(ensemble, budget, config, d_values, band_joint, target=None):
+        def sweep(ensemble, budget, config, d_values, band_joint, target=None, tones=None):
             # per-tone statistic (d, users, tones) over a unit rate: eta is the table;
-            # a window whose every word length misses the target stops early
+            # a window whose every word length misses the target stops early; no
+            # tone of this ensemble is certified for 0.01 below d = 8
             per_tone = np.array([[[table[d - 1]]] for d in d_values])
             if target is not None and np.all(per_tone > target):
                 return None
@@ -696,25 +732,44 @@ class TestScanStopsEarly:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_kernel_passes_on_the_reference_scenario(self, monkeypatch, threads):
-        # tone 0 (Q = I, 80 dB SNR) misses a 1 % target at d = 1..16, so the
-        # four windows below d = 17 stop there and only 17..20 covers every tone
+        # tone 0 (Q = I, 80 dB SNR) misses a 1 % target at d = 1..16 on every
+        # trial slice, so each of the four passes below d = 17 draws tone 0 and
+        # stops there; every tone is certified at d = 17..20, so that window
+        # draws nothing
         monkeypatch.setenv("XTALK_THREADS", threads)
         scen = Scenario()
         ensemble = scen.ensemble()
+        budget = scen.budget(ensemble.grid)
         cfg = scen.trial_config(e2_model=E2_UNIFORM)
+        snr0 = budget.snr(ensemble)[0]
         calls = []
         real_ratio = monte_carlo.interference_ratio
 
-        def ratio(*args, **kwargs):
-            calls.append(1)
-            return real_ratio(*args, **kwargs)
+        def ratio(snr, cross, re, im, scale=1.0, out=None):
+            calls.append((np.array_equal(snr, snr0), int(-np.log2(np.max(scale)))))
+            return real_ratio(snr, cross, re, im, scale, out)
 
         monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
-        assert min_bits_empirical(ensemble, scen.budget(ensemble.grid), cfg, 0.01) == 17
+        assert min_bits_empirical(ensemble, budget, cfg, 0.01) == 17
         slices = len(monte_carlo._trial_slices(cfg.n_trials, int(threads))) - 1
-        n_tones = ensemble.grid.count
-        # a full scan of d = 1..32 makes 8 passes of 4 word lengths per tone and slice
-        assert n_tones * slices <= len(calls) <= (n_tones + 2 * 4) * slices
+        # one kernel call per slice and pass, on tone 0 only; a worker that
+        # starts after the others have marked every word length skips it
+        assert set(calls) == {(True, 1), (True, 5), (True, 9), (True, 13)}
+        assert 4 <= len(calls) <= 4 * slices
+        if slices == 1:
+            assert len(calls) == 4
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_reference_scenario_matches_the_full_table(self, monkeypatch, threads):
+        monkeypatch.setenv("XTALK_THREADS", threads)
+        scen = Scenario()
+        ensemble = scen.ensemble()
+        budget = scen.budget(ensemble.grid)
+        cfg = scen.trial_config(e2_model=E2_UNIFORM)
+        reports = run_trials_sweep(ensemble, budget, cfg, range(1, 21))
+        for target in (0.05, 0.01, 0.002):
+            first = next(r.d_bits for r in reports if np.max(r.eta_per_tone) <= target)
+            assert min_bits_empirical(ensemble, budget, cfg, target, d_max=20) == first, target
 
     def test_error_after_every_window_stopped_is_not_raised(
         self, small_ensemble, small_budget, monkeypatch
@@ -742,32 +797,59 @@ class TestScanStopsEarly:
         with pytest.raises(TargetUnreachable):
             min_bits_empirical(small_ensemble, small_budget, cfg, 1e-6, d_max=8)
 
-    def test_error_at_a_failed_word_length_is_not_raised(
-        self, small_ensemble, small_budget, monkeypatch
-    ):
-        # the kernel breaks on tone 5 at d = 1 (p = 4: d = 1 and 2 share a
-        # pass), which misses the target on tone 0 already; the same break in
-        # the answer's own pass is still raised
-        cfg = _config(8, n=100)
-        answer = min_bits_empirical(small_ensemble, small_budget, cfg, 0.02)
-        assert answer > 2
-        snr5 = small_budget.snr(small_ensemble)[5]
+    @staticmethod
+    def _break_kernel(monkeypatch, ensemble, budget, tone, broken):
+        """The kernel raises on ``tone`` at the word lengths in ``broken``."""
+        snr_k = budget.snr(ensemble)[tone]
         real_ratio = monte_carlo.interference_ratio
-        broken = []
 
         def ratio(snr, cross, re, im, scale=1.0, out=None):
-            if np.array_equal(snr, snr5) and np.any(np.isin(scale, broken)):
-                raise NumericalError("tone 5 overflowed")
+            if np.array_equal(snr, snr_k) and np.any(np.isin(scale, broken)):
+                raise NumericalError(f"tone {tone} overflowed")
             return real_ratio(snr, cross, re, im, scale, out)
 
         monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
-        broken[:] = [2.0**-1]
+
+    @staticmethod
+    def _certified(ensemble, budget, d, target):
+        """Per tone: does the supremum at word length d meet ``target``?"""
+        rate = np.log1p(budget.snr(ensemble) / budget.gap).T / LN2
+        eta = worst_case_loss(budget, ensemble, 2.0**-d) / rate
+        return np.all(eta <= target - CERT_MARGIN, axis=0)
+
+    def test_error_at_a_failed_word_length_is_not_raised(
+        self, small_ensemble, small_budget, monkeypatch
+    ):
+        # a break on tone 5 at d = 1 (p = 4: d = 1 and 2 share a pass), which
+        # misses the target on tone 0 already, is not raised; a break on tone 0,
+        # which the answer's pass still draws (its supremum misses the
+        # target), is
+        cfg = _config(8, n=100)
+        answer = min_bits_empirical(small_ensemble, small_budget, cfg, 0.02)
+        assert answer > 2 and answer % 2 == 1  # the lowest d of its pass
+        assert not self._certified(small_ensemble, small_budget, answer, 0.02)[0]
+        broken = [2.0**-1]
+        self._break_kernel(monkeypatch, small_ensemble, small_budget, 5, broken)
         with pytest.raises(NumericalError):
             run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 33))
         assert min_bits_empirical(small_ensemble, small_budget, cfg, 0.02) == answer
-        broken[:] = [2.0**-answer]
+        self._break_kernel(monkeypatch, small_ensemble, small_budget, 0, [2.0**-answer])
         with pytest.raises(NumericalError):
             min_bits_empirical(small_ensemble, small_budget, cfg, 0.02)
+
+    def test_error_at_a_certified_tone_is_not_raised(
+        self, small_ensemble, small_budget, monkeypatch
+    ):
+        # tone 5's supremum meets the target at every d of the answer's pass,
+        # so that pass does not draw it and a break there is not raised
+        cfg = _config(8, n=100)
+        answer = min_bits_empirical(small_ensemble, small_budget, cfg, 0.02)
+        for d in (answer, answer + 1):
+            assert self._certified(small_ensemble, small_budget, d, 0.02)[5]
+        self._break_kernel(monkeypatch, small_ensemble, small_budget, 5, [2.0**-answer])
+        with pytest.raises(NumericalError):
+            run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 33))
+        assert min_bits_empirical(small_ensemble, small_budget, cfg, 0.02) == answer
 
 
 def _bisect_table(worst, target):
