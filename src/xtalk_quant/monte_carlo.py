@@ -36,21 +36,13 @@ plane, through a float plane that lives in the Q U buffer until the matmul
 fills it.  Once Q U is formed, U's memory holds the two |Delta_ij|^2 planes
 of ``interference_terms`` and then a and q for up to ``D_BLOCK`` word
 lengths per pass of the kernel: fewer numpy calls, the same operations on
-each element.  Each slice keeps its own worst case (or least q), the slices
-combine by an exact max (or min), and each worker adds its tones to its own
-columns of ``band_joint`` in tone order, so every result is the same bits at
-any ``XTALK_THREADS``.  CSI trials and the mean and quantile statistics run
-as one slice: E1's Gaussian draw takes a varying number of words and is
-resampled in trial order, the mean sums the trials in order, and the
-quantile needs all of them.
-
-The worst case is taken before the log.  A user's loss,
-rate - log1p(eSNR q)/ln 2, falls as q grows, and each floating-point step
-from q to the loss is monotone, so the worst trial is the one with the least
-q.  When nothing reads the per-trial losses (``min_bits_empirical`` with the
-worst-case statistic), each (user, tone, d) takes one log1p of min_t q_t.
-``band_joint`` and the mean and quantile statistics need every trial's loss,
-so ``run_trials_sweep`` and those statistics form them all.
+each element.  Every trial's loss is formed; each slice keeps its own worst
+case, the slices combine by an exact max, and each worker adds its tones to
+its own columns of ``band_joint`` in tone order, so every result is the same
+bits at any ``XTALK_THREADS``.  CSI trials and the mean and quantile
+statistics run as one slice: E1's Gaussian draw takes a varying number of
+words and is resampled in trial order, the mean sums the trials in order,
+and the quantile needs all of them.
 
 ``min_bits_empirical`` needs only the first word length that meets its
 target on every tone, so it sweeps one kernel pass of word lengths at a
@@ -167,7 +159,7 @@ def _engine_threads() -> int:
 
 
 def _block(p: int) -> int:
-    """Word lengths per pass of the per-d kernel: a block's 4 (n, p) buffers
+    """Word lengths per pass of the per-d kernel: a block's 3 (n, p) buffers
     fit in U for p >= 2."""
     return max(1, min(D_BLOCK, p // 2))
 
@@ -187,9 +179,9 @@ class _Workspace:
     through lives in the first half of Q U, which the matmul overwrites only
     after the draw is copied into U.  U is not read after Q U is formed, so
     its memory then serves, in turn, as the two |Delta_ij|^2 planes of
-    ``interference_terms`` and as a, q, the kernel's scratch and the (p, n)
-    copy of q for a block of ``block`` word lengths; with p = 1 these are too
-    large for it and get their own.  The interference terms are (n, p).
+    ``interference_terms`` and as a, q and the kernel's scratch for a block
+    of ``block`` word lengths; with p = 1 these are too large for it and get
+    their own.  The interference terms are (n, p).
     A worker makes its workspace when it starts and reuses it on every tone.
     """
 
@@ -199,10 +191,9 @@ class _Workspace:
         self.plane = self.qu.reshape(-1).view(float)[: n * p * p].reshape(n, p, p)
         free = self.u.reshape(-1).view(float)
         self.terms = (free.reshape(2, n, p, p), *np.empty((3, n, p)))
-        size = 4 * block * n * p
-        a, q, tmp, q_t = (free[:size] if size <= free.size else np.empty(size)).reshape(4, -1)
-        self.ratio = tuple(x.reshape(block, n, p) for x in (a, q, tmp))
-        self.q_t = q_t.reshape(block, p, n)
+        size = 3 * block * n * p
+        ratio = free[:size] if size <= free.size else np.empty(size)
+        self.ratio = tuple(ratio.reshape(3, block, n, p))
 
 
 def run_trials(ensemble: ChannelEnsemble, budget: LinkBudget, config: TrialConfig) -> TrialReport:
@@ -261,13 +252,11 @@ def _sweep_tones(
     Returns the per-tone statistic (len(d_values), p, tones), the rate
     (p, tones), with ``band_joint`` the per-trial losses summed over tones
     (len(d_values), n_trials, p) and else None, and the resampled trials.
-    Per-trial losses are formed only when ``band_joint`` or the statistic
-    reads them; the worst case alone takes one log1p per (user, tone, d).
 
     With a relative-loss ``target``, after each tone every worker marks the
     word lengths whose statistic over its own slice already misses the
     target on that tone (NaN misses it too).  The slices combine by an exact
-    max (or min of q), so a miss in one slice is a miss of the whole tone.
+    max, so a miss in one slice is a miss of the whole tone.
     Once every word length is marked the workers stop at their next tone and
     None is returned.
 
@@ -288,11 +277,9 @@ def _sweep_tones(
     snr_all, q_all = budget.snr(ensemble), ensemble.Q
     esnr_all = snr_all / budget.gap
     rate_all = np.log1p(esnr_all) / LN2
-    worst = config.statistic == WORST_CASE
-    per_trial = band_joint or not worst
     joint = np.zeros((len(d_values), n, p)) if band_joint else None
     threads = _engine_threads()
-    if e1_samples is not None or not worst:
+    if e1_samples is not None or config.statistic != WORST_CASE:
         threads = 1  # one slice: see the module docstring
     bounds = _trial_slices(n, threads)
     failed = np.zeros(len(d_values), dtype=bool)  # workers only set flags: no lock needed
@@ -300,8 +287,7 @@ def _sweep_tones(
 
     def run_slice(t0: int, t1: int) -> tuple:
         """Every tone's trials t0..t1-1, in tone order: per (d, user, tone)
-        the statistic of the slice (the least q when no per-trial loss is
-        read), and ``band_joint``'s columns t0..t1-1."""
+        the statistic of the slice, and ``band_joint``'s columns t0..t1-1."""
         ws = _Workspace(t1 - t0, p, block)
         part = np.empty((len(d_values), p, len(tones)))
         failures: list = []
@@ -332,38 +318,24 @@ def _sweep_tones(
             for (cross, re, im), s in per_block:
                 k_d = s.shape[0]
                 q = interference_ratio(snr, cross, re, im, s, out=[b[:k_d] for b in ws.ratio])[1]
-                if per_trial:
-                    q = np.log1p(np.multiply(esnr, q, out=q), out=q)
-                    q /= LN2
-                    loss = np.subtract(rate, q, out=q)
-                    if band_joint:
-                        joint[i : i + k_d, t0:t1] += loss
-                    part[i : i + k_d, :, c] = _reduce(loss, config, axis=1)
-                else:
-                    # q -> loss is monotone decreasing, so the worst trial is the one with the
-                    # least q; the min runs over a contiguous (p, n) copy, the fast axis
-                    q_t = ws.q_t[:k_d]
-                    np.copyto(q_t, q.transpose(0, 2, 1))
-                    part[i : i + k_d, :, c] = q_t.min(axis=2)
+                q = np.log1p(np.multiply(esnr, q, out=q), out=q)
+                q /= LN2
+                loss = np.subtract(rate, q, out=q)
+                if band_joint:
+                    joint[i : i + k_d, t0:t1] += loss
+                part[i : i + k_d, :, c] = _reduce(loss, config, axis=1)
                 i += k_d
             if target is not None:
-                stat = part[:, :, c]
-                if not per_trial:  # the final combine's elementwise ops, on this slice's q
-                    stat = rate - np.log1p(esnr * stat) / LN2
-                failed[~np.all(stat / rate <= target, axis=1)] = True
+                failed[~np.all(part[:, :, c] / rate <= target, axis=1)] = True
         return part, failures
 
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
         slices = list(pool.map(run_slice, bounds[:-1], bounds[1:]))
     if target is not None and failed.all():
         return None
-    parts = [part for part, _ in slices]
+    # a lone mean or quantile passes through
+    per_tone = functools.reduce(np.maximum, [part for part, _ in slices])
     rate = np.ascontiguousarray(rate_all[tones].T)
-    if per_trial:
-        per_tone = functools.reduce(np.maximum, parts)  # a lone mean or quantile passes through
-    else:
-        q_min = functools.reduce(np.minimum, parts)
-        per_tone = rate - np.log1p(esnr_all[tones].T * q_min) / LN2
     return per_tone, rate, joint, [f for _, failures in slices for f in failures]
 
 
@@ -464,4 +436,7 @@ def min_bits_empirical(
         for d, stat in zip(window, per_tone):
             if np.max(stat / drawn_rate) <= target_eta:
                 return d
-    raise TargetUnreachable(f"worst-case relative loss still above {target_eta} at d={d_max}")
+    statistic = {WORST_CASE: "worst-case", MEAN: "mean"}.get(
+        config.statistic, f"{config.quantile_q}-quantile"
+    )
+    raise TargetUnreachable(f"{statistic} relative loss still above {target_eta} at d={d_max}")

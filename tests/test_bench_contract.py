@@ -57,6 +57,22 @@ def test_entry_points_on_a_small_scenario(tmp_path):
     assert 1 <= monte_carlo.min_bits_empirical(ensemble, budget, config, 0.01) <= 32
 
 
+def test_min_bits_empirical_does_not_call_run_trials(monkeypatch):
+    # bench/workload.py counts the loss evaluations of mc_sweep's search by
+    # wrapping monte_carlo.run_trials, so a search that called through that
+    # name would change what loss_evals_per_s measures
+    def run_trials(*args, **kwargs):
+        raise AssertionError("min_bits_empirical called monte_carlo.run_trials")
+
+    monkeypatch.setattr(monte_carlo, "run_trials", run_trials)
+    for kwargs in ({}, {"statistic": "mean"}, {"csi_samples": 10**6}):
+        scen = Scenario(users=4, decimation=208, seed=5, n_trials=20, **kwargs)
+        ensemble = scen.ensemble()
+        budget = scen.budget(ensemble.grid)
+        config = scen.trial_config(e2_model="uniform_random")
+        assert 1 <= monte_carlo.min_bits_empirical(ensemble, budget, config, 0.1) <= 32
+
+
 def _traced_round(tmp_path, monkeypatch, capsys):
     """The benchmark's ``--trace 1`` path: its observers read positional
     arguments and results of patched names, so a signature change to one of

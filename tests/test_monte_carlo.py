@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -114,7 +115,7 @@ class TestRunTrials:
 
         def engine_paths() -> dict:
             out = {"run_trials": run_trials(ens, budget, _config(11, seed=7)).per_tone}
-            # min_bits_empirical's worst case before the log
+            # min_bits_empirical's path: no band_joint accumulator
             worst, rate, _, _ = monte_carlo._sweep_tones(
                 ens, budget, _config(1, n=100, seed=7), range(1, 33), band_joint=False
             )
@@ -258,11 +259,10 @@ class TestOneDrawServesEveryWordLength:
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
 
 
-class TestWorstCaseBeforeTheLog:
-    """min over trials of q, then one log1p per (user, d), is bitwise the max
-    over trials of the per-trial losses that run_trials_sweep reduces (and
-    TestOneDrawServesEveryWordLength pins to the loss_arrays oracle); this
-    relies on log1p being monotone."""
+class TestSearchPathMatchesTheSweep:
+    """The band_joint=False path that min_bits_empirical takes gives, for
+    d = 1..32, bitwise the per-tone worst case and rate of run_trials_sweep
+    (which TestOneDrawServesEveryWordLength pins to the loss_arrays oracle)."""
 
     def _check(self, ensemble, budget, config):
         d_values = range(1, 33)
@@ -311,6 +311,32 @@ class TestWorstCaseBeforeTheLog:
         for target in (0.1, 0.02, 0.005, 1e-3):
             first = next(r.d_bits for r in reports if np.max(r.eta_per_tone) <= target)
             assert min_bits_empirical(small_ensemble, small_budget, cfg, target) == first
+
+
+class TestToneSubset:
+    """A tone's stream is keyed by its index, so drawing a subset of the tones
+    gives bitwise those tones' columns of the full sweep."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"statistic": "mean"}, {"e1_samples": 1000}],
+        ids=["worst", "mean", "csi"],
+    )
+    def test_subset_draws_the_full_sweeps_bits(self, monkeypatch, threads, kwargs):
+        monkeypatch.setenv("XTALK_THREADS", threads)
+        scen = Scenario()
+        ensemble = scen.ensemble()
+        budget = scen.budget(ensemble.grid)
+        cfg = _config(1, n=100, **kwargs)
+        d_values, idx = range(8, 14), np.array([0, 3, 57, 108])
+        assert ensemble.grid.count == 109
+        full = monte_carlo._sweep_tones(ensemble, budget, cfg, d_values, band_joint=False)
+        part = monte_carlo._sweep_tones(
+            ensemble, budget, cfg, d_values, band_joint=False, tones=idx
+        )
+        assert np.array_equal(part[0], full[0][:, :, idx])
+        assert np.array_equal(part[1], full[1][:, idx])
 
 
 class TestMoreThreadsThanTones:
@@ -610,6 +636,22 @@ class TestMinBitsEmpirical:
             min_bits_empirical(
                 small_ensemble, small_budget, _config(8, n=50), 1e-9, d_max=6
             )
+
+    @pytest.mark.parametrize(
+        "statistic, q, name",
+        [
+            ("worst_case", None, "worst-case"),
+            ("mean", None, "mean"),
+            ("quantile", 0.9, "0.9-quantile"),
+        ],
+    )
+    def test_unreachable_target_names_the_statistic(
+        self, small_ensemble, small_budget, statistic, q, name
+    ):
+        cfg = _config(8, n=50, statistic=statistic, q=q)
+        message = re.escape(f"{name} relative loss still above 1e-09 at d=6")
+        with pytest.raises(TargetUnreachable, match=f"^{message}$"):
+            min_bits_empirical(small_ensemble, small_budget, cfg, 1e-9, d_max=6)
 
     def test_result_is_minimal(self, small_ensemble, small_budget):
         cfg = _config(8, n=100)
