@@ -41,6 +41,11 @@ DEFAULT_K_SIGMA_LOG = 1.0
 
 CHANNEL_FORMAT_VERSION = 1
 
+# Most tones of a grid: 8x the 8192 tones of VDSL2 profile 35b, so no DSL band
+# plan comes near it, while a (tones, p, p) complex stack at p = 10 stays near
+# 100 MB.  A larger count is refused before any per-tone array is formed.
+MAX_TONES = 2**16
+
 
 @dataclass(frozen=True)
 class ToneGrid:
@@ -62,6 +67,8 @@ class ToneGrid:
                 f"bad tone grid: f_start={self.f_start}, f_end={self.f_end}, "
                 f"spacing={self.spacing}"
             )
+        if not (self.f_end - self.f_start) / self.spacing < MAX_TONES:  # inf is refused too
+            raise InvalidParams(f"tone grid of more than {MAX_TONES} tones")
 
     @property
     def count(self) -> int:

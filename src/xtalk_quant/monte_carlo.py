@@ -12,11 +12,11 @@ Band figures come in two flavors:
 * ``band_joint``: per-trial band integral first, statistic across trials.
 
 Randomness is counter-based (:mod:`xtalk_quant.streams`): each (purpose,
-tone) pair owns a Philox stream keyed by the seed, so results do not depend
-on evaluation order or thread count.  The uniform base variates U do not
-depend on the word length: E2 is 2^-d U.  That gives common random numbers,
-which keeps the empirical worst case monotone in d, and it lets one draw
-serve every word length of a sweep.
+tone) pair, and each resampled (tone, trial), owns a Philox stream keyed by
+the seed, so results do not depend on evaluation order or thread count.
+The uniform base variates U do not depend on the word length: E2 is 2^-d U.
+That gives common random numbers, which keeps the empirical worst case
+monotone in d, and it lets one draw serve every word length of a sweep.
 Per tone, ``run_trials_sweep`` draws U (and the CSI error E1) once, forms
 Q U (and E1 inv(Q + E1)) once, and with E1 absent also the O(p^2) part of
 the loss kernel once; each d then costs O(n p), since Delta(d) = 2^-d Q U
@@ -36,13 +36,15 @@ plane, through a float plane that lives in the Q U buffer until the matmul
 fills it.  Once Q U is formed, U's memory holds the two |Delta_ij|^2 planes
 of ``interference_terms`` and then a and q for up to ``D_BLOCK`` word
 lengths per pass of the kernel: fewer numpy calls, the same operations on
-each element.  Every trial's loss is formed; each slice keeps its own worst
-case, the slices combine by an exact max, and each worker adds its tones to
-its own columns of ``band_joint`` in tone order, so every result is the same
-bits at any ``XTALK_THREADS``.  CSI trials and the mean and quantile
-statistics run as one slice: E1's Gaussian draw takes a varying number of
-words and is resampled in trial order, the mean sums the trials in order,
-and the quantile needs all of them.
+each element.  E1's Gaussian draw takes a varying number of words and
+cannot skip, so each worker draws the tone's full E1, keeps its own rows and
+forms each Delta(d) in them.  Every trial's loss is formed; each slice keeps
+its own worst case, the slices combine by an exact max, and each worker adds
+its tones to its own columns of ``band_joint`` in tone order, so every result
+is the same bits at any ``XTALK_THREADS``.  So is every error: the one raised
+is the lowest tone's, the first slice's on a tie, as one slice meets it.  The
+mean and quantile statistics run as one slice: the mean sums the trials in
+order, and the quantile needs all of them.
 
 ``min_bits_empirical`` needs only the first word length that meets its
 target on every tone, so it sweeps one kernel pass of word lengths at a
@@ -50,16 +52,18 @@ time, lowest first, and drops a pass at the first tone where all of its word
 lengths miss (on the reference scenario tone 0 rules out d = 1..16 at 1 %).
 Quantization-only trials draw E2 = 2^-d U inside the box that
 ``rate_analysis.worst_case_loss`` maximizes over exactly, so no trial's loss,
-and no statistic of them, exceeds that supremum.  Before a pass draws
-anything, each tone whose supremum meets the target at every word length of
-the pass, with ``CERT_MARGIN`` to spare, is certified and skipped; a pass
-with no tone left returns its lowest word length (on the reference scenario
-at 1 % every tone is certified at d = 17..20, so only tone 0 is ever drawn).
+and no statistic of them, exceeds that supremum; one call over d = 1..d_max
+serves the whole search.  Before a pass draws anything, each tone whose
+supremum meets the target at every word length of the pass, with
+``CERT_MARGIN`` to spare, is certified and skipped; a pass with no tone left
+returns its lowest word length (on the reference scenario at 1 % every tone
+is certified at d = 17..20, so only tone 0 is ever drawn).
 
 A CSI trial whose Q + E1 is singular, or whose condition number exceeds
-``precoding.COND_LIMIT``, is resampled.  ||M||_F ||inv(M)||_F bounds the
-condition number from above and is read off the inverse already formed, so
-only the trials it flags pay for an exact condition number.
+``precoding.COND_LIMIT``, is resampled from its own (tone, trial) stream.
+||M||_F ||inv(M)||_F bounds the condition number from above and is read off
+the inverse already formed, so only the trials it flags pay for an exact
+condition number.
 """
 
 from __future__ import annotations
@@ -251,14 +255,15 @@ def _sweep_tones(
 
     Returns the per-tone statistic (len(d_values), p, tones), the rate
     (p, tones), with ``band_joint`` the per-trial losses summed over tones
-    (len(d_values), n_trials, p) and else None, and the resampled trials.
+    (len(d_values), n_trials, p) and else None, and the resampled trials,
+    sorted by (tone, trial, attempt).
 
     With a relative-loss ``target``, after each tone every worker marks the
     word lengths whose statistic over its own slice already misses the
     target on that tone (NaN misses it too).  The slices combine by an exact
-    max, so a miss in one slice is a miss of the whole tone.
-    Once every word length is marked the workers stop at their next tone and
-    None is returned.
+    max, so a miss in one slice is a miss of the whole tone.  A worker stops
+    at a tone once every word length has missed at an earlier tone, and then
+    None is returned, unless an error came first: as one slice would.
 
     With ``tones`` (ascending tone indices) only those tones are drawn, and
     the statistic and the rate hold only their columns.  A tone's stream is
@@ -279,21 +284,24 @@ def _sweep_tones(
     rate_all = np.log1p(esnr_all) / LN2
     joint = np.zeros((len(d_values), n, p)) if band_joint else None
     threads = _engine_threads()
-    if e1_samples is not None or config.statistic != WORST_CASE:
+    if config.statistic != WORST_CASE:
         threads = 1  # one slice: see the module docstring
     bounds = _trial_slices(n, threads)
-    failed = np.zeros(len(d_values), dtype=bool)  # workers only set flags: no lock needed
+    # per slice, each d's first missed tone (position in ``tones``): a worker writes only its row
+    missed = np.full((len(bounds) - 1, len(d_values)), np.inf)
+    at = [0] * (len(bounds) - 1)  # the tone each slice is on, to place its error
     tones = np.arange(n_tones) if tones is None else tones
 
-    def run_slice(t0: int, t1: int) -> tuple:
+    def run_slice(w: int, t0: int, t1: int) -> tuple:
         """Every tone's trials t0..t1-1, in tone order: per (d, user, tone)
         the statistic of the slice, and ``band_joint``'s columns t0..t1-1."""
         ws = _Workspace(t1 - t0, p, block)
         part = np.empty((len(d_values), p, len(tones)))
         failures: list = []
         for c, k in enumerate(tones):
-            if target is not None and failed.all():
+            if target is not None and missed.min(axis=0).max() < c:  # all d missed earlier
                 break
+            at[w] = c
             snr, esnr, rate, q_mat = snr_all[k], esnr_all[k], rate_all[k], q_all[k]
             if config.zero_errors:
                 ws.u.fill(0.0)
@@ -305,15 +313,13 @@ def _sweep_tones(
                 terms = interference_terms(qu, psd_lin, out=ws.terms)
                 per_block = ((terms, s) for s in scale_blocks)
             else:
-                e1 = streams.csi_error(
-                    streams.stream(seed, streams.MC_E1, k), snr, e1_samples, (n,)
-                )
-                m_inv = _invert_with_resampling(q_mat, e1, snr, e1_samples, seed, k, failures)
-                e1_term = e1 @ m_inv
-                per_block = (
-                    (interference_terms(s * qu - e1_term, psd_lin, out=ws.terms), _UNIT_SCALE)
-                    for s in scales
-                )
+                rng = streams.stream(seed, streams.MC_E1, k)
+                e1 = streams.csi_error(rng, snr, e1_samples, (n,))[t0:t1]
+                m_inv = _invert_with_resampling(q_mat, e1, snr, e1_samples, seed, k, t0, failures)
+                e1_term = np.matmul(e1, m_inv, out=m_inv)
+                deltas = (np.subtract(np.multiply(s, qu, out=e1), e1_term, out=e1) for s in scales)
+                per_block = ((interference_terms(x, psd_lin, out=ws.terms), _UNIT_SCALE)
+                             for x in deltas)
             i = 0
             for (cross, re, im), s in per_block:
                 k_d = s.shape[0]
@@ -326,17 +332,22 @@ def _sweep_tones(
                 part[i : i + k_d, :, c] = _reduce(loss, config, axis=1)
                 i += k_d
             if target is not None:
-                failed[~np.all(part[:, :, c] / rate <= target, axis=1)] = True
+                miss = ~np.all(part[:, :, c] / rate <= target, axis=1)
+                missed[w, miss & (missed[w] == np.inf)] = c
         return part, failures
 
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
-        slices = list(pool.map(run_slice, bounds[:-1], bounds[1:]))
-    if target is not None and failed.all():
-        return None
+        runs = [pool.submit(run_slice, w, *bounds[w : w + 2]) for w in range(len(bounds) - 1)]
+    errors = [(at[w], w) for w, run in enumerate(runs) if run.exception() is not None]
+    if missed.min(axis=0).max() < min(errors, default=(np.inf,))[0]:
+        return None  # every d missed before any error: as one slice, which stops there
+    if errors:
+        raise runs[min(errors)[1]].exception()
+    slices = [run.result() for run in runs]
     # a lone mean or quantile passes through
     per_tone = functools.reduce(np.maximum, [part for part, _ in slices])
     rate = np.ascontiguousarray(rate_all[tones].T)
-    return per_tone, rate, joint, [f for _, failures in slices for f in failures]
+    return per_tone, rate, joint, sorted(f for _, failures in slices for f in failures)
 
 
 def _invert_with_resampling(
@@ -346,11 +357,14 @@ def _invert_with_resampling(
     n_samples: int,
     seed: int,
     tone: int,
+    t0: int,
     failures: list,
 ) -> np.ndarray:
-    """inv(Q + E1) per trial; a trial whose Q + E1 is singular or has a
-    condition number above ``COND_LIMIT`` gets a fresh E1 draw (in place, so
-    the caller's delta uses the same matrices), up to ``RETRY_CAP`` times."""
+    """inv(Q + E1) per trial of E1, whose rows are trials t0, t0 + 1, ...; a
+    trial whose Q + E1 is singular or has a condition number above
+    ``COND_LIMIT`` gets fresh E1 draws from its own (tone, trial) stream (in
+    place, so the caller's delta uses the same matrices), up to ``RETRY_CAP``
+    of them.  Failures and errors name the trial by its global index."""
     m = q_mat[None, :, :] + e1
     try:
         out = np.linalg.inv(m)
@@ -358,8 +372,8 @@ def _invert_with_resampling(
         out, redo = np.empty_like(e1), range(e1.shape[0])
     else:
         redo = _ill_conditioned(m, out)
-    resampler = streams.stream(seed, streams.MC_E1_RESAMPLE, tone)
     for t in redo:
+        resampler = streams.stream(seed, streams.MC_E1_RESAMPLE, tone, t0 + t)
         for attempt in range(RETRY_CAP + 1):
             m_t = q_mat + e1[t]
             try:
@@ -369,10 +383,10 @@ def _invert_with_resampling(
             else:
                 if not _ill_conditioned(m_t[None], out[t : t + 1]).size:
                     break
-            failures.append((tone, t, attempt))
+            failures.append((tone, t0 + t, attempt))
             if attempt == RETRY_CAP:
                 raise SingularChannel(
-                    f"tone {tone} trial {t} singular or ill-conditioned after "
+                    f"tone {tone} trial {t0 + t} singular or ill-conditioned after "
                     f"{RETRY_CAP} resamples",
                     tone=tone,
                 )
@@ -407,8 +421,8 @@ def min_bits_empirical(
     ``CERT_MARGIN`` below the target at each of its word lengths, and draws
     only the others; when none is left the pass's lowest d passes.  The
     result is the first passing d of ``run_trials_sweep``'s full table.  An
-    error raised only at tones that a stopped pass never reaches, or only at
-    a tone certified for its pass, is not raised.
+    error raised only at tones past the one where a pass stopped, or only at
+    a tone certified for its pass, is not raised, at any thread count.
     """
     if not 0.0 < target_eta <= 1.0:
         raise InvalidParams("target_eta must lie in (0, 1]")
@@ -416,15 +430,18 @@ def min_bits_empirical(
         raise InvalidParams("d_max must be >= 1")
     block = _block(ensemble.p)
     certify = config.spec.e1_samples is None
-    if certify:
+    if certify:  # per (d, tone): the supremum meets the target at d
         rate = np.log1p(budget.snr(ensemble) / budget.gap).T / LN2  # the engine's rate
+        widths = np.array([2.0 ** (-d) for d in range(1, d_max + 1)])[:, None]
+        sup = worst_case_loss(budget, ensemble, widths)
+        sup /= rate  # in place: the search holds one (d_max, p, tones) array
+        certified = np.all(sup <= target_eta - CERT_MARGIN, axis=1)
+        del sup  # the passes read only the flags
     for lo in range(1, d_max + 1, block):
         window = range(lo, min(lo + block, d_max + 1))
         tones = None
         if certify:
-            widths = np.array([2.0 ** (-d) for d in window])[:, None]
-            sup = worst_case_loss(budget, ensemble, widths) / rate
-            tones = np.flatnonzero(~np.all(sup <= target_eta - CERT_MARGIN, axis=(0, 1)))
+            tones = np.flatnonzero(~np.all(certified[lo - 1 : window[-1]], axis=0))
             if not tones.size:
                 return window[0]
         swept = _sweep_tones(

@@ -32,7 +32,7 @@ from .channel_model import ChannelEnsemble, ToneGrid
 from .errors import InvalidBudget, InvalidParams, NumericalError
 from .units import LN2, db_to_linear
 
-WORST_CASE_BLOCK = 8  # tones per block of worst_case_loss: its temporaries stay O(block p^2)
+WORST_CASE_BLOCK = 32  # (tone, width) pairs per worst_case_loss block: temporaries O(block p^2)
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,11 @@ class LinkBudget:
             raise InvalidBudget("noise PSD must be finite")
         if not np.isfinite(self.gamma_db) or self.gamma_db < 0:
             raise InvalidBudget("Shannon gap must be finite and >= 0 dB")
+        with np.errstate(over="ignore"):  # an overflow to inf is refused below
+            linear = (db_to_linear(psd), db_to_linear(self.noise_dbm_hz), self.gap)
+        for name, value in zip(("per-user PSD", "noise PSD", "Shannon gap"), linear):
+            if not np.all(np.isfinite(value) & (value > 0.0)):
+                raise InvalidBudget(f"{name} is not a finite, positive linear power")
 
     @property
     def gap(self) -> float:
@@ -258,8 +263,8 @@ def worst_case_loss(
     array gives (p, tones), and a (k, 1) or (k, tones) array gives
     (k, p, tones).  Each tone's polygon is built once at unit half-width
     (R scales by h, dist(-1, hZ) = h dist(-1/h, Z)) and the tones are taken
-    ``WORST_CASE_BLOCK`` at a time, so the temporaries do not grow with the
-    tone count.
+    in blocks of about ``WORST_CASE_BLOCK`` (tone, half-width) pairs, so the
+    temporaries grow with neither the tone count nor the number of widths.
     """
     n_tones, p = ensemble.grid.count, ensemble.p
     widths = np.asarray(half_width, dtype=float)
@@ -269,8 +274,9 @@ def worst_case_loss(
     psd = budget.psd_linear(p)
     spread = (psd.sum() - psd) / psd  # sum_{j != i} P_j / P_i
     out = np.empty((*widths.shape[:-1], p, n_tones))
-    for k0 in range(0, n_tones, WORST_CASE_BLOCK):
-        tones = slice(k0, k0 + WORST_CASE_BLOCK)
+    block = max(1, WORST_CASE_BLOCK // widths[..., 0].size)
+    for k0 in range(0, n_tones, block):
+        tones = slice(k0, k0 + block)
         h = widths[..., tones, None]
         radius, dist = _zonotope_reach(ensemble.Q[tones], -1.0 / h)
         snr = budget.snr(ensemble, tones)

@@ -19,7 +19,7 @@ E2 = 2               # analyze: uniform precoder quantization error, by tone
 E1 = 3               # analyze: channel-estimation error, by tone
 MC_E2 = 10           # trials: uniform base variates U, by tone
 MC_E1 = 11           # trials: channel-estimation error, by tone
-MC_E1_RESAMPLE = 12  # trials: fresh E1 for singular trials, by tone
+MC_E1_RESAMPLE = 12  # trials: fresh E1 for a singular trial, by (tone, trial)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xtalk_quant.channel_model import (
+    MAX_TONES,
     ChannelEnsemble,
     ToneGrid,
     WernerParams,
@@ -50,6 +51,17 @@ class TestToneGrid:
     def test_rejects_bad_grids(self, f_start, f_end, spacing):
         with pytest.raises(InvalidParams):
             ToneGrid(f_start, f_end, spacing)
+
+    @pytest.mark.parametrize(
+        "f_end, spacing",
+        [(MAX_TONES * 4312.5, 4312.5), (1e300, 4312.5), (1e10, 1e-320)],
+        ids=["one above", "1e300", "inf"],
+    )
+    def test_refuses_more_tones_than_the_ceiling(self, f_end, spacing):
+        # only the grid's fields are formed: a refused count allocates nothing
+        with pytest.raises(InvalidParams, match=f"more than {MAX_TONES} tones"):
+            ToneGrid(0.0, f_end, spacing)
+        assert ToneGrid(0.0, (MAX_TONES - 1) * 4312.5, 4312.5).count == MAX_TONES
 
 
 class TestSynthesis:

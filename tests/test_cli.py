@@ -650,6 +650,12 @@ class TestExitCodes:
             (["bound", "--d-min", "0", "--which", "werner"], 2),
             (["design-bits", "--target-relative", "1e-300"], 3),
             (["bound", "--d-min", "1", "--which", "main", "--users", "10"], 4),
+            # linear powers that overflow to inf once wrote NaN reports and exited 0
+            (["bound", "--which", "main", "--psd", "1e308", "--decimation", "1024"], 2),
+            (["analyze", "--normalize", "--gap", "1e6", "--decimation", "1024"], 2),
+            (["simulate", "--noise", "1e308", "--decimation", "1024"], 2),
+            # a tone count past the ceiling, refused before any array is formed
+            (["bound", "--band", "1e300"], 2),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
     )

@@ -2,6 +2,7 @@ import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -343,7 +344,7 @@ class TestMoreThreadsThanTones:
     """``XTALK_THREADS`` above the tone count: the workers split each tone's
     trials, not the tones, so a worst-case sweep makes one workspace per trial
     slice, the slices' trials add up to ``n_trials``, and 1, 3 or 8 threads
-    give the same bits.  CSI trials and the mean run as one slice."""
+    give the same bits.  The mean runs as one slice."""
 
     N = 60
 
@@ -374,7 +375,7 @@ class TestMoreThreadsThanTones:
                 cfg = _config(1, n=self.N, **kwargs)
                 for rep in run_trials_sweep(ensemble, budget, cfg, (6, 10, 14)):
                     out += [rep.per_tone, rep.rate_per_tone, rep.band_per_bin, rep.band_joint]
-                check_workspaces(int(threads), one_slice=bool(kwargs))
+                check_workspaces(int(threads), one_slice="statistic" in kwargs)
             out += monte_carlo._sweep_tones(
                 ensemble, budget, _config(1, n=self.N), range(1, 33), band_joint=False
             )[:2]
@@ -501,7 +502,7 @@ class TestResampling:
         e1 = _draw_e1(seed, 0, 3, snr, n_samples)
         e1[1] = -q_mat  # Q + E1 = 0: trial 1 must be resampled
         failures = []
-        _invert_with_resampling(q_mat, e1, snr, n_samples, seed, 0, failures)
+        _invert_with_resampling(q_mat, e1, snr, n_samples, seed, 0, 0, failures)
         assert failures == [(0, 1, 0)]
         assert np.all(np.isfinite(e1[1])) and not np.array_equal(e1[1], -q_mat)
         # the resample must not replay the primary E1 draws of another seed
@@ -512,28 +513,72 @@ class TestResampling:
         self, small_ensemble, small_budget, monkeypatch
     ):
         """A singular Q + E1, forced on one (tone, trial) found by the tone's
-        SNR row rather than by call order, is resampled alike on any schedule."""
-        tone, trial = 5, 7
+        SNR row rather than by call order, is resampled alike on any schedule:
+        its fresh draw is keyed by (tone, trial), not by the slice."""
+        tone, trial, n = 5, 13, 24
+        for threads in (2, 3):  # the planted trial sits in the second slice
+            bounds = monte_carlo._trial_slices(n, threads)
+            assert len(bounds) == threads + 1 and bounds[1] <= trial < bounds[2]
         snrs = small_budget.snr(small_ensemble)
         assert sum(np.array_equal(row, snrs[tone]) for row in snrs) == 1
         q_mat, real_csi_error = small_ensemble.Q[tone], streams.csi_error
+
+        resamples = []
 
         def csi_error(rng, snr, n_samples, trials=()):
             e1 = real_csi_error(rng, snr, n_samples, trials)
             if trials and np.array_equal(snr, snrs[tone]):  # the tone's primary draw
                 e1[trial] = -q_mat
+            elif not trials:
+                resamples.append(e1)
             return e1
 
         monkeypatch.setattr(streams, "csi_error", csi_error)
-        monkeypatch.delenv("XTALK_THREADS", raising=False)
-        cfg, d_values = _config(1, n=20, e1_samples=1000), (8, 12, 16)
-        one = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
-        monkeypatch.setenv("XTALK_THREADS", "2")
-        two = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
-        for a, b in zip(one, two):
-            assert a.trial_failures == b.trial_failures == [(tone, trial, 0)]
-            for name in ("per_tone", "rate_per_tone", "band_per_bin", "band_joint", "band_rate"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
+        cfg, d_values = _config(1, n=n, e1_samples=1000), (8, 12, 16)
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("XTALK_THREADS", threads)
+            runs.append(run_trials_sweep(small_ensemble, small_budget, cfg, d_values))
+        # the resampled trial need not be the worst, so its fresh draw is compared too
+        assert len(resamples) == 3
+        assert all(np.array_equal(resamples[0], other) for other in resamples[1:])
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert a.trial_failures == b.trial_failures == [(tone, trial, 0)]
+                for name in ("per_tone", "rate_per_tone", "band_per_bin", "band_joint", "band_rate"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
+
+    def test_exhaustion_names_the_same_trial_at_any_thread_count(
+        self, small_ensemble, small_budget, monkeypatch
+    ):
+        """Two trials stay singular after every resample; at any thread count
+        the error names the one a single slice meets first, the lower tone,
+        although with two slices the other one is in the first slice."""
+        planted = {2: 55, 5: 3}  # tone: trial
+        snrs = small_budget.snr(small_ensemble)
+        real_csi_error = streams.csi_error
+
+        def csi_error(rng, snr, n_samples, trials=()):
+            k = next((k for k in planted if np.array_equal(snr, snrs[k])), None)
+            if k is None:
+                return real_csi_error(rng, snr, n_samples, trials)
+            if not trials:  # a resample lands on the singular point again
+                return -small_ensemble.Q[k]
+            e1 = real_csi_error(rng, snr, n_samples, trials)
+            e1[planted[k]] = -small_ensemble.Q[k]
+            return e1
+
+        monkeypatch.setattr(streams, "csi_error", csi_error)
+        cfg = _config(1, n=100, e1_samples=1000)
+        assert monte_carlo._trial_slices(100, 2) == [0, 48, 100]
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("XTALK_THREADS", threads)
+            with pytest.raises(SingularChannel) as err:
+                run_trials_sweep(small_ensemble, small_budget, cfg, (8, 12))
+            assert str(err.value) == (
+                f"tone 2 trial 55 singular or ill-conditioned after {RETRY_CAP} resamples"
+            ), threads
+            assert err.value.tone == 2
 
     def test_ill_conditioned_trial_is_resampled(self, small_ensemble, small_budget):
         # Q + E1 = diag(1, 1, 1, 1e-14) on trial 1 inverts without LinAlgError,
@@ -545,7 +590,7 @@ class TestResampling:
         assert 1e13 < np.linalg.cond(q_mat + e1[1]) < 1e15
         np.linalg.inv(q_mat + e1)
         failures = []
-        m_inv = _invert_with_resampling(q_mat, e1, snr, n_samples, seed, 2, failures)
+        m_inv = _invert_with_resampling(q_mat, e1, snr, n_samples, seed, 2, 0, failures)
         assert failures == [(2, 1, 0)]
         assert np.all(np.linalg.cond(q_mat + e1) <= COND_LIMIT)
         assert np.allclose(m_inv @ (q_mat + e1), np.eye(4))
@@ -577,7 +622,7 @@ class TestResampling:
         monkeypatch.setattr(streams, "csi_error", lambda rng, snr, n: -q_mat)
         failures = []
         with pytest.raises(SingularChannel, match="tone 3 trial 1") as err:
-            _invert_with_resampling(q_mat, e1, snr, 1000, 42, 3, failures)
+            _invert_with_resampling(q_mat, e1, snr, 1000, 42, 3, 0, failures)
         assert err.value.tone == 3
         assert failures == [(3, 1, a) for a in range(RETRY_CAP + 1)]
 
@@ -794,12 +839,10 @@ class TestScanStopsEarly:
         monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
         assert min_bits_empirical(ensemble, budget, cfg, 0.01) == 17
         slices = len(monte_carlo._trial_slices(cfg.n_trials, int(threads))) - 1
-        # one kernel call per slice and pass, on tone 0 only; a worker that
-        # starts after the others have marked every word length skips it
+        # one kernel call per slice and pass, on tone 0 only: a worker stops
+        # only at a tone after the one where every word length missed
         assert set(calls) == {(True, 1), (True, 5), (True, 9), (True, 13)}
-        assert 4 <= len(calls) <= 4 * slices
-        if slices == 1:
-            assert len(calls) == 4
+        assert len(calls) == 4 * slices
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_reference_scenario_matches_the_full_table(self, monkeypatch, threads):
@@ -812,6 +855,37 @@ class TestScanStopsEarly:
         for target in (0.05, 0.01, 0.002):
             first = next(r.d_bits for r in reports if np.max(r.eta_per_tone) <= target)
             assert min_bits_empirical(ensemble, budget, cfg, target, d_max=20) == first, target
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_error_past_the_stop_is_not_raised_at_any_thread_count(
+        self, small_ensemble, small_budget, monkeypatch, threads
+    ):
+        # the first slice misses every d on tone 2 (NaN), but only after a
+        # pause; the last slice breaks on tone 6 meanwhile.  One slice stops
+        # after tone 2 and never meets tone 6, so no thread count raises
+        n = 100
+        bounds = monte_carlo._trial_slices(n, threads)
+        first, last = bounds[1] - bounds[0], bounds[-1] - bounds[-2]
+        snrs = small_budget.snr(small_ensemble)
+        real_ratio = monte_carlo.interference_ratio
+
+        def ratio(snr, cross, re, im, scale=1.0, out=None):
+            a, q = real_ratio(snr, cross, re, im, scale, out)
+            if cross.shape[0] == first and np.array_equal(snr, snrs[2]):
+                time.sleep(0.2)
+                q[...] = np.nan
+            if cross.shape[0] == last and np.array_equal(snr, snrs[6]):
+                raise NumericalError("tone 6 broke")
+            return a, q
+
+        monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
+        monkeypatch.setenv("XTALK_THREADS", str(threads))
+        cfg = _config(8, n=n)
+        assert monte_carlo._sweep_tones(
+            small_ensemble, small_budget, cfg, (12, 13), False, target=1.0
+        ) is None
+        with pytest.raises(NumericalError, match="^tone 6 broke$"):
+            monte_carlo._sweep_tones(small_ensemble, small_budget, cfg, (12, 13), False)
 
     def test_error_after_every_window_stopped_is_not_raised(
         self, small_ensemble, small_budget, monkeypatch

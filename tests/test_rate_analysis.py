@@ -45,6 +45,16 @@ class TestRateIdeal:
         with pytest.raises(InvalidBudget):
             _budget(psd=float("nan"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("psd", 1e308), ("psd", [-60.0, 1e308]), ("psd", -1e308), ("noise", 1e308),
+         ("noise", -1e308), ("gap_db", 1e6)],
+    )
+    def test_linear_power_must_be_finite_and_positive(self, field, value):
+        # 10^(dB/10) overflows to inf or underflows to 0; refused, with no warning
+        with pytest.raises(InvalidBudget, match="not a finite, positive linear power"):
+            _budget(**{field: value})
+
     def test_psd_spread_statistics(self):
         flat = _budget()
         assert flat.psd_dynamic_range(5) == 1.0

@@ -247,6 +247,23 @@ class TestShapesAndMemory:
             tracemalloc.stop()
         assert peak - out.nbytes <= 2**20
 
+    def test_peak_does_not_grow_with_the_number_of_widths(self):
+        # min_bits_empirical's certificate: 32 half-widths in one call on the
+        # 30a plan; beyond the (32, p, tones) result the peak stays under 1 MB
+        grid = ToneGrid.vdsl_band(decimation=2)
+        ensemble = synthesize_channel(reference_params(), grid, 5)
+        ensemble.Q
+        budget = LinkBudget(-60.0, -140.0, 10.7, grid)
+        widths = np.array([2.0**-d for d in range(1, 33)])[:, None]
+        tracemalloc.start()
+        try:
+            out = worst_case_loss(budget, ensemble, widths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (32, 10, 3479)
+        assert peak - out.nbytes <= 2**20
+
     def test_minus_one_inside_loses_the_whole_rate(self, reference):
         # at h = 2 each Z_i holds the square of half-width 2 |Q_ii| = 2 around
         # 0, so Delta_ii = -1 is feasible: q = 0 and the loss is the rate
