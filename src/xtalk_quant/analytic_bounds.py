@@ -193,8 +193,8 @@ class WernerBoundParams:
         vals = (self.alpha_ell, self.gamma1, self.gamma2, self.snr0, self.bandwidth_hz, self.gap)
         if not all(math.isfinite(v) for v in vals):
             raise InvalidParams("non-finite Werner bound parameter")
-        if self.alpha_ell <= 0:
-            raise InvalidParams("alpha_ell must be positive")
+        if not self.alpha_ell * self.alpha_ell > 0:  # the bounds divide by alpha_ell^2
+            raise InvalidParams(f"alpha_ell must square to a positive float, got {self.alpha_ell}")
         if self.gamma1 < 0 or self.gamma2 < 0 or self.p < 2:
             raise InvalidParams("bad dominance fit or pair count")
         if self.snr0 <= 0 or self.bandwidth_hz <= 0 or self.gap < 1.0:

@@ -70,14 +70,17 @@ def _werner_bound_params(scen: Scenario, ensemble) -> WernerBoundParams:
     if isinstance(scen.psd_dbm_hz, list):
         raise InvalidParams("the closed-form band bounds need one psd_dbm_hz for all users")
     fit = fit_row_dominance(ensemble)
+    with np.errstate(over="ignore"):  # WernerBoundParams refuses an overflow to inf
+        snr0 = float(db_to_linear(scen.psd_dbm_hz - scen.noise_dbm_hz))
+        gap = float(db_to_linear(scen.gamma_db))
     return WernerBoundParams.from_amplitude_aggregate(
         amplitude_aggregate=fit_alpha(ensemble),
         gamma1=max(fit.gamma1, 0.0),
         gamma2=max(fit.gamma2, 0.0),
         p=ensemble.p,
-        snr0=float(db_to_linear(scen.psd_dbm_hz - scen.noise_dbm_hz)),
+        snr0=snr0,
         bandwidth_hz=ensemble.grid.bandwidth,
-        gap=float(db_to_linear(scen.gamma_db)),
+        gap=gap,
     )
 
 

@@ -203,6 +203,12 @@ def sweep_bits_vs_loop_length(
     """
     if not lengths_m:
         raise InvalidParams("need at least one loop length")
+    # a bad target, or a length that would print as nan or inf, fails the
+    # whole sweep instead of filling its rows
+    if not all(math.isfinite(ell) for ell in lengths_m):
+        raise InvalidParams(f"loop lengths must be finite, got {list(lengths_m)}")
+    if not 0.0 < tau <= 1.0:
+        raise InvalidParams("tau must lie in (0, 1]")
     rows = []
     for ell in lengths_m:
         try:

@@ -47,17 +47,16 @@ mean and quantile statistics run as one slice: the mean sums the trials in
 order, and the quantile needs all of them.
 
 ``min_bits_empirical`` needs only the first word length that meets its
-target on every tone, so it sweeps one kernel pass of word lengths at a
-time, lowest first, and drops a pass at the first tone where all of its word
-lengths miss (on the reference scenario tone 0 rules out d = 1..16 at 1 %).
-Quantization-only trials draw E2 = 2^-d U inside the box that
-``rate_analysis.worst_case_loss`` maximizes over exactly, so no trial's loss,
-and no statistic of them, exceeds that supremum; one call over d = 1..d_max
-serves the whole search.  Before a pass draws anything, each tone whose
-supremum meets the target at every word length of the pass, with
-``CERT_MARGIN`` to spare, is certified and skipped; a pass with no tone left
-returns its lowest word length (on the reference scenario at 1 % every tone
-is certified at d = 17..20, so only tone 0 is ever drawn).
+target on every tone.  Quantization-only trials draw E2 = 2^-d U inside the
+box that ``rate_analysis.worst_case_loss`` maximizes over exactly, so no
+trial's loss, and no statistic of them, exceeds that supremum; one call over
+d = 1..d_max certifies each (d, tone) whose supremum meets the target with
+``CERT_MARGIN`` to spare.  The first d certified on every tone passes, and
+only the word lengths below it stay in the running.  The search then walks
+the tones in order, drawing each once at the word lengths still in the
+running that are not certified on it, and drops every d that misses there.
+An error is raised only by a draw at word lengths still in the running (on
+the reference scenario at 1 % the one draw is tone 0 at d = 1..16).
 
 A CSI trial whose Q + E1 is singular, or whose condition number exceeds
 ``precoding.COND_LIMIT``, is resampled from its own (tone, trial) stream.
@@ -248,22 +247,14 @@ def _sweep_tones(
     config: TrialConfig,
     d_values,
     band_joint: bool,
-    target: float | None = None,
-    tones: np.ndarray | None = None,
-) -> tuple | None:
+    tones=None,
+) -> tuple:
     """The trial engine behind ``run_trials_sweep`` and ``min_bits_empirical``.
 
     Returns the per-tone statistic (len(d_values), p, tones), the rate
     (p, tones), with ``band_joint`` the per-trial losses summed over tones
     (len(d_values), n_trials, p) and else None, and the resampled trials,
     sorted by (tone, trial, attempt).
-
-    With a relative-loss ``target``, after each tone every worker marks the
-    word lengths whose statistic over its own slice already misses the
-    target on that tone (NaN misses it too).  The slices combine by an exact
-    max, so a miss in one slice is a miss of the whole tone.  A worker stops
-    at a tone once every word length has missed at an earlier tone, and then
-    None is returned, unless an error came first: as one slice would.
 
     With ``tones`` (ascending tone indices) only those tones are drawn, and
     the statistic and the rate hold only their columns.  A tone's stream is
@@ -273,13 +264,13 @@ def _sweep_tones(
     n = config.n_trials
     seed, e1_samples = config.spec.seed, config.spec.e1_samples
     psd_lin = budget.psd_linear(p)
-    n_tones = ensemble.grid.count
+    tones = list(range(ensemble.grid.count)) if tones is None else [int(k) for k in tones]
     scales = [2.0 ** (-d) for d in d_values]
     block = _block(p)
     scale_blocks = [
         np.array(scales[i : i + block])[:, None, None] for i in range(0, len(scales), block)
     ]
-    snr_all, q_all = budget.snr(ensemble), ensemble.Q
+    snr_all, q_all = budget.snr(ensemble, tones), ensemble.Q
     esnr_all = snr_all / budget.gap
     rate_all = np.log1p(esnr_all) / LN2
     joint = np.zeros((len(d_values), n, p)) if band_joint else None
@@ -287,10 +278,7 @@ def _sweep_tones(
     if config.statistic != WORST_CASE:
         threads = 1  # one slice: see the module docstring
     bounds = _trial_slices(n, threads)
-    # per slice, each d's first missed tone (position in ``tones``): a worker writes only its row
-    missed = np.full((len(bounds) - 1, len(d_values)), np.inf)
     at = [0] * (len(bounds) - 1)  # the tone each slice is on, to place its error
-    tones = np.arange(n_tones) if tones is None else tones
 
     def run_slice(w: int, t0: int, t1: int) -> tuple:
         """Every tone's trials t0..t1-1, in tone order: per (d, user, tone)
@@ -299,10 +287,8 @@ def _sweep_tones(
         part = np.empty((len(d_values), p, len(tones)))
         failures: list = []
         for c, k in enumerate(tones):
-            if target is not None and missed.min(axis=0).max() < c:  # all d missed earlier
-                break
             at[w] = c
-            snr, esnr, rate, q_mat = snr_all[k], esnr_all[k], rate_all[k], q_all[k]
+            snr, esnr, rate, q_mat = snr_all[c], esnr_all[c], rate_all[c], q_all[k]
             if config.zero_errors:
                 ws.u.fill(0.0)
             else:
@@ -331,22 +317,17 @@ def _sweep_tones(
                     joint[i : i + k_d, t0:t1] += loss
                 part[i : i + k_d, :, c] = _reduce(loss, config, axis=1)
                 i += k_d
-            if target is not None:
-                miss = ~np.all(part[:, :, c] / rate <= target, axis=1)
-                missed[w, miss & (missed[w] == np.inf)] = c
         return part, failures
 
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
         runs = [pool.submit(run_slice, w, *bounds[w : w + 2]) for w in range(len(bounds) - 1)]
     errors = [(at[w], w) for w, run in enumerate(runs) if run.exception() is not None]
-    if missed.min(axis=0).max() < min(errors, default=(np.inf,))[0]:
-        return None  # every d missed before any error: as one slice, which stops there
     if errors:
         raise runs[min(errors)[1]].exception()
     slices = [run.result() for run in runs]
     # a lone mean or quantile passes through
     per_tone = functools.reduce(np.maximum, [part for part, _ in slices])
-    rate = np.ascontiguousarray(rate_all[tones].T)
+    rate = np.ascontiguousarray(rate_all.T)
     return per_tone, rate, joint, sorted(f for _, failures in slices for f in failures)
 
 
@@ -412,47 +393,49 @@ def min_bits_empirical(
     d_max: int = 32,
 ) -> int:
     """Smallest word length in 1..``d_max`` whose per-tone relative loss
-    statistic meets ``target_eta``.
+    statistic meets ``target_eta``: the first passing d of
+    ``run_trials_sweep``'s full table.
 
-    Word lengths are swept one kernel pass at a time, lowest first, and a
-    pass stops at the first tone where all of its word lengths miss the
-    target.  Without estimation error a pass first certifies every tone whose
-    exact worst case (``worst_case_loss`` at half-width 2^-d) stays at least
-    ``CERT_MARGIN`` below the target at each of its word lengths, and draws
-    only the others; when none is left the pass's lowest d passes.  The
-    result is the first passing d of ``run_trials_sweep``'s full table.  An
-    error raised only at tones past the one where a pass stopped, or only at
-    a tone certified for its pass, is not raised, at any thread count.
+    Without estimation error, a tone is certified at d when its exact worst
+    case (``worst_case_loss`` at half-width 2^-d) stays at least
+    ``CERT_MARGIN`` below the target.  The first d certified on every tone
+    passes, so only the word lengths below it are in the running.  The tones
+    are walked in order: each is drawn once, at the word lengths still in the
+    running that are not certified on it, and every d that misses on it (NaN
+    misses) leaves the running.  The walk ends when none is left.  An error
+    is raised only by a draw at word lengths still in the running, at any
+    thread count.
     """
     if not 0.0 < target_eta <= 1.0:
         raise InvalidParams("target_eta must lie in (0, 1]")
     if d_max < 1:
         raise InvalidParams("d_max must be >= 1")
-    block = _block(ensemble.p)
-    certify = config.spec.e1_samples is None
-    if certify:  # per (d, tone): the supremum meets the target at d
+    if config.spec.e1_samples is None:  # per (d, tone): the supremum meets the target at d
         rate = np.log1p(budget.snr(ensemble) / budget.gap).T / LN2  # the engine's rate
         widths = np.array([2.0 ** (-d) for d in range(1, d_max + 1)])[:, None]
         sup = worst_case_loss(budget, ensemble, widths)
         sup /= rate  # in place: the search holds one (d_max, p, tones) array
         certified = np.all(sup <= target_eta - CERT_MARGIN, axis=1)
-        del sup  # the passes read only the flags
-    for lo in range(1, d_max + 1, block):
-        window = range(lo, min(lo + block, d_max + 1))
-        tones = None
-        if certify:
-            tones = np.flatnonzero(~np.all(certified[lo - 1 : window[-1]], axis=0))
-            if not tones.size:
-                return window[0]
-        swept = _sweep_tones(
-            ensemble, budget, config, window, band_joint=False, target=target_eta, tones=tones
-        )
-        if swept is None:
-            continue
-        per_tone, drawn_rate, _, _ = swept
-        for d, stat in zip(window, per_tone):
-            if np.max(stat / drawn_rate) <= target_eta:
-                return d
+        del sup  # the walk reads only the flags
+    else:
+        certified = np.zeros((d_max, ensemble.grid.count), dtype=bool)
+    top = next((d for d in range(1, d_max + 1) if certified[d - 1].all()), None)
+    running = list(range(1, top or d_max + 1))
+    for k in range(ensemble.grid.count):
+        if not running:
+            break
+        drawn_d = [d for d in running if not certified[d - 1, k]]
+        if drawn_d:
+            per_tone, drawn_rate, _, _ = _sweep_tones(
+                ensemble, budget, config, drawn_d, band_joint=False, tones=[k]
+            )
+            eta = per_tone / drawn_rate  # (len(drawn_d), p, 1)
+            missed = {d for d, e in zip(drawn_d, eta) if not np.all(e <= target_eta)}
+            running = [d for d in running if d not in missed]
+    if running:
+        return running[0]
+    if top:
+        return top
     statistic = {WORST_CASE: "worst-case", MEAN: "mean"}.get(
         config.statistic, f"{config.quantile_q}-quantile"
     )

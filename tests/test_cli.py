@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xtalk_quant import __version__, cli
 from xtalk_quant.analytic_bounds import bound_main_per_tone
@@ -669,6 +676,87 @@ class TestExitCodes:
     def test_unreadable_file_is_a_config_error(self, tmp_path, capsys):
         assert run(["inspect-channel", "--in", str(tmp_path / "missing.json")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+_EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-300, 1e308]
+
+
+def _number(lo: float, hi: float):
+    """A float flag value: mostly in [lo, hi], sometimes an edge case."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from(_EDGE_FLOATS))
+
+
+@st.composite
+def _cli_argv(draw) -> list:
+    """One small run of analyze, bound, design-bits, simulate or sweep, with
+    a random subset of its flags (``--flag=value``, so that negative values
+    parse as values)."""
+    flags = {
+        "users": st.integers(-1, 6),
+        "seed": st.integers(-1, 2**32),
+        "d-bits": st.integers(0, 40),
+        "psd": _number(-100.0, -20.0),
+        "noise": _number(-170.0, -100.0),
+        "gap": _number(0.0, 20.0),
+        "length": _number(10.0, 3000.0),
+        "band": _number(1e5, 1e8),
+        "phases": st.sampled_from(["uniform", "zero"]),
+    }
+    command = draw(st.sampled_from(["analyze", "bound", "design-bits", "simulate", "sweep"]))
+    target = _number(1e-6, 0.5)
+    flags.update({
+        "analyze": {"normalize": st.none()},
+        "bound": {
+            "which": st.sampled_from(["general", "main", "simplified", "werner", "relative", "all"]),
+            "d-min": st.integers(0, 30),
+            "d-max": st.integers(0, 30),
+        },
+        "design-bits": {"target-tone": _number(1e-6, 10.0), "target-relative": target,
+                        "freq": _number(0.0, 3e7)},
+        "simulate": {
+            "d-range": st.tuples(st.integers(0, 40), st.integers(0, 40)).map("{0[0]}:{0[1]}".format),
+            "csi-samples": st.integers(0, 5000),
+            "zero-errors": st.none(),
+            "skip-failures": st.none(),
+        },
+        "sweep": {},
+    }[command])
+    argv = [command, f"--decimation={draw(st.integers(256, 4096))}", "--n-trials=16"]
+    for name in draw(st.sets(st.sampled_from(sorted(flags)))):
+        value = draw(flags[name])
+        argv.append(f"--{name}" if value is None else f"--{name}={value}")
+    if command == "sweep":
+        lengths = draw(st.lists(_number(10.0, 3000.0), min_size=1, max_size=4))
+        argv += ["--lengths=" + ",".join(map(str, lengths)), f"--target-relative={draw(target)}"]
+    return argv
+
+
+class TestCliProperty:
+    """Any small run of a report command exits 0, 2, 3 or 4, lets no warning
+    escape, and a report written with exit 0 holds no NaN."""
+
+    SWEEP = ["sweep", "--decimation=256", "--n-trials=16"]
+
+    @given(_cli_argv())
+    @settings(max_examples=60, deadline=None)
+    # a NaN target or length once filled every row with an error and exited 0
+    @example(SWEEP + ["--lengths=10.0", "--target-relative=nan"])
+    @example(SWEEP + ["--lengths=nan", "--target-relative=0.5"])
+    # alpha_ell squared to zero: an untyped ZeroDivisionError
+    @example(SWEEP + ["--lengths=1e-300", "--target-relative=0.5"])
+    # the closed-form gap overflowed with a RuntimeWarning
+    @example(SWEEP + ["--gap=1e+308", "--lengths=10.0", "--target-relative=0.5"])
+    def test_exit_code_and_report(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, {"XTALK_THREADS": "1"}), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code == 0:
+            assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), out.getvalue()
+        else:
+            assert err.getvalue().count("\n") == 1
 
 
 def test_module_entry_point_prints_version():

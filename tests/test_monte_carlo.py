@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import sys
@@ -614,6 +615,29 @@ class TestResampling:
         assert rep[0].trial_failures == [(tone, trial, 0)]
         assert np.all(np.isfinite(rep[0].per_tone))
 
+    def test_trial_failures_are_python_ints(self, monkeypatch):
+        # a forced resample on the reference scenario: the report's failures
+        # serialize as JSON, each a tuple of Python ints
+        scen = Scenario()
+        ensemble = scen.ensemble()
+        budget = scen.budget(ensemble.grid)
+        tone, trial = 3, 5
+        snrs = budget.snr(ensemble)
+        q_mat, real_csi_error = ensemble.Q[tone], streams.csi_error
+
+        def csi_error(rng, snr, n_samples, trials=()):
+            e1 = real_csi_error(rng, snr, n_samples, trials)
+            if trials and np.array_equal(snr, snrs[tone]):  # the tone's primary draw
+                e1[trial] = -q_mat
+            return e1
+
+        monkeypatch.setattr(streams, "csi_error", csi_error)
+        report = run_trials_sweep(ensemble, budget, _config(1, n=20, e1_samples=1000), [12])[0]
+        assert report.trial_failures == [(tone, trial, 0)]
+        assert json.loads(json.dumps(report.trial_failures)) == [[tone, trial, 0]]
+        for entry in report.trial_failures:
+            assert type(entry) is tuple and all(type(v) is int for v in entry)
+
     def test_exhausted_resamples_name_the_tone(self, small_ensemble, small_budget, monkeypatch):
         q_mat, snr = small_ensemble.Q[3], small_budget.snr(small_ensemble)[3]
         e1 = _draw_e1(42, 3, 2, snr, 1000)
@@ -744,13 +768,11 @@ class TestMinBitsEmpirical:
         # a table that is not monotone in d, where a bisection returns 6
         table = [0.5, 0.005, 0.5, 0.5, 0.5, 0.005, 0.005, 0.005]
 
-        def sweep(ensemble, budget, config, d_values, band_joint, target=None, tones=None):
-            # per-tone statistic (d, users, tones) over a unit rate: eta is the table;
-            # a window whose every word length misses the target stops early; no
-            # tone of this ensemble is certified for 0.01 below d = 8
+        def sweep(ensemble, budget, config, d_values, band_joint, tones=None):
+            # per-tone statistic (d, users, tones) over a unit rate: eta is the
+            # table on every tone; no tone of this ensemble is certified for
+            # 0.01 below d = 8
             per_tone = np.array([[[table[d - 1]]] for d in d_values])
-            if target is not None and np.all(per_tone > target):
-                return None
             return per_tone, np.ones((1, 1)), None, []
 
         monkeypatch.setattr(monte_carlo, "_sweep_tones", sweep)
@@ -759,9 +781,9 @@ class TestMinBitsEmpirical:
 
 
 class TestScanStopsEarly:
-    """min_bits_empirical scans word lengths one kernel pass at a time and
-    drops a pass at the first tone where all of its word lengths miss the
-    target; the answer is still the first passing d of the full table."""
+    """min_bits_empirical walks the tones in order, draws each once at the
+    word lengths still in the running and drops those that miss the target;
+    the answer is still the first passing d of the full table."""
 
     @pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
     @pytest.mark.parametrize(
@@ -772,8 +794,8 @@ class TestScanStopsEarly:
     def test_first_passing_d_of_the_full_table(
         self, small_ensemble, small_budget, monkeypatch, threads, kwargs
     ):
-        # the workers share the word lengths' miss flags; switching often
-        # makes a lost or early flag show
+        # the trial slices of each tone combine by an exact max; switching
+        # often makes a slice that leaks into another's buffers show
         monkeypatch.setenv("XTALK_THREADS", threads)
         cfg = _config(8, n=100, seed=5, **kwargs)
         interval = sys.getswitchinterval()
@@ -798,31 +820,10 @@ class TestScanStopsEarly:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_a_pass_returns_none_only_when_every_word_length_misses(
-        self, small_ensemble, small_budget, monkeypatch, threads
-    ):
-        monkeypatch.setenv("XTALK_THREADS", threads)
-        cfg, d_values = _config(8, n=100), (5, 6)
-        full = monte_carlo._sweep_tones(small_ensemble, small_budget, cfg, d_values, False)
-        worst = np.max(full[0] / full[1], axis=(1, 2))
-        assert worst[1] < worst[0]
-        # a pass that some word length survives returns the full pass's bits
-        for target in (1.0, (worst[0] + worst[1]) / 2):
-            kept = monte_carlo._sweep_tones(
-                small_ensemble, small_budget, cfg, d_values, False, target=target
-            )
-            assert np.array_equal(kept[0], full[0]) and np.array_equal(kept[1], full[1])
-        missed = monte_carlo._sweep_tones(
-            small_ensemble, small_budget, cfg, d_values, False, target=worst[1] / 2
-        )
-        assert missed is None
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_kernel_passes_on_the_reference_scenario(self, monkeypatch, threads):
-        # tone 0 (Q = I, 80 dB SNR) misses a 1 % target at d = 1..16 on every
-        # trial slice, so each of the four passes below d = 17 draws tone 0 and
-        # stops there; every tone is certified at d = 17..20, so that window
-        # draws nothing
+        # every tone is certified for 1 % at d = 17, and tone 0 (Q = I, 80 dB
+        # SNR) misses it at d = 1..16 on every trial slice, so the search
+        # draws tone 0 alone, once, in four kernel blocks of word lengths
         monkeypatch.setenv("XTALK_THREADS", threads)
         scen = Scenario()
         ensemble = scen.ensemble()
@@ -839,8 +840,7 @@ class TestScanStopsEarly:
         monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
         assert min_bits_empirical(ensemble, budget, cfg, 0.01) == 17
         slices = len(monte_carlo._trial_slices(cfg.n_trials, int(threads))) - 1
-        # one kernel call per slice and pass, on tone 0 only: a worker stops
-        # only at a tone after the one where every word length missed
+        # one kernel call per slice and block, on tone 0 only
         assert set(calls) == {(True, 1), (True, 5), (True, 9), (True, 13)}
         assert len(calls) == 4 * slices
 
@@ -856,21 +856,46 @@ class TestScanStopsEarly:
             first = next(r.d_bits for r in reports if np.max(r.eta_per_tone) <= target)
             assert min_bits_empirical(ensemble, budget, cfg, target, d_max=20) == first, target
 
+    def test_one_engine_call_per_drawn_tone(self, small_ensemble, small_budget, monkeypatch):
+        calls = []
+        real_sweep = monte_carlo._sweep_tones
+
+        def sweep(ensemble, budget, config, d_values, band_joint, tones=None):
+            calls.append((list(tones), list(d_values)))
+            return real_sweep(ensemble, budget, config, d_values, band_joint, tones)
+
+        monkeypatch.setattr(monte_carlo, "_sweep_tones", sweep)
+        scen = Scenario()
+        ensemble = scen.ensemble()
+        budget = scen.budget(ensemble.grid)
+        cfg = scen.trial_config(e2_model=E2_UNIFORM)
+        assert min_bits_empirical(ensemble, budget, cfg, 0.01) == 17
+        assert calls == [([0], list(range(1, 17)))]
+        # CSI trials certify no tone: the walk draws tones in order, each once
+        calls.clear()
+        cfg = _config(8, n=20, e1_samples=1000)
+        assert min_bits_empirical(small_ensemble, small_budget, cfg, 0.3) == 11
+        drawn = [tone for tones, _ in calls for tone in tones]
+        assert len(drawn) > 1 and all(a < b for a, b in zip(drawn, drawn[1:]))
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_error_past_the_stop_is_not_raised_at_any_thread_count(
         self, small_ensemble, small_budget, monkeypatch, threads
     ):
         # the first slice misses every d on tone 2 (NaN), but only after a
-        # pause; the last slice breaks on tone 6 meanwhile.  One slice stops
-        # after tone 2 and never meets tone 6, so no thread count raises
+        # pause; the last slice breaks on tone 6.  CSI trials certify no
+        # tone, so the search draws tones 0, 1 and 2, leaves no word length
+        # in the running there and never draws tone 6: no thread count raises
         n = 100
         bounds = monte_carlo._trial_slices(n, threads)
         first, last = bounds[1] - bounds[0], bounds[-1] - bounds[-2]
         snrs = small_budget.snr(small_ensemble)
         real_ratio = monte_carlo.interference_ratio
+        drawn = set()
 
         def ratio(snr, cross, re, im, scale=1.0, out=None):
             a, q = real_ratio(snr, cross, re, im, scale, out)
+            drawn.update(k for k, row in enumerate(snrs) if np.array_equal(snr, row))
             if cross.shape[0] == first and np.array_equal(snr, snrs[2]):
                 time.sleep(0.2)
                 q[...] = np.nan
@@ -880,18 +905,19 @@ class TestScanStopsEarly:
 
         monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
         monkeypatch.setenv("XTALK_THREADS", str(threads))
-        cfg = _config(8, n=n)
-        assert monte_carlo._sweep_tones(
-            small_ensemble, small_budget, cfg, (12, 13), False, target=1.0
-        ) is None
+        cfg = _config(8, n=n, e1_samples=1000)
+        with pytest.raises(TargetUnreachable):
+            min_bits_empirical(small_ensemble, small_budget, cfg, 0.3)
+        assert drawn == {0, 1, 2}
         with pytest.raises(NumericalError, match="^tone 6 broke$"):
-            monte_carlo._sweep_tones(small_ensemble, small_budget, cfg, (12, 13), False)
+            run_trials_sweep(small_ensemble, small_budget, cfg, (12, 13))
 
     def test_error_after_every_window_stopped_is_not_raised(
         self, small_ensemble, small_budget, monkeypatch
     ):
         # CSI trial 7 of tone 5 is singular after every resample; with 100
-        # training samples every d misses 1e-6 on tone 0 already
+        # training samples every d misses 1e-6 on tone 0 already, so the
+        # search never draws tone 5
         tone, trial = 5, 7
         snrs = small_budget.snr(small_ensemble)
         q_mat, real_csi_error = small_ensemble.Q[tone], streams.csi_error
@@ -936,13 +962,12 @@ class TestScanStopsEarly:
     def test_error_at_a_failed_word_length_is_not_raised(
         self, small_ensemble, small_budget, monkeypatch
     ):
-        # a break on tone 5 at d = 1 (p = 4: d = 1 and 2 share a pass), which
-        # misses the target on tone 0 already, is not raised; a break on tone 0,
-        # which the answer's pass still draws (its supremum misses the
-        # target), is
+        # a break on tone 5 at d = 1, which misses the target on tone 0
+        # already, is not raised; a break on tone 0 at the answer, which the
+        # search draws there (its supremum misses the target), is
         cfg = _config(8, n=100)
         answer = min_bits_empirical(small_ensemble, small_budget, cfg, 0.02)
-        assert answer > 2 and answer % 2 == 1  # the lowest d of its pass
+        assert answer > 2
         assert not self._certified(small_ensemble, small_budget, answer, 0.02)[0]
         broken = [2.0**-1]
         self._break_kernel(monkeypatch, small_ensemble, small_budget, 5, broken)
@@ -956,12 +981,11 @@ class TestScanStopsEarly:
     def test_error_at_a_certified_tone_is_not_raised(
         self, small_ensemble, small_budget, monkeypatch
     ):
-        # tone 5's supremum meets the target at every d of the answer's pass,
-        # so that pass does not draw it and a break there is not raised
+        # tone 5's supremum meets the target at the answer, so the search
+        # does not draw it there and a break there is not raised
         cfg = _config(8, n=100)
         answer = min_bits_empirical(small_ensemble, small_budget, cfg, 0.02)
-        for d in (answer, answer + 1):
-            assert self._certified(small_ensemble, small_budget, d, 0.02)[5]
+        assert self._certified(small_ensemble, small_budget, answer, 0.02)[5]
         self._break_kernel(monkeypatch, small_ensemble, small_budget, 5, [2.0**-answer])
         with pytest.raises(NumericalError):
             run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 33))
