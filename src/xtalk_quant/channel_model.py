@@ -220,10 +220,16 @@ class ChannelEnsemble:
     @cached_property
     def Q(self) -> np.ndarray:
         """(tones, p, p) row-normalized channel I + D^{-1} F."""
-        F = self.H.copy()
+        return self.row_normalized()
+
+    def row_normalized(self, tones: slice = slice(None)) -> np.ndarray:
+        """I + D^{-1} F of every tone or of the block ``tones``, formed in
+        place in one copy of H (bitwise equal to the expression)."""
+        F = self.H[tones].copy()
         idx = np.arange(self.p)
         F[:, idx, idx] = 0.0
-        return np.eye(self.p) + F / self.D[:, :, None]
+        F /= self.D[tones, :, None]
+        return np.add(np.eye(self.p), F, out=F)
 
     @property
     def snapshots(self) -> tuple:
@@ -265,12 +271,15 @@ def synthesize_channel(
     if phases == "zero":
         H = mag.astype(complex)
     else:
-        ph = np.stack([
-            streams.stream(seed, streams.PHASES, k).uniform(0.0, 2.0 * math.pi, size=(p, p))
-            for k in range(grid.count)
-        ])
-        H = mag * np.exp(1j * ph)
-
+        # mag * exp(1j * phase), in place in the one complex stack
+        H = np.zeros(mag.shape, dtype=complex)
+        for k in range(grid.count):
+            rng = streams.stream(seed, streams.PHASES, k)
+            H.real[k] = rng.uniform(0.0, 2.0 * math.pi, size=(p, p))
+        H *= 1j
+        np.exp(H, out=H)
+        H *= mag
+    del mag
     return ChannelEnsemble(grid=grid, H=H)
 
 
@@ -358,20 +367,19 @@ def save_channel(ensemble: ChannelEnsemble, path) -> None:
 def load_channel(path) -> ChannelEnsemble:
     """Parse a channel file; errors carry the first offending tone index.
 
-    The top-level object is read one field at a time and each ``tones`` record
-    becomes a float array as soon as it is decoded, so the parse holds the
-    text and one record's lists, never the whole document's.
+    The text is read ``LOAD_CHUNK`` characters at a time into a window that
+    drops what the parse has consumed.  The top-level object is walked one
+    field at a time and each ``tones`` record becomes a float array as soon
+    as it is decoded, so the load holds one window, one record's lists and
+    the per-record arrays, never the whole text or the whole parsed document.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        # an empty or non-object document is left to json, which names a syntax error first
-        doc = _fields(text) if _KEYED_OBJECT.match(text) else json.loads(text)
+            doc = _read_document(fh)
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("a channel file holds one JSON object")
-    del text
 
     for key in (*_HEADER_TYPES, "tones"):
         if key not in doc:
@@ -411,52 +419,138 @@ _HEADER_TYPES = {
     "format_version": (int,), "p": (int,), "tone_count": (int,),
     "f_start": (int, float), "spacing": (int, float),
 }
+LOAD_CHUNK = 1 << 16  # characters read per refill of the load window
 _DECODER = json.JSONDecoder()
 _PUNCT = re.compile(r"[ \t\n\r]*(.?)[ \t\n\r]*")
+_OPENING = re.compile(r"[ \t\n\r]*\{?[ \t\n\r]*")
 _KEYED_OBJECT = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"')
-_FILLED_ARRAY = re.compile(r"\[[ \t\n\r]*[^ \t\n\r\]]")
 
 
-def _punct(text: str, i: int, allowed: str) -> tuple:
-    """The first non-blank character of text[i:], one of ``allowed``, and the
-    index past it and the blanks after it."""
-    m = _PUNCT.match(text, i)
-    if not m[1] or m[1] not in allowed:
-        raise json.JSONDecodeError(f"Expecting one of {allowed!r}", text, m.start(1))
-    return m[1], m.end()
+class _Window:
+    """The part of a text file the parse has not consumed: ``text`` holds its
+    characters from ``offset`` on.  Indices passed in and handed back are
+    into the current ``text``; a refill drops the consumed part, so every
+    method returns indices into the window as it leaves it.
+
+    A value or a match that reaches the window's edge is decoded again after
+    a refill, since more text could extend it; a decode error is final only
+    at the end of the file.
+    """
+
+    def __init__(self, fh):
+        self.fh, self.text, self.offset, self.eof = fh, "", 0, False
+        self.longest = 0  # the longest value decoded so far
+
+    def refill(self, i: int) -> int:
+        """Drop text[:i] and read at least as many characters as are kept,
+        so a value longer than ``LOAD_CHUNK`` takes a few refills, not one per
+        chunk; returns where text[i] now sits (0)."""
+        kept = self.text[i:]
+        more = self.fh.read(max(LOAD_CHUNK, len(kept)))
+        self.eof = not more
+        self.text, self.offset = kept + more, self.offset + i
+        return 0
+
+    def match(self, pattern: re.Pattern, i: int) -> re.Match:
+        """``pattern`` (one that matches the empty string) at text[i], once
+        the match stops short of the window's edge or the file has ended."""
+        while True:
+            m = pattern.match(self.text, i)
+            if m.end() < len(self.text) or self.eof:
+                return m
+            i = self.refill(i)
+
+    def value(self, i: int) -> tuple:
+        """The JSON value at text[i], with its start and end.  A number cut
+        at the edge can leave up to two characters unread ("1e+" decodes as
+        1), so a value is settled only three characters short of the edge.
+        A window shorter than the longest value so far is refilled first,
+        so that a run of like values (the tones records) is seldom decoded
+        twice."""
+        if len(self.text) - i <= self.longest and not self.eof:
+            i = self.refill(i)
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, i)
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    raise self.error(exc.msg, exc.pos) from None
+            else:
+                if end + 2 < len(self.text) or self.eof:
+                    self.longest = max(self.longest, end - i + 2)
+                    return value, i, end
+            i = self.refill(i)
+
+    def punct(self, i: int, allowed: str) -> tuple:
+        """The first non-blank character from text[i], one of ``allowed``, and
+        the index past it and the blanks after it."""
+        m = self.match(_PUNCT, i)
+        if not m[1] or m[1] not in allowed:
+            raise self.error(f"Expecting one of {allowed!r}", m.start(1))
+        return m[1], m.end()
+
+    def error(self, msg: str, i: int) -> ValueError:
+        """``msg`` at text[i], placed in the whole file as ``json`` places it;
+        the text before it is read again, a chunk at a time, to count lines."""
+        pos, line, last_newline, done = self.offset + i, 1, -1, 0
+        self.fh.seek(0)
+        while done < pos:
+            part = self.fh.read(min(LOAD_CHUNK, pos - done))
+            if not part:
+                break
+            if "\n" in part:
+                line += part.count("\n")
+                last_newline = done + part.rfind("\n")
+            done += len(part)
+        return ValueError(f"{msg}: line {line} column {pos - last_newline} (char {pos})")
 
 
-def _fields(text: str) -> dict:
-    """The fields of the object ``text`` (a repeated key keeps its last value,
-    as in ``json.load``), with a non-empty ``tones`` array read by ``_records``."""
+def _read_document(fh) -> object:
+    """The document in ``fh``: an object is read by ``_fields``; anything else
+    (an empty or non-object document) is left whole to json, which names a
+    syntax error first and never returns an object."""
+    win = _Window(fh)
+    win.match(_OPENING, 0)  # nothing is consumed yet: the window is the file's start
+    if not _KEYED_OBJECT.match(win.text):
+        return json.loads(win.text + fh.read())
+    return _fields(win)
+
+
+def _fields(win: _Window) -> dict:
+    """The fields of the object in ``win`` (a repeated key keeps its last
+    value, as in ``json.load``), with a ``tones`` array read by ``_records``."""
     doc = {}
-    mark, i = _punct(text, 0, "{")
+    mark, i = win.punct(0, "{")
     while mark != "}":
-        key, i = _DECODER.raw_decode(text, i)
+        key, _, i = win.value(i)
         if not isinstance(key, str):
-            raise json.JSONDecodeError("Expecting property name", text, i)
-        _, i = _punct(text, i, ":")
-        read = _records if key == "tones" and _FILLED_ARRAY.match(text, i) else _DECODER.raw_decode
-        doc[key], i = read(text, i)
-        mark, i = _punct(text, i, ",}")
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
+            raise win.error("Expecting property name", i)
+        _, i = win.punct(i, ":")
+        if key == "tones" and win.text.startswith("[", i):
+            doc[key], i = _records(win, i)
+        else:
+            doc[key], _, i = win.value(i)
+        mark, i = win.punct(i, ",}")
+    if i != len(win.text):  # a non-blank character: the window is settled there
+        raise win.error("Extra data", i)
     return doc
 
 
-def _records(text: str, i: int) -> tuple:
+def _records(win: _Window, i: int) -> tuple:
     """The array at text[i] as one float array per record (None for a record
     that is not all JSON numbers), each made as soon as its lists are decoded."""
     records = []
-    mark, i = _punct(text, i, "[")
+    mark, i = win.punct(i, "[")
+    if win.text.startswith("]", i):  # the empty array
+        mark, i = win.punct(i, "]")
     while mark != "]":
-        start = i
-        rec, i = _DECODER.raw_decode(text, i)
+        rec, start, i = win.value(i)
         # np.asarray reads true and false as numbers; their "u" and "l" occur in
         # no JSON number, NaN or Infinity, and one-letter searches are fast
+        text = win.text
         boolean = text.find("u", start, i) >= 0 or text.find("l", start, i) >= 0
         records.append(None if boolean else _number_pairs(rec))
-        mark, i = _punct(text, i, ",]")
+        mark, i = win.punct(i, ",]")
     return records, i
 
 

@@ -12,6 +12,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -41,11 +42,12 @@ from .errors import (
 from .monte_carlo import run_trials, run_trials_sweep  # noqa: F401
 from .precoding import make_bundle
 from .rate_analysis import build_report
-from .reports import LazyRows, render_table, scenario_hash
+from .reports import render_table, scenario_hash
 from .scenario import Scenario
 from .units import db_to_linear
 
 _SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
+REPORT_ROW_BLOCK = 512  # rows rendered per render_table call
 
 
 def _load_scenario(args) -> Scenario:
@@ -58,11 +60,16 @@ def _load_scenario(args) -> Scenario:
 
 def _write_report(args, scen: Scenario, tables, **meta) -> None:
     """Write each (kind, columns, rows) table, under the scenario's hash and
-    ``meta``, to --out or else stdout, one rendered table at a time."""
+    ``meta``, to --out or else stdout, ``REPORT_ROW_BLOCK`` rows at a time:
+    ``rows`` may be any iterable, and only one block of them is held."""
     meta["scenario_hash"] = scenario_hash(scen.to_dict())
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         for kind, columns, rows in tables:
-            fh.write(render_table(kind, meta, columns, rows, __version__))
+            rows = iter(rows)
+            block = list(islice(rows, REPORT_ROW_BLOCK))
+            fh.write(render_table(kind, meta, columns, block, __version__))
+            while block := list(islice(rows, REPORT_ROW_BLOCK)):
+                fh.write(render_table(kind, meta, columns, block, __version__, header=False))
 
 
 def _werner_bound_params(scen: Scenario, ensemble) -> WernerBoundParams:
@@ -131,14 +138,15 @@ def cmd_analyze(args) -> int:
     # make_bundle returns Delta alone: no other precoder stack outlives it
     delta = make_bundle(ensemble, spec, snr=snr, normalize=args.normalize)
     report = build_report(budget, ensemble, delta)
+    del delta
 
     columns = (report.rate, report.rate_perturbed, report.loss, report.a, report.q, report.k)
     freqs = ensemble.freqs.tolist()
-    rows = LazyRows(ensemble.p * len(freqs), lambda: (
+    rows = (
         (u, f, *values)
         for u in range(ensemble.p)
         for f, *values in zip(freqs, *(col[u].tolist() for col in columns))
-    ))
+    )
     band = zip(report.band_rate.tolist(), report.band_loss.tolist(), report.eta.tolist())
     band_rows = [("band", u, *values) for u, values in enumerate(band)]
     header = [

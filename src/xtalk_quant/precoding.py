@@ -31,6 +31,7 @@ from .errors import InvalidParams, NumericalError, RangeError, SingularChannel
 
 COND_LIMIT = 1e12
 IDENTITY_CHECK_TOL = 1e-10
+BUNDLE_BLOCK = 256  # tones per make_bundle block: its temporaries grow with the block, not the grid
 
 E2_DETERMINISTIC = "deterministic_rounding"
 E2_UNIFORM = "uniform_random"
@@ -80,44 +81,46 @@ def condition_numbers(m: np.ndarray) -> np.ndarray:
     return cond
 
 
-def _conditioned(channel: ChannelEnsemble, m: np.ndarray, name: str) -> np.ndarray:
-    """``m``, the (tones, p, p) stack ``name`` about to be solved, once every
-    tone's condition number is at most ``COND_LIMIT``; the first tone that is
-    not (a singular or non-finite one counts as cond = inf) raises."""
+def _conditioned(channel: ChannelEnsemble, m: np.ndarray, name: str, first: int = 0) -> np.ndarray:
+    """``m``, the (tones, p, p) stack ``name`` about to be solved for the
+    tones from ``first`` on, once every tone's condition number is at most
+    ``COND_LIMIT``; the first tone that is not (a singular or non-finite one
+    counts as cond = inf) raises."""
     cond = condition_numbers(m)
     bad = np.flatnonzero(~(cond <= COND_LIMIT))  # also catches nan
     if bad.size:
         k = int(bad[0])
         raise SingularChannel(
             f"{name} condition estimate {cond[k]:.3e} exceeds {COND_LIMIT:.1e} "
-            f"at f={channel.grid.freq(k)} Hz",
-            tone=k,
+            f"at f={channel.grid.freq(first + k)} Hz",
+            tone=first + k,
         )
     return m
 
 
-def ideal_precoder(channel: ChannelEnsemble) -> np.ndarray:
-    """Solve H P = diag(D) on every tone with one refinement step; refuse
-    tones whose condition number exceeds ``COND_LIMIT`` (the first one found
-    raises)."""
-    H = _conditioned(channel, channel.H, "channel")
+def ideal_precoder(channel: ChannelEnsemble, tones: slice = slice(None)) -> np.ndarray:
+    """Solve H P = diag(D) on every tone, or on the block ``tones``, with one
+    refinement step; refuse tones whose condition number exceeds
+    ``COND_LIMIT`` (the first one found raises)."""
+    H = _conditioned(channel, channel.H[tones], "channel", _first(channel, tones))
     rhs = np.zeros_like(H)
     idx = np.arange(channel.p)
-    rhs[:, idx, idx] = channel.D
+    rhs[:, idx, idx] = channel.D[tones]
     P = np.linalg.solve(H, rhs)
     P += np.linalg.solve(H, rhs - H @ P)
     return P
 
 
 def quantize_precoder(
-    P: np.ndarray, spec: PerturbationSpec, normalize: bool = False
+    P: np.ndarray, spec: PerturbationSpec, normalize: bool = False, first: int = 0
 ) -> QuantizedPrecoder:
     """Represent each real/imag component of a (..., p, p) stack with
     ``d_bits`` fractional bits.
 
     Deterministic rounding maps each component to the nearest multiple of
     2^-d (error <= 2^-d-1); the uniform model adds i.i.d. errors on
-    [-2^-d, 2^-d], drawn for matrix k of the stack from stream (E2, k).
+    [-2^-d, 2^-d], drawn for matrix k of the stack from stream (E2, first + k):
+    ``first`` is the tone of the stack's first matrix, which errors name too.
     Entries must lie in the unit box; with ``normalize`` a matrix that leaves
     it is pre-divided by the smallest power of two that brings it back
     instead (the reported ``e2`` is the error of the *deployed* precoder,
@@ -130,8 +133,8 @@ def quantize_precoder(
         k = int(np.flatnonzero(outside)[0])
         raise RangeError(
             f"precoder entry magnitude {box.flat[k]:.6f} outside the unit box "
-            f"(matrix {k}); pass normalize=True to apply block scaling",
-            tone=k,
+            f"(matrix {first + k}); pass normalize=True to apply block scaling",
+            tone=first + k,
         )
     mant, expo = np.frexp(box)
     scale = np.where(outside, np.ldexp(1.0, expo - (mant == 0.5)), 1.0)
@@ -145,7 +148,8 @@ def quantize_precoder(
         u = np.empty((box.size, p, p), dtype=complex)
         plane = np.empty((p, p))
         for k in range(box.size):
-            streams.uniform_complex(streams.stream(spec.seed, streams.E2, k), (p, p), u[k], plane)
+            rng = streams.stream(spec.seed, streams.E2, first + k)
+            streams.uniform_complex(rng, (p, p), u[k], plane)
         pq = work + spec.step * u.reshape(P.shape)
 
     pq = pq * scale[..., None, None]
@@ -154,32 +158,41 @@ def quantize_precoder(
 
 
 def build_delta(
-    channel: ChannelEnsemble, p_estimated: np.ndarray, e1: np.ndarray | None, e2: np.ndarray
+    channel: ChannelEnsemble,
+    p_estimated: np.ndarray,
+    e1: np.ndarray | None,
+    e2: np.ndarray,
+    tones: slice = slice(None),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Equivalent-channel perturbation of every tone, given the precoder the
-    quantizer acted on (ideal, or (I + D^{-1}F + E1)^{-1} with ``e1``) and E2.
+    """Equivalent-channel perturbation of every tone, or of the block
+    ``tones``, given the precoder the quantizer acted on (ideal, or
+    (I + D^{-1}F + E1)^{-1} with ``e1``) and E2; written into ``out`` when
+    given.
 
     Also checks H P~ = D (I + Delta) for the deployed P~ = ``p_estimated`` + E2
     and fails loudly if the identity does not hold to ``IDENTITY_CHECK_TOL``
     (relative to max |d_ii|) on some tone.
     """
-    delta = channel.Q @ e2
+    delta = np.matmul(channel.row_normalized(tones), e2, out=out)
     if e1 is not None:
         delta -= e1 @ p_estimated
+    H, D = channel.H[tones], channel.D[tones]
     p_perturbed = p_estimated + e2
-    resid = channel.H @ p_perturbed  # H P~ - D (I + Delta), formed in place
+    resid = H @ p_perturbed  # H P~ - D (I + Delta), formed in place
     rhs = np.add(delta, np.eye(channel.p), out=p_perturbed)  # P~ is not needed any more
-    rhs *= channel.D[:, :, None]
+    rhs *= D[:, :, None]
     resid -= rhs
     del p_perturbed, rhs
-    err = np.max(np.abs(resid), axis=(1, 2)) / np.max(np.abs(channel.D), axis=1)
+    err = np.max(np.abs(resid), axis=(1, 2)) / np.max(np.abs(D), axis=1)
     bad = np.flatnonzero(~(err < IDENTITY_CHECK_TOL))
     if bad.size:
         k = int(bad[0])
+        tone = _first(channel, tones) + k
         raise NumericalError(
             f"equivalent-channel identity violated: residual {err[k]:.3e} at "
-            f"f={channel.grid.freq(k)} Hz",
-            tone=k,
+            f"f={channel.grid.freq(tone)} Hz",
+            tone=tone,
         )
     return delta
 
@@ -198,21 +211,38 @@ def make_bundle(
     *estimated* precoder (I + D^{-1}F + E1)^{-1} instead, matching the
     additive error split; tone k's E1 comes from stream (E1, k).  H and
     I + D^{-1}F + E1 are both held to ``COND_LIMIT``.
-    """
-    if spec.e1_samples is None:
-        e1 = None
-        p_estimated = ideal_precoder(channel)
-    else:
-        if snr is None:
-            raise InvalidParams("snr required for the estimation-error model")
-        _conditioned(channel, channel.H, "channel")
-        e1 = np.stack([
-            streams.csi_error(streams.stream(spec.seed, streams.E1, k), snr[k], spec.e1_samples)
-            for k in range(channel.grid.count)
-        ])
-        p_estimated = np.linalg.solve(
-            _conditioned(channel, channel.Q + e1, "estimated channel"), np.eye(channel.p)
-        )
 
-    e2 = quantize_precoder(p_estimated, spec, normalize=normalize).e2
-    return build_delta(channel, p_estimated, e1, e2)
+    The tones are taken ``BUNDLE_BLOCK`` at a time: each block is solved,
+    quantized and checked on its own and written into one preallocated
+    Delta, so besides Delta only one block's precoders are held.  Streams
+    and errors use the absolute tone; the first block with a failing tone
+    raises, at the first stage that fails there.
+    """
+    n, p = channel.grid.count, channel.p
+    if spec.e1_samples is not None and snr is None:
+        raise InvalidParams("snr required for the estimation-error model")
+    delta = np.empty(channel.H.shape, dtype=complex)
+    for k0 in range(0, n, BUNDLE_BLOCK):
+        tones = slice(k0, min(k0 + BUNDLE_BLOCK, n))
+        if spec.e1_samples is None:
+            e1 = None
+            p_estimated = ideal_precoder(channel, tones)
+        else:
+            _conditioned(channel, channel.H[tones], "channel", k0)
+            e1 = np.stack([
+                streams.csi_error(streams.stream(spec.seed, streams.E1, k), snr[k], spec.e1_samples)
+                for k in range(tones.start, tones.stop)
+            ])
+            estimated = channel.row_normalized(tones)
+            estimated += e1
+            p_estimated = np.linalg.solve(
+                _conditioned(channel, estimated, "estimated channel", k0), np.eye(p)
+            )
+        e2 = quantize_precoder(p_estimated, spec, normalize=normalize, first=k0).e2
+        build_delta(channel, p_estimated, e1, e2, tones, out=delta[tones])
+    return delta
+
+
+def _first(channel: ChannelEnsemble, tones: slice) -> int:
+    """The absolute index of the block's first tone."""
+    return range(channel.grid.count)[tones].start

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,34 +29,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
-class LazyRows:
-    """``count`` table rows that ``make()`` yields one at a time, never all held."""
-
-    def __init__(self, count: int, make: Callable[[], Iterator[Sequence]]):
-        self.count, self.make = count, make
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self) -> Iterator[Sequence]:
-        return self.make()
-
-
 def render_table(
     kind: str,
     meta: dict,
     columns: Sequence[str],
     rows: Iterable[Sequence],
     tool_version: str,
+    header: bool = True,
 ) -> str:
-    lines = [
-        f"# format_version={REPORT_FORMAT_VERSION}",
-        f"# kind={kind}",
-        f"# tool=xtalk-quant {tool_version}",
-    ]
-    for key in sorted(meta):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append("\t".join(columns))
-    for row in rows:
-        lines.append("\t".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The table's text, every line ending in a newline; without ``header``
+    only the rows', so a table rendered in blocks of rows, the header with
+    the first, joins to the text of one call."""
+    lines = []
+    if header:
+        lines += [
+            f"# format_version={REPORT_FORMAT_VERSION}",
+            f"# kind={kind}",
+            f"# tool=xtalk-quant {tool_version}",
+        ]
+        lines += [f"# {key}={meta[key]}" for key in sorted(meta)]
+        lines.append("\t".join(columns))
+    lines += ["\t".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n" if lines else ""

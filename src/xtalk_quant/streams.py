@@ -82,8 +82,15 @@ def csi_error(
     rng: np.random.Generator, snr: np.ndarray, n_samples: int, trials: tuple = ()
 ) -> np.ndarray:
     """E1 of shape (*trials, p, p): row-i entries complex Gaussian with
-    variance 1/(n_samples * SNR_i)."""
+    variance 1/(n_samples * SNR_i).
+
+    Bitwise ``sigma * (z[0] + 1j * z[1]) / SQRT2``, formed in place in one
+    complex buffer beside the draw z."""
     p = snr.shape[-1]
     sigma = np.sqrt(1.0 / (n_samples * snr))[:, None]
     z = rng.standard_normal((2, *trials, p, p))
-    return sigma * (z[0] + 1j * z[1]) / SQRT2
+    e1 = np.multiply(z[1], 1j)
+    e1 += z[0]
+    e1 *= sigma
+    e1 /= SQRT2
+    return e1

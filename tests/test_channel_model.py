@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xtalk_quant import channel_model
 from xtalk_quant.channel_model import (
     MAX_TONES,
     ChannelEnsemble,
@@ -94,6 +95,29 @@ class TestSynthesis:
         off = ~np.eye(small_ensemble.p, dtype=bool)
         assert np.array_equal(Q[:, off], (H / D[:, :, None])[:, off])
         assert np.all(Q[:, ~off] == 1.0)
+
+    def test_row_normalized_is_bitwise_the_expression(self, reference_ensemble):
+        # formed in place, in one copy of H: the same operations in the same order
+        H, D = reference_ensemble.H, reference_ensemble.D
+        F = H.copy()
+        idx = np.arange(reference_ensemble.p)
+        F[:, idx, idx] = 0.0
+        want = np.eye(reference_ensemble.p) + F / D[:, :, None]
+        assert reference_ensemble.Q.tobytes() == want.tobytes()
+        block = reference_ensemble.row_normalized(slice(100, 300))
+        assert block.tobytes() == want[100:300].tobytes()
+
+    def test_row_normalized_holds_one_copy(self):
+        # the 30a plan (3479 tones, p = 10): the copy of H is the only stack formed
+        ens = synthesize_channel(reference_params(), ToneGrid.vdsl_band(decimation=2), 7)
+        ens.D
+        tracemalloc.start()
+        try:
+            ens.Q
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * ens.H.nbytes, (peak, ens.H.nbytes)
 
     def test_snapshots_view_the_stack(self, small_ensemble):
         for k, snap in enumerate(small_ensemble.snapshots):
@@ -447,6 +471,85 @@ class TestChannelFiles:
         assert np.array_equal(back.freqs, small_ensemble.freqs)
         assert back.H.tobytes() == small_ensemble.H.tobytes()
 
+    @staticmethod
+    def _outcome(path):
+        """What load_channel makes of ``path``: the grid and the stack's bytes,
+        or the error's type, tone and message."""
+        try:
+            ens = load_channel(path)
+        except XtalkError as exc:
+            return type(exc), exc.tone, str(exc)
+        return ens.grid, ens.H.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_every_case_loads_alike_through_a_small_window(
+        self, tmp_path, small_ensemble, monkeypatch, chunk
+    ):
+        # values, blank runs and the opening brace cut at the window's edge are
+        # decoded again after a refill, and errors name the same place in the file
+        save_channel(small_ensemble, tmp_path / "saved.json")
+        saved = (tmp_path / "saved.json").read_text()
+        one_tone = {**self.HEADER, "tones": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+        files = {
+            **{f"layout_{k}": make(saved).encode() for k, make in self.LAYOUTS.items()},
+            **{f"file_{k}": data for k, data in self.BAD_FILES.items()},
+            **{
+                f"record_{k}": json.dumps(self._doc_with_bad_tones(spoil)).encode()
+                for k, spoil in self.BAD_RECORDS.items()
+            },
+            **{
+                f"header_{k}": json.dumps({**one_tone, **loose}).encode()
+                for k, loose in self.LOOSE_HEADERS.items()
+            },
+            "indented_truncated": json.dumps(json.loads(saved), indent=2)[:-500].encode(),
+        }
+        paths = []
+        for name, data in files.items():
+            assert len(data) < channel_model.LOAD_CHUNK  # so ``want`` reads each in one window
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_bytes(data)
+        want = [self._outcome(path) for path in paths]
+        monkeypatch.setattr(channel_model, "LOAD_CHUNK", chunk)
+        for path, expected in zip(paths, want):
+            assert self._outcome(path) == expected, path.name
+        assert want[0][1] == small_ensemble.H.tobytes()
+
+    def test_every_window_edge_in_a_header_number(self, tmp_path, monkeypatch):
+        # "15e+2" cut after "15e+" decodes as 15: each window size puts the
+        # edge at another character of these numbers, which are longer than
+        # any value before them, so the window is not refilled ahead of them
+        text = (
+            '{"format_version": 1, "p": 2, "tone_count": 1, '
+            '"f_start": 0.00000000000000000000000000000015e+34, '
+            '"spacing": 25000000000000000000000000000000E-31, '
+            '"tones": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}'
+        )
+        path = tmp_path / "one.json"
+        path.write_text(text)
+        for chunk in range(1, len(text) + 1):
+            monkeypatch.setattr(channel_model, "LOAD_CHUNK", chunk)
+            ens = load_channel(path)
+            assert (ens.grid.f_start, ens.grid.spacing) == (1500.0, 2.5), chunk
+
+    @pytest.mark.parametrize("layout", ["indented", "one_long_line"])
+    def test_error_position_is_the_files(self, tmp_path, small_ensemble, monkeypatch, layout):
+        # a spoilt character far past the first window: line, column and
+        # character offset are the ones json gives for the whole text, whether
+        # the line's start is still in the window or was dropped long before
+        save_channel(small_ensemble, tmp_path / "chan.json")
+        doc = json.loads((tmp_path / "chan.json").read_text())
+        text = json.dumps(doc, indent=2) if layout == "indented" else "\n" + json.dumps(doc)
+        text = text[: len(text) // 2] + "x" + text[len(text) // 2 + 1:]
+        (tmp_path / "chan.json").write_text(text)
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(text)
+        where = str(want.value)[len(want.value.msg):]  # ": line L column C (char N)"
+        monkeypatch.setattr(channel_model, "LOAD_CHUNK", 64)
+        with pytest.raises(ParseError) as err:
+            load_channel(tmp_path / "chan.json")
+        assert str(err.value).endswith(where), (str(err.value), where)
+        assert want.value.lineno > 1 and want.value.pos > 64
+
     def test_load_holds_no_parsed_document(self, tmp_path):
         # 2000 tones, p = 10: the text is about three times the stack's bytes
         grid = ToneGrid(0.0, 1999 * 4312.5, 4312.5)
@@ -461,12 +564,13 @@ class TestChannelFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert back.grid.count == 2000
-        # The read holds the file's bytes and its decoded text at once; after
-        # it come the text and the per-record arrays, then the stack, which the
-        # ensemble takes without a copy. A loader that keeps the whole parsed document
-        # (a list per number pair) peaks near 4x the text here.
-        assert peak < 2 * text + stack, (peak, text, stack)
+        assert back.grid.count == 2000 and text > 3 * stack
+        # The text passes through one window; the per-record arrays are
+        # stacked, and the ensemble copies the stack once those are freed.
+        # A loader that holds the whole text peaks near it, one that keeps
+        # the whole parsed document (a list per number pair) near 4x it.
+        window = channel_model.LOAD_CHUNK
+        assert peak < 2.5 * stack + window, (peak, text, stack)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -148,6 +148,45 @@ class TestAnalyze:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestReportBlocks:
+    """``_write_report`` renders each table ``REPORT_ROW_BLOCK`` rows at a
+    time, through ``cli.render_table``, the header with the first block."""
+
+    BLOCK = cli.REPORT_ROW_BLOCK
+
+    @pytest.mark.parametrize("count", [0, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocks_join_to_one_table(self, tmp_path, monkeypatch, count):
+        calls, render = [], cli.render_table
+
+        def counted(*args, **kwargs):
+            calls.append((len(args[3]), kwargs.get("header", True)))
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "render_table", counted)
+        rows = [(k, 0.1 * k, np.float64(k) / 3, "x") for k in range(count)]
+        out = tmp_path / "t.tsv"
+        scen = Scenario()
+        tables = [("kind-a", ["i", "f", "g", "s"], iter(rows)), ("kind-b", ["n"], [(7,)])]
+        cli._write_report(mock.Mock(out=str(out)), scen, tables, d_bits=3)
+
+        meta = {"d_bits": 3, "scenario_hash": cli.scenario_hash(scen.to_dict())}
+
+        def one_join(kind, columns, rows):
+            lines = [
+                "# format_version=1", f"# kind={kind}", f"# tool=xtalk-quant {__version__}",
+                *(f"# {key}={meta[key]}" for key in sorted(meta)),
+                "\t".join(columns),
+                *("\t".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+                  for row in rows),
+            ]
+            return "\n".join(lines) + "\n"
+
+        want = one_join("kind-a", ["i", "f", "g", "s"], rows) + one_join("kind-b", ["n"], [(7,)])
+        assert out.read_text() == want
+        sizes = [min(self.BLOCK, count - k) for k in range(0, count, self.BLOCK)] or [0]
+        assert calls == [(n, k == 0) for k, n in enumerate(sizes)] + [(1, True)]
+
+
 class TestBound:
     def test_all_columns_monotone(self, tmp_path, fast_args):
         out = tmp_path / "bounds.tsv"

@@ -6,8 +6,8 @@ import pytest
 
 from xtalk_quant import precoding, streams
 from xtalk_quant.analytic_bounds import delta_entry_bound
-from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid
-from xtalk_quant.errors import NumericalError, RangeError, SingularChannel
+from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid, synthesize_channel
+from xtalk_quant.errors import NumericalError, RangeError, SingularChannel, XtalkError
 from xtalk_quant.precoding import (
     COND_LIMIT,
     E2_DETERMINISTIC,
@@ -18,10 +18,10 @@ from xtalk_quant.precoding import (
     make_bundle,
     quantize_precoder,
 )
-from xtalk_quant.rate_analysis import build_report, loss_arrays
+from xtalk_quant.rate_analysis import LinkBudget, build_report, loss_arrays
 from xtalk_quant.units import SQRT2
 
-from conftest import one_tone, random_dominant_tone
+from conftest import one_tone, random_dominant_tone, reference_params
 
 
 def _uniform_errors(rng, p, d):
@@ -365,3 +365,108 @@ class TestBatchedPathMatchesPerTone:
         assert 1.0 in scales and np.any(scales > 1.0)  # both branches
         for key, col in ref.items():
             assert np.array_equal(getattr(report, key), col), key
+
+
+BLOCK = precoding.BUNDLE_BLOCK
+
+
+def _reference_tones(n):
+    """n tones of the 4-pair reference binder across 0-30 MHz: most of their
+    precoders leave the unit box, so they need ``normalize``."""
+    spacing = 30e6 / n
+    grid = ToneGrid(0.0, (n - 1) * spacing, spacing)
+    ensemble = synthesize_channel(reference_params(p=4), grid, 3)
+    assert ensemble.grid.count == n
+    return ensemble
+
+
+def _in_box_tones(n):
+    """n random two-pair tones whose precoders stay inside the unit box:
+    Q = [[1, a], [b, 1]] with a b < 0 gives P = [[1, -a], [-b, 1]] / (1 - a b)."""
+    rng = np.random.default_rng(n)
+    a = rng.uniform(0.01, 0.5, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    b = -rng.uniform(0.01, 0.5, n) * np.conj(a) / np.abs(a)
+    d = rng.uniform(1e-3, 1.0, (n, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (n, 2)))
+    Q = np.stack([np.ones(n), a, b, np.ones(n)], axis=1).reshape(n, 2, 2)
+    return ChannelEnsemble(ToneGrid(1e6, 1e6 + (n - 0.5), 1.0), d[:, :, None] * Q)
+
+
+def _bundle_outcome(ensemble, spec, normalize):
+    """make_bundle's Delta bytes, or its error's type, tone and message."""
+    snr = LinkBudget(-60.0, -140.0, 10.7, ensemble.grid).snr(ensemble)
+    try:
+        return make_bundle(ensemble, spec, snr=snr, normalize=normalize).tobytes()
+    except XtalkError as exc:
+        return type(exc), exc.tone, str(exc)
+
+
+class TestBundleBlocks:
+    """make_bundle takes the tones ``BUNDLE_BLOCK`` at a time; blocks keep
+    every Delta bit, stream key and error of the whole-stack call."""
+
+    SPECS = {
+        "deterministic": PerturbationSpec(d_bits=14),
+        "uniform": PerturbationSpec(d_bits=11, e2_model=E2_UNIFORM, seed=5),
+        "uniform_csi": PerturbationSpec(d_bits=14, e2_model=E2_UNIFORM, e1_samples=1000, seed=7),
+    }
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    @pytest.mark.parametrize(
+        "tones", [_reference_tones, _in_box_tones], ids=["reference", "in_box"]
+    )
+    def test_blocks_equal_one_tone_at_a_time_and_the_whole_stack(
+        self, monkeypatch, tones, spec, normalize, n
+    ):
+        ensemble, spec = tones(n), self.SPECS[spec]
+        got = _bundle_outcome(ensemble, spec, normalize)
+        monkeypatch.setattr(precoding, "BUNDLE_BLOCK", 1)
+        assert _bundle_outcome(ensemble, spec, normalize) == got
+        monkeypatch.setattr(precoding, "BUNDLE_BLOCK", n)
+        assert _bundle_outcome(ensemble, spec, normalize) == got
+        if normalize or tones is _in_box_tones:
+            assert isinstance(got, bytes)
+        else:  # the first reference tone outside the box, in the first block
+            assert got[0] is RangeError and got[1] < BLOCK - 1
+
+    @pytest.mark.parametrize("stage", ["channel", "estimated_channel", "unit_box", "identity"])
+    def test_failing_tone_in_the_second_block_is_named(self, monkeypatch, stage):
+        # identity tones pass every stage exactly; tone BLOCK + 4 fails one
+        n, bad = BLOCK + 9, BLOCK + 4
+        H = np.stack([np.eye(2, dtype=complex)] * n)
+        spec, normalize = PerturbationSpec(d_bits=12), True
+        if stage == "channel":
+            H[bad] = 1.0
+        elif stage == "estimated_channel":  # cond(H) = 2e9 passes, cond(Q) = 1e15 does not
+            H[bad] = [[1.0, 1e-6], [1.0, 1e-6 * (1 + 1e-3)]]
+            spec = PerturbationSpec(d_bits=12, e2_model=E2_UNIFORM, e1_samples=10**12)
+        elif stage == "unit_box":  # P = [[1, -0.6], [-0.6, 1]] / 0.64
+            H[bad] = [[1.0, 0.6], [0.6, 1.0]]
+            normalize = False
+        else:
+            H[bad] = random_dominant_tone(np.random.default_rng(5), 2, 0.4).H[0]
+            monkeypatch.setattr(precoding, "IDENTITY_CHECK_TOL", 1e-300)
+        ensemble = ChannelEnsemble(ToneGrid(1e6, 1e6 + n - 0.5, 1.0), H)
+        blocked = _bundle_outcome(ensemble, spec, normalize)
+        monkeypatch.setattr(precoding, "BUNDLE_BLOCK", n)  # one block: the whole-stack call
+        assert blocked == _bundle_outcome(ensemble, spec, normalize)
+        assert blocked[1] == bad, blocked
+
+    @pytest.mark.parametrize("spec", ["deterministic", "uniform_csi"])
+    def test_bundle_and_report_peak_below_three_stacks(self, spec):
+        # 1740 tones, p = 10: Delta, one block's precoders, then the loss
+        # kernel's planes; neither the full Q nor a full precoder stack
+        ensemble = synthesize_channel(reference_params(), ToneGrid.vdsl_band(decimation=4), 7)
+        budget = LinkBudget(-60.0, -140.0, 10.7, ensemble.grid)
+        spec = self.SPECS[spec]
+        snr = budget.snr(ensemble)
+        tracemalloc.start()
+        try:
+            delta = make_bundle(ensemble, spec, snr=snr, normalize=True)
+            build_report(budget, ensemble, delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "Q" not in vars(ensemble)  # the cached full stack was never formed
+        assert peak < 3 * ensemble.H.nbytes, (peak, ensemble.H.nbytes)

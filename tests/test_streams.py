@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xtalk_quant import streams
+from xtalk_quant.units import SQRT2
 
 
 def _numpy_uniform_complex(rng, shape):
@@ -85,3 +88,26 @@ class TestSlicedDraw:
         ref.random(3)
         whole = _numpy_uniform_complex(ref, (5, 3, 3))
         assert np.array_equal(got.view(float), whole[1:3].view(float))
+
+
+class TestCsiError:
+    SNR = np.array([1e8, 3e7, 5e6, 2e9, 7.5e4, 1e8, 4e3, 6e8, 1e9, 2.5e5])
+
+    @pytest.mark.parametrize("trials", [(), (1,), (1000,)])
+    def test_bitwise_the_expression(self, trials):
+        # formed in place in one complex buffer: the same operations in the same order
+        got = streams.csi_error(streams.stream(4, streams.MC_E1, 2), self.SNR, 1000, trials)
+        z = streams.stream(4, streams.MC_E1, 2).standard_normal((2, *trials, 10, 10))
+        want = np.sqrt(1.0 / (1000 * self.SNR))[:, None] * (z[0] + 1j * z[1]) / SQRT2
+        assert got.shape == want.shape == (*trials, 10, 10)
+        assert got.tobytes() == want.tobytes()
+
+    def test_holds_the_draw_and_one_complex_buffer(self):
+        tracemalloc.start()
+        try:
+            e1 = streams.csi_error(streams.stream(4, streams.MC_E1, 2), self.SNR, 1000, (1000,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float draw z is as large as the complex result
+        assert peak < 2.1 * e1.nbytes, (peak, e1.nbytes)
