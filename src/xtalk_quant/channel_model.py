@@ -178,8 +178,8 @@ class ChannelEnsemble:
     """The channel matrices of every tone of a grid as one (tones, p, p) stack.
 
     ``H`` is a read-only copy of the stack it is given and ``D`` a read-only
-    view of its diagonals; ``r`` and ``Q`` are derived from it for all tones
-    at once, on first use.  A single tone is an ensemble over a one-tone grid.
+    view of its diagonals; ``r`` is derived from it on first use, and Q by
+    ``row_normalized`` for the tones asked.  A single tone is an ensemble over a one-tone grid.
     """
 
     grid: ToneGrid
@@ -217,13 +217,8 @@ class ChannelEnsemble:
     def r_max(self) -> float:
         return float(np.max(self.r))
 
-    @cached_property
-    def Q(self) -> np.ndarray:
-        """(tones, p, p) row-normalized channel I + D^{-1} F."""
-        return self.row_normalized()
-
     def row_normalized(self, tones: slice = slice(None)) -> np.ndarray:
-        """I + D^{-1} F of every tone or of the block ``tones``, formed in
+        """Q = I + D^{-1} F of every tone or of the block ``tones``, formed in
         place in one copy of H (bitwise equal to the expression)."""
         F = self.H[tones].copy()
         idx = np.arange(self.p)

@@ -40,7 +40,7 @@ from .errors import (
 )
 # run_trials stays bound here for the benchmark's tracing, which patches cli.run_trials
 from .monte_carlo import run_trials, run_trials_sweep  # noqa: F401
-from .precoding import make_bundle
+from .precoding import make_bundle, word_length
 from .rate_analysis import build_report
 from .reports import render_table, scenario_hash
 from .scenario import Scenario
@@ -131,9 +131,9 @@ def cmd_inspect_channel(args) -> int:
 
 def cmd_analyze(args) -> int:
     scen = _load_scenario(args)
+    spec = scen.perturbation()  # its word length is checked before the channel is formed
     ensemble = scen.ensemble()
     budget = scen.budget(ensemble.grid)
-    spec = scen.perturbation()
     snr = budget.snr(ensemble) if spec.e1_samples else None
     # make_bundle returns Delta alone: no other precoder stack outlives it
     delta = make_bundle(ensemble, spec, snr=snr, normalize=args.normalize)
@@ -176,6 +176,7 @@ _BOUND_NAMES = ("general", "main", "simplified", "werner", "relative")
 def cmd_bound(args) -> int:
     if args.d_min < 1 or args.d_max < args.d_min:
         raise InvalidParams(f"bad word-length range --d-min {args.d_min} --d-max {args.d_max}")
+    word_length(args.d_max, "--d-max")
     scen = _load_scenario(args)
     ensemble = scen.ensemble()
     which = _BOUND_NAMES if args.which == "all" else (args.which,)
@@ -254,8 +255,6 @@ def cmd_design_bits(args) -> int:
 
 def cmd_simulate(args) -> int:
     scen = _load_scenario(args)
-    ensemble = scen.ensemble()
-    budget = scen.budget(ensemble.grid)
     if args.d_range is None:
         d_lo = d_hi = scen.d_bits
     else:
@@ -266,6 +265,8 @@ def cmd_simulate(args) -> int:
         if d_lo < 1 or d_hi < d_lo:
             raise InvalidParams(f"bad --d-range {args.d_range!r}")
     config = replace(scen.trial_config(), zero_errors=args.zero_errors)
+    ensemble = scen.ensemble()
+    budget = scen.budget(ensemble.grid)
     reports = run_trials_sweep(ensemble, budget, config, range(d_lo, d_hi + 1))
     failures = reports[0].trial_failures
     if failures and not args.skip_failures:

@@ -31,9 +31,8 @@ from .analytic_bounds import (
     min_admissible_bits,
 )
 from .errors import BitDepthTooSmall, InvalidParams, TargetUnreachable, XtalkError
+from .precoding import MAX_BITS
 from .units import LN2, SQRT2
-
-MAX_BITS = 64
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ The uniform base variates U do not depend on the word length: E2 is 2^-d U.
 That gives common random numbers, which keeps the empirical worst case
 monotone in d, and it lets one draw serve every word length of a sweep.
 Per tone, ``run_trials_sweep`` draws U (and the CSI error E1) once, forms
-Q U (and E1 inv(Q + E1)) once, and with E1 absent also the O(p^2) part of
+Q, Q U (and E1 inv(Q + E1)) once, and with E1 absent also the O(p^2) part of
 the loss kernel once; each d then costs O(n p), since Delta(d) = 2^-d Q U
 scales the interference by 4^-d and Delta_ii by 2^-d.  Power-of-two scaling
 is exact in floating point, so every report is bitwise identical to a fresh
@@ -77,10 +77,9 @@ import numpy as np
 from . import streams
 from .channel_model import ChannelEnsemble
 from .errors import InvalidParams, SingularChannel, TargetUnreachable
-from .precoding import COND_LIMIT, E2_UNIFORM, PerturbationSpec, condition_numbers
-from .rate_analysis import LinkBudget, interference_ratio, interference_terms, worst_case_loss
-from .rate_analysis import loss_arrays  # noqa: F401  (bench/spans.py patches monte_carlo.loss_arrays)
-from .units import LN2
+from .precoding import COND_LIMIT, E2_UNIFORM, PerturbationSpec, condition_numbers, word_length
+from .rate_analysis import LinkBudget, interference_ratio, interference_terms, loss_tail, rate_bits
+from .rate_analysis import loss_arrays, worst_case_loss  # noqa: F401  (bench patches loss_arrays)
 
 WORST_CASE = "worst_case"
 MEAN = "mean"
@@ -216,11 +215,9 @@ def run_trials_sweep(
     1/(e1_samples * SNR_i), and the full two-term perturbation
     Q E2 - E1 inv(Q + E1).
     """
-    d_values = [int(d) for d in d_values]
+    d_values = [word_length(int(d)) for d in d_values]  # refused before a long range is listed
     if not d_values:
         raise InvalidParams("no word lengths to simulate")
-    if min(d_values) < 1:
-        raise InvalidParams(f"word lengths must be >= 1, got {min(d_values)}")
     per_tone, rate, joint, failures = _sweep_tones(
         ensemble, budget, config, d_values, band_joint=True
     )
@@ -270,9 +267,9 @@ def _sweep_tones(
     scale_blocks = [
         np.array(scales[i : i + block])[:, None, None] for i in range(0, len(scales), block)
     ]
-    snr_all, q_all = budget.snr(ensemble, tones), ensemble.Q
+    snr_all = budget.snr(ensemble, tones)
     esnr_all = snr_all / budget.gap
-    rate_all = np.log1p(esnr_all) / LN2
+    rate_all = rate_bits(esnr_all)
     joint = np.zeros((len(d_values), n, p)) if band_joint else None
     threads = _engine_threads()
     if config.statistic != WORST_CASE:
@@ -286,9 +283,9 @@ def _sweep_tones(
         ws = _Workspace(t1 - t0, p, block)
         part = np.empty((len(d_values), p, len(tones)))
         failures: list = []
-        for c, k in enumerate(tones):
+        for c, (k, snr, esnr, rate) in enumerate(zip(tones, snr_all, esnr_all, rate_all)):
             at[w] = c
-            snr, esnr, rate, q_mat = snr_all[c], esnr_all[c], rate_all[c], q_all[k]
+            q_mat = ensemble.row_normalized(slice(k, k + 1))[0]  # the tone's own Q: no stack
             if config.zero_errors:
                 ws.u.fill(0.0)
             else:
@@ -310,9 +307,7 @@ def _sweep_tones(
             for (cross, re, im), s in per_block:
                 k_d = s.shape[0]
                 q = interference_ratio(snr, cross, re, im, s, out=[b[:k_d] for b in ws.ratio])[1]
-                q = np.log1p(np.multiply(esnr, q, out=q), out=q)
-                q /= LN2
-                loss = np.subtract(rate, q, out=q)
+                loss = loss_tail(rate, esnr, q, out=q)
                 if band_joint:
                     joint[i : i + k_d, t0:t1] += loss
                 part[i : i + k_d, :, c] = _reduce(loss, config, axis=1)
@@ -408,13 +403,11 @@ def min_bits_empirical(
     """
     if not 0.0 < target_eta <= 1.0:
         raise InvalidParams("target_eta must lie in (0, 1]")
-    if d_max < 1:
-        raise InvalidParams("d_max must be >= 1")
+    word_length(d_max, "d_max")
     if config.spec.e1_samples is None:  # per (d, tone): the supremum meets the target at d
-        rate = np.log1p(budget.snr(ensemble) / budget.gap).T / LN2  # the engine's rate
         widths = np.array([2.0 ** (-d) for d in range(1, d_max + 1)])[:, None]
         sup = worst_case_loss(budget, ensemble, widths)
-        sup /= rate  # in place: the search holds one (d_max, p, tones) array
+        sup /= rate_bits(budget.snr(ensemble) / budget.gap).T  # in place, by the engine's rate
         certified = np.all(sup <= target_eta - CERT_MARGIN, axis=1)
         del sup  # the walk reads only the flags
     else:

@@ -32,9 +32,18 @@ from .errors import InvalidParams, NumericalError, RangeError, SingularChannel
 COND_LIMIT = 1e12
 IDENTITY_CHECK_TOL = 1e-10
 BUNDLE_BLOCK = 256  # tones per make_bundle block: its temporaries grow with the block, not the grid
+MAX_BITS = 64  # longest word length any command takes: past the double mantissa's 53 bits already
 
 E2_DETERMINISTIC = "deterministic_rounding"
 E2_UNIFORM = "uniform_random"
+
+
+def word_length(d, name: str = "word length"):
+    """``d``, once it lies in 1..``MAX_BITS``; refused with ``InvalidParams``
+    otherwise, before anything is sized by it."""
+    if not 1 <= d <= MAX_BITS:
+        raise InvalidParams(f"{name} must lie in 1..{MAX_BITS}, got {d}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,7 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_bits < 1:
-            raise InvalidParams("d_bits must be >= 1")
+        word_length(self.d_bits, "d_bits")
         if self.e2_model not in (E2_DETERMINISTIC, E2_UNIFORM):
             raise InvalidParams(f"unknown e2 model {self.e2_model!r}")
         if self.e1_samples is not None and self.e1_samples < 1:

@@ -11,7 +11,7 @@ where, writing eSNR = SNR/Gamma,
     q_i = |1 + Delta_ii|^2 / (a_i + 1)
     k_i = eSNR_i / (eSNR_i + 1).
 
-The loss is evaluated through the algebraically identical form
+The loss is evaluated (``loss_tail``) through the algebraically identical form
 log2(1 + eSNR) - log2(1 + eSNR * q), which avoids the cancellation in
 1 - k at high SNR; both ``a`` and ``q`` are reported as defined.
 Band quantities are rectangle-rule sums (each tone owns one bin of width
@@ -129,6 +129,16 @@ class LossReport:
         return self.rate - self.loss
 
 
+def rate_bits(esnr, out: np.ndarray | None = None) -> np.ndarray:
+    """log2(1 + ``esnr``), eSNR = SNR/Gamma; into ``out`` (may be ``esnr``) when given."""
+    return np.divide(np.log1p(esnr, out=out), LN2, out=out)
+
+
+def loss_tail(rate, esnr, q, out: np.ndarray | None = None) -> np.ndarray:
+    """The loss ``rate`` - log2(1 + ``esnr`` q) at ``q``; into ``out`` (may be q) if given."""
+    return np.subtract(rate, rate_bits(np.multiply(esnr, q, out=out), out=out), out=out)
+
+
 def loss_arrays(
     snr: np.ndarray, gap: float, psd_lin: np.ndarray, delta: np.ndarray
 ) -> dict:
@@ -140,9 +150,8 @@ def loss_arrays(
     esnr = snr / gap
     a, q = interference_ratio(snr, *interference_terms(delta, psd_lin))
     k = esnr / (esnr + 1.0)
-    rate = np.log1p(esnr) / LN2
-    loss = rate - np.log1p(esnr * q) / LN2
-    return {"loss": loss, "rate": rate, "a": a, "q": q, "k": k}
+    rate = rate_bits(esnr)
+    return {"loss": loss_tail(rate, esnr, q), "rate": rate, "a": a, "q": q, "k": k}
 
 
 def interference_terms(
@@ -254,17 +263,17 @@ def worst_case_loss(
     of E2 are free of each other.  q_i therefore falls as low as
     dist(-1, Z_i)^2 / (1 + SNR_i R_i^2 sum_{j != i} P_j / P_i), where
     R_i = max |Z_i| is reached by every off-diagonal entry at once and
-    dist(-1, Z_i) by the diagonal one; the loss is the kernel's
-    rate - log1p(eSNR q)/ln 2 at that q.  Z_i's vertices: flip each generator
-    into the upper half-plane, sort them by angle, v_0 = sum g and
-    v_k = v_{k-1} - 2 g_(k), k = 1..2p; the negated chain closes the polygon.
+    dist(-1, Z_i) by the diagonal one; the loss is ``loss_tail`` at that q.
+    Z_i's vertices: flip each generator into the upper half-plane, sort them
+    by angle, v_0 = sum g and v_k = v_{k-1} - 2 g_(k), k = 1..2p; the negated
+    chain closes the polygon.
 
     ``half_width`` (> 0) broadcasts against the tones: a float or a (tones,)
     array gives (p, tones), and a (k, 1) or (k, tones) array gives
     (k, p, tones).  Each tone's polygon is built once at unit half-width
     (R scales by h, dist(-1, hZ) = h dist(-1/h, Z)) and the tones are taken
-    in blocks of about ``WORST_CASE_BLOCK`` (tone, half-width) pairs, so the
-    temporaries grow with neither the tone count nor the number of widths.
+    in blocks of about ``WORST_CASE_BLOCK`` (tone, half-width) pairs, Q too, so
+    the temporaries grow with neither the tone count nor the number of widths.
     """
     n_tones, p = ensemble.grid.count, ensemble.p
     widths = np.asarray(half_width, dtype=float)
@@ -278,12 +287,11 @@ def worst_case_loss(
     for k0 in range(0, n_tones, block):
         tones = slice(k0, k0 + block)
         h = widths[..., tones, None]
-        radius, dist = _zonotope_reach(ensemble.Q[tones], -1.0 / h)
+        radius, dist = _zonotope_reach(ensemble.row_normalized(tones), -1.0 / h)
         snr = budget.snr(ensemble, tones)
         esnr = snr / budget.gap
         q = np.square(dist * h) / (1.0 + snr * np.square(radius * h) * spread)
-        loss = np.log1p(esnr) / LN2 - np.log1p(esnr * q) / LN2
-        out[..., tones] = np.swapaxes(loss, -1, -2)
+        out[..., tones] = np.swapaxes(loss_tail(rate_bits(esnr), esnr, q, out=q), -1, -2)
     return out
 
 

@@ -185,10 +185,10 @@ class TestDominationChain:
     def test_exact_le_general_le_main_le_simplified(self, small_ensemble, small_budget):
         rng = np.random.default_rng(21)
         d = 9
-        p = small_ensemble.p
+        p, Q = small_ensemble.p, small_ensemble.row_normalized()
         for k in range(0, small_ensemble.grid.count, 6):
             snr = small_budget.snr(small_ensemble)[k]
-            q_mat = small_ensemble.Q[k]
+            q_mat = Q[k]
             r = float(small_ensemble.r[k])
             tone = one_tone(small_ensemble.grid.freq(k), small_ensemble.H[k])
             for _ in range(40):
@@ -230,7 +230,7 @@ class TestDominationChain:
         # the least integer word length strictly above the admissibility floor, and up
         d = math.floor(min_admissible_bits(r)) + 1 + bits_above_floor
         e2 = 2.0**-d * (rng.uniform(-1, 1, (p, p)) + 1j * rng.uniform(-1, 1, (p, p)))
-        delta = tone.Q[0] @ e2
+        delta = tone.row_normalized()[0] @ e2
         for u in range(p):
             exact = max(0.0, loss_exact(budget, tone, delta, u).loss)
             general = bound_general_per_tone(p, rho, float(np.max(np.abs(delta[u]))), snr[u])

@@ -90,7 +90,7 @@ class TestSynthesis:
             assert np.array_equal(sa.H, sb.H)
 
     def test_split_reconstruction_is_exact(self, small_ensemble):
-        H, D, Q = small_ensemble.H, small_ensemble.D, small_ensemble.Q
+        H, D, Q = small_ensemble.H, small_ensemble.D, small_ensemble.row_normalized()
         assert np.array_equal(np.diagonal(H, axis1=1, axis2=2), D)
         off = ~np.eye(small_ensemble.p, dtype=bool)
         assert np.array_equal(Q[:, off], (H / D[:, :, None])[:, off])
@@ -103,9 +103,12 @@ class TestSynthesis:
         idx = np.arange(reference_ensemble.p)
         F[:, idx, idx] = 0.0
         want = np.eye(reference_ensemble.p) + F / D[:, :, None]
-        assert reference_ensemble.Q.tobytes() == want.tobytes()
+        assert reference_ensemble.row_normalized().tobytes() == want.tobytes()
         block = reference_ensemble.row_normalized(slice(100, 300))
         assert block.tobytes() == want[100:300].tobytes()
+        for k in range(reference_ensemble.grid.count):  # the trial engine's one-tone Q
+            one = reference_ensemble.row_normalized(slice(k, k + 1))[0]
+            assert one.tobytes() == want[k].tobytes(), k
 
     def test_row_normalized_holds_one_copy(self):
         # the 30a plan (3479 tones, p = 10): the copy of H is the only stack formed
@@ -113,7 +116,7 @@ class TestSynthesis:
         ens.D
         tracemalloc.start()
         try:
-            ens.Q
+            ens.row_normalized()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -302,7 +305,7 @@ class TestChannelFiles:
         ens = load_channel(path)
         assert np.array_equal(ens.r, [0.0])
         assert np.array_equal(ens.D, np.ones((1, 2), dtype=complex))
-        assert np.array_equal(ens.Q, np.eye(2)[None])
+        assert np.array_equal(ens.row_normalized(), np.eye(2)[None])
 
     def test_zero_diagonal_names_tone(self, tmp_path):
         doc = {

@@ -693,6 +693,12 @@ class TestExitCodes:
             (["sweep", "--lengths", "300,abc", "--target-relative", "0.01"], 2),
             (["simulate", "--d-range", "8:x"], 2),
             (["bound", "--d-min", "12", "--d-max", "10"], 2),
+            # past the 64-bit ceiling: 1024 overflowed 2**d untyped, 65..1023 wrote rows
+            (["analyze", "--d-bits", "1024"], 2),
+            (["analyze", "--d-bits", "65"], 2),
+            (["simulate", "--d-range", "8:65"], 2),
+            (["simulate", "--d-bits", "65"], 2),
+            (["bound", "--which", "main", "--d-min", "10", "--d-max", "65"], 2),
             (["bound", "--d-min", "0", "--which", "werner"], 2),
             (["design-bits", "--target-relative", "1e-300"], 3),
             (["bound", "--d-min", "1", "--which", "main", "--users", "10"], 4),
@@ -720,6 +726,12 @@ class TestExitCodes:
 _EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-300, 1e308]
 
 
+def _bits():
+    """A word-length flag value: mostly in 0..40, sometimes at or past the
+    64-bit ceiling, or where 2**d overflows."""
+    return st.one_of(st.integers(0, 40), st.sampled_from([64, 65, 1023, 1024]))
+
+
 def _number(lo: float, hi: float):
     """A float flag value: mostly in [lo, hi], sometimes an edge case."""
     return st.one_of(st.floats(lo, hi), st.sampled_from(_EDGE_FLOATS))
@@ -733,7 +745,7 @@ def _cli_argv(draw) -> list:
     flags = {
         "users": st.integers(-1, 6),
         "seed": st.integers(-1, 2**32),
-        "d-bits": st.integers(0, 40),
+        "d-bits": _bits(),
         "psd": _number(-100.0, -20.0),
         "noise": _number(-170.0, -100.0),
         "gap": _number(0.0, 20.0),
@@ -747,13 +759,13 @@ def _cli_argv(draw) -> list:
         "analyze": {"normalize": st.none()},
         "bound": {
             "which": st.sampled_from(["general", "main", "simplified", "werner", "relative", "all"]),
-            "d-min": st.integers(0, 30),
-            "d-max": st.integers(0, 30),
+            "d-min": _bits(),
+            "d-max": _bits(),
         },
         "design-bits": {"target-tone": _number(1e-6, 10.0), "target-relative": target,
                         "freq": _number(0.0, 3e7)},
         "simulate": {
-            "d-range": st.tuples(st.integers(0, 40), st.integers(0, 40)).map("{0[0]}:{0[1]}".format),
+            "d-range": st.tuples(_bits(), _bits()).map("{0[0]}:{0[1]}".format),
             "csi-samples": st.integers(0, 5000),
             "zero-errors": st.none(),
             "skip-failures": st.none(),
@@ -785,6 +797,8 @@ class TestCliProperty:
     @example(SWEEP + ["--lengths=1e-300", "--target-relative=0.5"])
     # the closed-form gap overflowed with a RuntimeWarning
     @example(SWEEP + ["--gap=1e+308", "--lengths=10.0", "--target-relative=0.5"])
+    # 2**1024 overflowed in the quantizer: an untyped OverflowError
+    @example(["analyze", "--decimation=4096", "--n-trials=16", "--users=2", "--d-bits=1024"])
     def test_exit_code_and_report(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

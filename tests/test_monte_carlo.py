@@ -77,10 +77,21 @@ class TestTrialConfig:
             _config(12, statistic=statistic, q=0.5)
 
 
+def _past_the_ceiling():
+    """Word lengths 60..65, then a failure if read any further."""
+    yield from range(60, 66)
+    raise AssertionError("a word length read past the first one over the ceiling")
+
+
 class TestRunTrials:
-    @pytest.mark.parametrize("d_values", [[0], [-3], [8, 0, 12]])
-    def test_word_length_below_one_refused(self, small_ensemble, small_budget, d_values):
-        # PerturbationSpec refuses d_bits < 1; the sweep's word lengths must too
+    # PerturbationSpec refuses d_bits outside 1..MAX_BITS; the sweep's word
+    # lengths must too, before a long range is listed (2**1024 overflows)
+    @pytest.mark.parametrize(
+        "d_values", [[0], [-3], [8, 0, 12], [65], [8, 1024], _past_the_ceiling()]
+    )
+    def test_word_length_outside_one_to_the_ceiling_refused(
+        self, small_ensemble, small_budget, d_values
+    ):
         with pytest.raises(InvalidParams, match="word length"):
             run_trials_sweep(small_ensemble, small_budget, _config(8, n=5), d_values)
 
@@ -190,8 +201,7 @@ def _reference_one_word_length(ensemble, budget, config, d):
     psd = budget.psd_linear(p)
     per_tone = np.empty((p, ensemble.grid.count))
     joint = np.zeros((n, p))
-    for k, snr in enumerate(budget.snr(ensemble)):
-        q_mat = ensemble.Q[k]
+    for k, (snr, q_mat) in enumerate(zip(budget.snr(ensemble), ensemble.row_normalized())):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(10, k)))
         )
@@ -450,7 +460,6 @@ class TestWorkspaceMemory:
     def _peak_beyond_outputs(self, n_tones: int) -> int:
         grid = ToneGrid(1e6, 1e6 + (n_tones - 0.5) * 1e5, 1e5)
         ensemble = synthesize_channel(reference_params(self.P), grid, 5)
-        ensemble.Q  # derived once per ensemble, outside the measurement
         budget = LinkBudget(-60.0, -140.0, 10.7, grid)
         tracemalloc.start()
         try:
@@ -498,7 +507,7 @@ class TestCsiTrials:
 
 class TestResampling:
     def test_resampler_has_its_own_stream(self, small_ensemble, small_budget):
-        q_mat, snr = small_ensemble.Q[0], small_budget.snr(small_ensemble)[0]
+        q_mat, snr = small_ensemble.row_normalized()[0], small_budget.snr(small_ensemble)[0]
         seed, n_samples = 42, 1000
         e1 = _draw_e1(seed, 0, 3, snr, n_samples)
         e1[1] = -q_mat  # Q + E1 = 0: trial 1 must be resampled
@@ -522,7 +531,7 @@ class TestResampling:
             assert len(bounds) == threads + 1 and bounds[1] <= trial < bounds[2]
         snrs = small_budget.snr(small_ensemble)
         assert sum(np.array_equal(row, snrs[tone]) for row in snrs) == 1
-        q_mat, real_csi_error = small_ensemble.Q[tone], streams.csi_error
+        q_mat, real_csi_error = small_ensemble.row_normalized()[tone], streams.csi_error
 
         resamples = []
 
@@ -556,7 +565,7 @@ class TestResampling:
         the error names the one a single slice meets first, the lower tone,
         although with two slices the other one is in the first slice."""
         planted = {2: 55, 5: 3}  # tone: trial
-        snrs = small_budget.snr(small_ensemble)
+        snrs, Q = small_budget.snr(small_ensemble), small_ensemble.row_normalized()
         real_csi_error = streams.csi_error
 
         def csi_error(rng, snr, n_samples, trials=()):
@@ -564,9 +573,9 @@ class TestResampling:
             if k is None:
                 return real_csi_error(rng, snr, n_samples, trials)
             if not trials:  # a resample lands on the singular point again
-                return -small_ensemble.Q[k]
+                return -Q[k]
             e1 = real_csi_error(rng, snr, n_samples, trials)
-            e1[planted[k]] = -small_ensemble.Q[k]
+            e1[planted[k]] = -Q[k]
             return e1
 
         monkeypatch.setattr(streams, "csi_error", csi_error)
@@ -584,7 +593,7 @@ class TestResampling:
     def test_ill_conditioned_trial_is_resampled(self, small_ensemble, small_budget):
         # Q + E1 = diag(1, 1, 1, 1e-14) on trial 1 inverts without LinAlgError,
         # but its condition number is far above COND_LIMIT
-        q_mat, snr = small_ensemble.Q[2], small_budget.snr(small_ensemble)[2]
+        q_mat, snr = small_ensemble.row_normalized()[2], small_budget.snr(small_ensemble)[2]
         seed, n_samples = 42, 1000
         e1 = _draw_e1(seed, 2, 3, snr, n_samples)
         e1[1] = np.diag([1.0, 1.0, 1.0, 1e-14]) - q_mat
@@ -601,7 +610,7 @@ class TestResampling:
     ):
         tone, trial = 5, 7
         snrs = small_budget.snr(small_ensemble)
-        q_mat, real_csi_error = small_ensemble.Q[tone], streams.csi_error
+        q_mat, real_csi_error = small_ensemble.row_normalized()[tone], streams.csi_error
 
         def csi_error(rng, snr, n_samples, trials=()):
             e1 = real_csi_error(rng, snr, n_samples, trials)
@@ -623,7 +632,7 @@ class TestResampling:
         budget = scen.budget(ensemble.grid)
         tone, trial = 3, 5
         snrs = budget.snr(ensemble)
-        q_mat, real_csi_error = ensemble.Q[tone], streams.csi_error
+        q_mat, real_csi_error = ensemble.row_normalized()[tone], streams.csi_error
 
         def csi_error(rng, snr, n_samples, trials=()):
             e1 = real_csi_error(rng, snr, n_samples, trials)
@@ -639,7 +648,7 @@ class TestResampling:
             assert type(entry) is tuple and all(type(v) is int for v in entry)
 
     def test_exhausted_resamples_name_the_tone(self, small_ensemble, small_budget, monkeypatch):
-        q_mat, snr = small_ensemble.Q[3], small_budget.snr(small_ensemble)[3]
+        q_mat, snr = small_ensemble.row_normalized()[3], small_budget.snr(small_ensemble)[3]
         e1 = _draw_e1(42, 3, 2, snr, 1000)
         e1[1] = -q_mat
         # every resample lands on the singular point again
@@ -699,6 +708,11 @@ class TestWernerDecayDomination:
 class TestMinBitsEmpirical:
     def test_trivial_target(self, small_ensemble, small_budget):
         assert min_bits_empirical(small_ensemble, small_budget, _config(8, n=50), 1.0) == 1
+
+    @pytest.mark.parametrize("d_max", [0, 65, 1024])
+    def test_d_max_outside_one_to_the_ceiling_refused(self, small_ensemble, small_budget, d_max):
+        with pytest.raises(InvalidParams, match="d_max"):
+            min_bits_empirical(small_ensemble, small_budget, _config(8, n=5), 0.01, d_max=d_max)
 
     def test_unreachable_target(self, small_ensemble, small_budget):
         with pytest.raises(TargetUnreachable):
@@ -920,7 +934,7 @@ class TestScanStopsEarly:
         # search never draws tone 5
         tone, trial = 5, 7
         snrs = small_budget.snr(small_ensemble)
-        q_mat, real_csi_error = small_ensemble.Q[tone], streams.csi_error
+        q_mat, real_csi_error = small_ensemble.row_normalized()[tone], streams.csi_error
 
         def csi_error(rng, snr, n_samples, trials=()):
             if not np.array_equal(snr, snrs[tone]):

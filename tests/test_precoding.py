@@ -4,14 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xtalk_quant import precoding, streams
+from xtalk_quant import design, precoding, streams
 from xtalk_quant.analytic_bounds import delta_entry_bound
 from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid, synthesize_channel
-from xtalk_quant.errors import NumericalError, RangeError, SingularChannel, XtalkError
+from xtalk_quant.errors import (
+    InvalidParams,
+    NumericalError,
+    RangeError,
+    SingularChannel,
+    XtalkError,
+)
 from xtalk_quant.precoding import (
     COND_LIMIT,
     E2_DETERMINISTIC,
     E2_UNIFORM,
+    MAX_BITS,
     PerturbationSpec,
     build_delta,
     ideal_precoder,
@@ -70,6 +77,15 @@ class TestIdealPrecoder:
 
 
 class TestQuantizer:
+    def test_word_length_ceiling(self):
+        # one home for the ceiling; 2**1024 once overflowed untyped in the quantizer
+        assert design.MAX_BITS is MAX_BITS == 64
+        out = quantize_precoder(np.full((2, 2), 0.3 + 0.0j), PerturbationSpec(d_bits=MAX_BITS))
+        assert np.all(np.abs(out.e2) <= 2.0 ** (-MAX_BITS - 1))
+        for d in (0, MAX_BITS + 1, 1023, 1024):
+            with pytest.raises(InvalidParams, match="d_bits"):
+                PerturbationSpec(d_bits=d)
+
     def test_identity_is_exactly_representable(self):
         for d in (1, 5, 14):
             out = quantize_precoder(np.eye(4).astype(complex), PerturbationSpec(d_bits=d))
@@ -138,17 +154,17 @@ class TestDelta:
         rng = np.random.default_rng(2)
         e2 = np.stack([_uniform_errors(rng, small_ensemble.p, 10) for _ in small_ensemble.freqs])
         delta = build_delta(small_ensemble, ideal_precoder(small_ensemble), None, e2)
-        for k in range(small_ensemble.grid.count):
-            assert np.allclose(delta[k], small_ensemble.Q[k] @ e2[k], rtol=0, atol=1e-16)
+        for k, q_mat in enumerate(small_ensemble.row_normalized()):
+            assert np.allclose(delta[k], q_mat @ e2[k], rtol=0, atol=1e-16)
 
     def test_identity_residual_with_estimation_error(self):
         rng = np.random.default_rng(3)
         tone = random_dominant_tone(rng, 3, 0.4)
         e1 = 1e-3 * (rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3)))
         e2 = 1e-4 * (rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3)))
-        p_est = np.linalg.solve(tone.Q + e1, np.eye(3))
+        p_est = np.linalg.solve(tone.row_normalized() + e1, np.eye(3))
         delta = build_delta(tone, p_est, e1, e2)[0]  # raises NumericalError on violation
-        p_pert = np.linalg.inv(tone.Q[0] + e1[0]) + e2[0]
+        p_pert = np.linalg.inv(tone.row_normalized()[0] + e1[0]) + e2[0]
         lhs = tone.H[0] @ p_pert
         rhs = tone.D[0][:, None] * (np.eye(3) + delta)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(tone.D))
@@ -170,7 +186,7 @@ class TestDelta:
         bad = [[1.0, 1e-6], [1.0, 1e-6 * (1 + 1e-3)]]
         H = np.stack([np.eye(2), [[1.0, 0.1], [0.1, 1.0]], bad]).astype(complex)
         chan = ChannelEnsemble(ToneGrid(1e6, 1e6 + 2.5, 1.0), H)
-        assert np.linalg.cond(H[2]) <= COND_LIMIT < np.linalg.cond(chan.Q[2])
+        assert np.linalg.cond(H[2]) <= COND_LIMIT < np.linalg.cond(chan.row_normalized()[2])
         spec = PerturbationSpec(d_bits=12, e2_model=E2_UNIFORM, e1_samples=10**12)
         with pytest.raises(SingularChannel, match="estimated channel condition") as err:
             make_bundle(chan, spec, snr=np.full((3, 2), 1e8), normalize=True)
@@ -217,7 +233,7 @@ class TestDelta:
         e1 = 1e-3 * (rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
         e2a = 1e-4 * (rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
         e2b = 1e-4 * (rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
-        p_est = np.linalg.solve(tone.Q + e1, np.eye(4))
+        p_est = np.linalg.solve(tone.row_normalized() + e1, np.eye(4))
         base = build_delta(tone, p_est, e1, np.zeros_like(e2a))
         da = build_delta(tone, p_est, e1, e2a) - base
         db = build_delta(tone, p_est, e1, e2b) - base
@@ -229,7 +245,7 @@ class TestDelta:
         d = 9
         ceiling = delta_entry_bound(small_ensemble.r, d)[-1]
         assert ceiling == pytest.approx(2.0 ** (-d + 0.5) * (1 + small_ensemble.r[-1]), rel=1e-12)
-        q_mat = small_ensemble.Q[-1]
+        q_mat = small_ensemble.row_normalized()[-1]
         worst = 0.0
         for _ in range(1000):
             e2 = _uniform_errors(rng, small_ensemble.p, d)
@@ -256,7 +272,7 @@ class TestBundle:
         e2 = quantize_precoder(ideal_precoder(two), spec).e2
         # distinct tones draw from distinct streams under one seed
         assert not np.array_equal(e2[0], e2[1])
-        assert np.array_equal(delta, two.Q @ e2)
+        assert np.array_equal(delta, two.row_normalized() @ e2)
         assert np.array_equal(make_bundle(two, spec), delta)
 
         # estimated precoders routinely poke just over the unit box, so the
@@ -267,15 +283,14 @@ class TestBundle:
         e1 = np.stack([
             streams.csi_error(streams.stream(77, streams.E1, k), snr[k], 1000) for k in range(2)
         ])
-        est = np.linalg.inv(two.Q + e1)
+        est = np.linalg.inv(two.row_normalized() + e1)
         e2 = quantize_precoder(est, spec_csi, normalize=True).e2
-        assert np.allclose(delta, two.Q @ e2 - e1 @ est, atol=1e-12)
+        assert np.allclose(delta, two.row_normalized() @ e2 - e1 @ est, atol=1e-12)
 
     def test_peak_memory_below_five_and_a_half_stacks(self, reference_ensemble):
         # one solve per precoder, and the quantized stack is let go before
         # Delta is built
         ensemble = reference_ensemble
-        ensemble.D, ensemble.Q  # cached beforehand, so only the bundle is counted
         spec = PerturbationSpec(d_bits=14)
         tracemalloc.start()
         try:
@@ -468,5 +483,4 @@ class TestBundleBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert "Q" not in vars(ensemble)  # the cached full stack was never formed
         assert peak < 3 * ensemble.H.nbytes, (peak, ensemble.H.nbytes)

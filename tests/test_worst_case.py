@@ -95,9 +95,9 @@ class TestAttained:
         h = 2.0**-d
         sup = worst_case_loss(budget, ensemble, h)
         snr, psd = budget.snr(ensemble), budget.psd_linear(ensemble.p)
-        p = ensemble.p
+        p, Q = ensemble.p, ensemble.row_normalized()
         for k in range(0, ensemble.grid.count, 9):  # 13 tones, tone 0 (Q = I) among them
-            q_mat = ensemble.Q[k]
+            q_mat = Q[k]
             for i in range(p):
                 far, near = _extremes(q_mat[i], h)
                 e2 = np.repeat(_e2(far, h)[:, None], p, axis=1)
@@ -110,7 +110,7 @@ class TestAttained:
         # Q = I: Z_i is the square of half-width s for the diagonal and for
         # every off-diagonal entry, so dist = 1 - s and R = sqrt(2) s
         _, ensemble, budget = reference
-        assert np.array_equal(ensemble.Q[0], np.eye(ensemble.p))
+        assert np.array_equal(ensemble.row_normalized()[0], np.eye(ensemble.p))
         psd = budget.psd_linear(ensemble.p)
         snr = budget.snr(ensemble)[0]
         esnr = snr / budget.gap
@@ -131,7 +131,7 @@ class TestAttained:
         tone = random_dominant_tone(rng, 2, 0.6)
         budget = LinkBudget([-60.0, -63.0], -110.0, 10.7, tone.grid)
         sup = worst_case_loss(budget, tone, h)[:, 0]
-        snr, psd, q_mat = budget.snr(tone)[0], budget.psd_linear(2), tone.Q[0]
+        snr, psd, q_mat = budget.snr(tone)[0], budget.psd_linear(2), tone.row_normalized()[0]
 
         def loss(x, i):
             e2 = (x[:4] + 1j * x[4:]).reshape(2, 2)
@@ -189,7 +189,7 @@ class TestBoundChain:
         rho = budget.psd_dynamic_range(p)
         radius = np.array([
             [np.abs(_vertex_coefficients(_generators(row)) @ _generators(row)).max() for row in q]
-            for q in ensemble.Q
+            for q in ensemble.row_normalized()
         ])  # (tones, p) at unit half-width
         for d in range(8, 21):
             h = 2.0**-d
@@ -236,7 +236,6 @@ class TestShapesAndMemory:
         # peak stays under a fixed 1 MB, whatever the tone count
         grid = ToneGrid.vdsl_band(decimation=2)
         ensemble = synthesize_channel(reference_params(), grid, 5)
-        ensemble.Q  # derived once per ensemble, outside the measurement
         budget = LinkBudget(-60.0, -140.0, 10.7, grid)
         assert grid.count == 3479
         tracemalloc.start()
@@ -252,7 +251,6 @@ class TestShapesAndMemory:
         # 30a plan; beyond the (32, p, tones) result the peak stays under 1 MB
         grid = ToneGrid.vdsl_band(decimation=2)
         ensemble = synthesize_channel(reference_params(), grid, 5)
-        ensemble.Q
         budget = LinkBudget(-60.0, -140.0, 10.7, grid)
         widths = np.array([2.0**-d for d in range(1, 33)])[:, None]
         tracemalloc.start()
