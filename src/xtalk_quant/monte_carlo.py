@@ -31,14 +31,13 @@ usable cores when it is unset) of about ``MIN_SLICE`` trials or more, each
 starting on a multiple of 4.  A worker draws only its own trials
 (``streams.uniform_complex`` skips the others') into its own workspace
 (``_Workspace``), reused on every tone and word length, so quantization-only
-trials allocate no (n, p, p) array per tone.  U is drawn into it plane by
-plane, through a float plane that lives in the Q U buffer until the matmul
-fills it.  Once Q U is formed, U's memory holds the two |Delta_ij|^2 planes
-of ``interference_terms`` and then a and q for up to ``D_BLOCK`` word
-lengths per pass of the kernel: fewer numpy calls, the same operations on
-each element.  E1's Gaussian draw takes a varying number of words and
-cannot skip, so each worker draws the tone's full E1, keeps its own rows and
-forms each Delta(d) in them.  Every trial's loss is formed; each slice keeps
+trials allocate no (n, p, p) array per tone.  Without E1 one pass of the
+per-d kernel serves as many word lengths as the workspace holds (12 at
+p = 10), every operand contiguous; the worst case takes the max along each
+user's trials, which is exact.  With E1 each d takes its own pass.  E1's
+Gaussian draw takes a varying number of words and cannot skip, so each
+worker draws the tone's full E1, keeps its own rows and forms each Delta(d)
+in them.  Every trial's loss is formed; each slice keeps
 its own worst case, the slices combine by an exact max, and each worker adds
 its tones to its own columns of ``band_joint`` in tone order, so every result
 is the same bits at any ``XTALK_THREADS``.  So is every error: the one raised
@@ -86,7 +85,6 @@ MEAN = "mean"
 QUANTILE = "quantile"
 
 RETRY_CAP = 5  # fresh E1 draws per singular or ill-conditioned trial before giving up
-D_BLOCK = 4  # most word lengths per pass of the per-d kernel: fewer numpy calls per d
 MIN_SLICE = 8  # fewest trials worth a worker: a smaller n_trials runs on one
 CERT_MARGIN = 1e-9  # loss/rate a certified tone keeps below the target; the kernel errs ~1e-14
 _UNIT_SCALE = np.ones((1, 1, 1))  # CSI trials scale Delta before the kernel, one d per pass
@@ -160,12 +158,6 @@ def _engine_threads() -> int:
     return int(raw)
 
 
-def _block(p: int) -> int:
-    """Word lengths per pass of the per-d kernel: a block's 3 (n, p) buffers
-    fit in U for p >= 2."""
-    return max(1, min(D_BLOCK, p // 2))
-
-
 def _trial_slices(n: int, threads: int) -> list[int]:
     """Bounds of the workers' trial slices: at most ``threads`` slices of
     about ``MIN_SLICE`` trials or more, each starting on a multiple of 4."""
@@ -175,27 +167,32 @@ def _trial_slices(n: int, threads: int) -> list[int]:
 
 
 class _Workspace:
-    """One worker's trial buffers for its slice of n trials of p users.
+    """One worker's trial buffers for its slice of n trials of p users, and
+    how many of ``n_d`` word lengths share a kernel pass (``block``).
 
-    U and Q U are complex (n, p, p).  The float plane that the draw passes
-    through lives in the first half of Q U, which the matmul overwrites only
-    after the draw is copied into U.  U is not read after Q U is formed, so
-    its memory then serves, in turn, as the two |Delta_ij|^2 planes of
-    ``interference_terms`` and as a, q and the kernel's scratch for a block
-    of ``block`` word lengths; with p = 1 these are too large for it and get
-    their own.  The interference terms are (n, p).
-    A worker makes its workspace when it starts and reuses it on every tone.
+    U and Q U share one complex (2, n, p, p) buffer.  The draw passes through
+    a float plane in Q U's first half, which the matmul overwrites only after
+    U is filled; U then holds the |Delta_ij|^2 planes of ``interference_terms``
+    (whose results are (n, p)).  After that U is spare, and so is Q U without
+    E1: they hold the tone's snr, esnr and rate as (n, p) ``rows``, then a, q
+    and the kernel's scratch (``ratio``) for as many word lengths as fit.  With
+    E1 (Q U read at every d) U holds the ratio of one.  With p = 1 not even one
+    fits, and it gets its own buffer.  Made once per worker, reused per tone.
     """
 
-    def __init__(self, n: int, p: int, block: int):
-        self.u = np.empty((n, p, p), dtype=complex)
-        self.qu = np.empty((n, p, p), dtype=complex)
-        self.plane = self.qu.reshape(-1).view(float)[: n * p * p].reshape(n, p, p)
-        free = self.u.reshape(-1).view(float)
-        self.terms = (free.reshape(2, n, p, p), *np.empty((3, n, p)))
-        size = 3 * block * n * p
-        ratio = free[:size] if size <= free.size else np.empty(size)
-        self.ratio = tuple(ratio.reshape(3, block, n, p))
+    def __init__(self, n: int, p: int, n_d: int, csi: bool):
+        uq = np.empty((2, n, p, p), dtype=complex)
+        self.u, self.qu = uq
+        free = uq.reshape(-1).view(float).reshape(4 * p, n, p)  # (n, p) float rows
+        self.plane = free[2 * p : 3 * p].reshape(n, p, p)
+        self.terms = (free[: 2 * p].reshape(2, n, p, p), *np.empty((3, n, p)))
+        rows, free = (0, free[: 2 * p]) if csi else (3, free)
+        fit = (len(free) - rows) // 3
+        if fit < 1:
+            free, fit = np.empty((rows + 3, n, p)), 1
+        self.block = min(fit, 1 if csi else n_d)
+        self.rows = free[:rows]
+        self.ratio = free[rows : rows + 3 * self.block].reshape(3, self.block, n, p)
 
 
 def run_trials(ensemble: ChannelEnsemble, budget: LinkBudget, config: TrialConfig) -> TrialReport:
@@ -262,14 +259,11 @@ def _sweep_tones(
     seed, e1_samples = config.spec.seed, config.spec.e1_samples
     psd_lin = budget.psd_linear(p)
     tones = list(range(ensemble.grid.count)) if tones is None else [int(k) for k in tones]
-    scales = [2.0 ** (-d) for d in d_values]
-    block = _block(p)
-    scale_blocks = [
-        np.array(scales[i : i + block])[:, None, None] for i in range(0, len(scales), block)
-    ]
+    scales = np.array([2.0 ** (-d) for d in d_values])[:, None, None]
     snr_all = budget.snr(ensemble, tones)
     esnr_all = snr_all / budget.gap
     rate_all = rate_bits(esnr_all)
+    tone_rows = np.stack((snr_all, esnr_all, rate_all), axis=1)[:, :, None]  # (tones, 3, 1, p)
     joint = np.zeros((len(d_values), n, p)) if band_joint else None
     threads = _engine_threads()
     if config.statistic != WORST_CASE:
@@ -280,10 +274,11 @@ def _sweep_tones(
     def run_slice(w: int, t0: int, t1: int) -> tuple:
         """Every tone's trials t0..t1-1, in tone order: per (d, user, tone)
         the statistic of the slice, and ``band_joint``'s columns t0..t1-1."""
-        ws = _Workspace(t1 - t0, p, block)
+        ws = _Workspace(t1 - t0, p, len(d_values), csi=e1_samples is not None)
+        scale_blocks = np.split(scales, range(ws.block, len(scales), ws.block))
         part = np.empty((len(d_values), p, len(tones)))
         failures: list = []
-        for c, (k, snr, esnr, rate) in enumerate(zip(tones, snr_all, esnr_all, rate_all)):
+        for c, (k, snr) in enumerate(zip(tones, snr_all)):
             at[w] = c
             q_mat = ensemble.row_normalized(slice(k, k + 1))[0]  # the tone's own Q: no stack
             if config.zero_errors:
@@ -294,8 +289,11 @@ def _sweep_tones(
             qu = np.matmul(q_mat, ws.u, out=ws.qu)
             if e1_samples is None:
                 terms = interference_terms(qu, psd_lin, out=ws.terms)
+                rows = ws.rows  # over the planes, which ``terms`` no longer needs
+                np.copyto(rows, tone_rows[c])
                 per_block = ((terms, s) for s in scale_blocks)
             else:
+                rows = tone_rows[c]  # one row, broadcast over the trials
                 rng = streams.stream(seed, streams.MC_E1, k)
                 e1 = streams.csi_error(rng, snr, e1_samples, (n,))[t0:t1]
                 m_inv = _invert_with_resampling(q_mat, e1, snr, e1_samples, seed, k, t0, failures)
@@ -303,14 +301,21 @@ def _sweep_tones(
                 deltas = (np.subtract(np.multiply(s, qu, out=e1), e1_term, out=e1) for s in scales)
                 per_block = ((interference_terms(x, psd_lin, out=ws.terms), _UNIT_SCALE)
                              for x in deltas)
+            snr_rows, esnr_rows, rate_rows = rows
             i = 0
             for (cross, re, im), s in per_block:
                 k_d = s.shape[0]
-                q = interference_ratio(snr, cross, re, im, s, out=[b[:k_d] for b in ws.ratio])[1]
-                loss = loss_tail(rate, esnr, q, out=q)
+                out = [b[:k_d] for b in ws.ratio]
+                a, q = interference_ratio(snr_rows, cross, re, im, s, out=out)
+                loss = loss_tail(rate_rows, esnr_rows, q, out=q)
                 if band_joint:
                     joint[i : i + k_d, t0:t1] += loss
-                part[i : i + k_d, :, c] = _reduce(loss, config, axis=1)
+                if config.statistic == WORST_CASE:  # max along contiguous trials: exact
+                    by_user = a.reshape(k_d, p, -1)
+                    np.copyto(by_user, loss.transpose(0, 2, 1))
+                    by_user.max(axis=-1, out=part[i : i + k_d, :, c])
+                else:
+                    part[i : i + k_d, :, c] = _reduce(loss, config, axis=1)
                 i += k_d
         return part, failures
 

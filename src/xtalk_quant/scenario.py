@@ -23,7 +23,7 @@ from .channel_model import (
 )
 from .errors import InvalidParams
 from .monte_carlo import TrialConfig, WORST_CASE
-from .precoding import E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec
+from .precoding import E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec, word_length
 from .rate_analysis import LinkBudget
 
 SCENARIO_FORMAT_VERSION = 1
@@ -79,6 +79,7 @@ class Scenario:
             value = getattr(self, f.name)
             if not _fits(value, f.type):
                 raise InvalidParams(f"scenario key {f.name!r} must be {f.type}, got {value!r}")
+        word_length(self.d_bits, "scenario key 'd_bits'")  # also where a command ignores it
         if self.e2_model not in (E2_DETERMINISTIC, E2_UNIFORM):
             raise InvalidParams(f"unknown e2 model {self.e2_model!r}")
         if self.decimation < 1:

@@ -43,7 +43,8 @@ def uniform_complex(
     ``z = rng.uniform(-1, 1, (2, *shape)); z[0] + 1j * z[1]``: numpy's uniform
     is low + (high - low) * next_double, and 2x - 1 rounds like -1 + 2x.  The
     draw goes into ``out`` (complex) through ``plane`` (float, C-contiguous),
-    both of ``shape``; either is allocated when not given.
+    both of ``shape``: 2x in the plane, then 2x - 1 straight into the real or
+    imaginary part.  Either is allocated when not given.
 
     With ``start`` and ``total`` the draw is rows [start, start + shape[0])
     of a draw of ``total`` rows, bitwise: each plane skips the words of the
@@ -57,9 +58,7 @@ def uniform_complex(
     for part, skip in ((out.real, start), (out.imag, total - rows)):
         _skip(rng, skip * row_words)
         rng.random(out=plane)
-        plane *= 2.0
-        plane -= 1.0
-        part[...] = plane
+        np.subtract(np.multiply(plane, 2.0, out=plane), 1.0, out=part)
     return out
 
 

@@ -718,6 +718,24 @@ class TestExitCodes:
         prefix = {2: _CONFIG, 3: _NUMERICAL, 4: _BOUND}[code][1]
         assert err.startswith(f"{prefix}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("d_bits", ["0", "65", "1024"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--which", "main", "--d-min", "10", "--d-max", "12"],
+            ["design-bits", "--target-relative", "0.01"],
+            ["sweep", "--lengths", "300", "--target-relative", "0.01"],
+        ],
+        ids=["bound", "design-bits", "sweep"],
+    )
+    def test_word_length_refused_by_commands_that_do_not_read_it(
+        self, capsys, fast_args, argv, d_bits
+    ):
+        # these commands ignore d_bits; they once exited 0 and hashed the value
+        assert run([*argv, *fast_args, "--d-bits", d_bits]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{_CONFIG[1]}: ") and "'d_bits'" in err
+
     def test_unreadable_file_is_a_config_error(self, tmp_path, capsys):
         assert run(["inspect-channel", "--in", str(tmp_path / "missing.json")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")

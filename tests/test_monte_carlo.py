@@ -31,7 +31,13 @@ from xtalk_quant.monte_carlo import (
     run_trials,
     run_trials_sweep,
 )
-from xtalk_quant.precoding import COND_LIMIT, E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec
+from xtalk_quant.precoding import (
+    COND_LIMIT,
+    E2_DETERMINISTIC,
+    E2_UNIFORM,
+    MAX_BITS,
+    PerturbationSpec,
+)
 from xtalk_quant.rate_analysis import LinkBudget, loss_arrays, worst_case_loss
 from xtalk_quant.reports import render_table
 from xtalk_quant.scenario import Scenario
@@ -57,6 +63,12 @@ def _report_bytes(rep, config, ensemble) -> bytes:
     return render_table(
         "sim", {"seed": config.spec.seed, "d": rep.d_bits}, ["u", "f", "loss"], rows, "test"
     ).encode()
+
+
+def _is_tone(snr, row) -> bool:
+    """Whether the kernel's ``snr`` argument (the tone's SNR, or one copy of
+    it per trial) is that of the tone whose SNR is ``row``."""
+    return np.array_equal(snr, np.broadcast_to(row, np.shape(snr)))
 
 
 class TestTrialConfig:
@@ -194,10 +206,16 @@ def _draw_e1(seed, tone, n, snr, n_samples):
 
 def _reference_one_word_length(ensemble, budget, config, d):
     """The engine's original per-word-length path, kept as the oracle: draw the
-    uniforms again, form Q @ (2^-d U) (minus E1 inv(Q + E1) with CSI error),
-    then the full loss kernel; worst case per tone and across band trials."""
+    uniforms again (zero with ``zero_errors``), form Q @ (2^-d U) (minus
+    E1 inv(Q + E1) with CSI error), then the full loss kernel; the configured
+    statistic per tone and across band trials."""
     p, n, seed = ensemble.p, config.n_trials, config.spec.seed
     e1_samples = config.spec.e1_samples
+    reduce = {
+        "worst_case": lambda x: x.max(axis=0),
+        "mean": lambda x: x.mean(axis=0),
+        "quantile": lambda x: np.quantile(x, config.quantile_q, axis=0),
+    }[config.statistic]
     psd = budget.psd_linear(p)
     per_tone = np.empty((p, ensemble.grid.count))
     joint = np.zeros((n, p))
@@ -206,15 +224,17 @@ def _reference_one_word_length(ensemble, budget, config, d):
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(10, k)))
         )
         base = rng.uniform(-1.0, 1.0, size=(2, n, p, p))
+        if config.zero_errors:
+            base[...] = 0.0
         delta = q_mat[None, :, :] @ (2.0 ** (-d) * (base[0] + 1j * base[1]))
         if e1_samples is not None:
             e1 = _draw_e1(seed, k, n, snr, e1_samples)
             delta = delta - e1 @ np.linalg.inv(q_mat[None, :, :] + e1)
         losses = loss_arrays(snr, budget.gap, psd, delta)["loss"]
-        per_tone[:, k] = losses.max(axis=0)
+        per_tone[:, k] = reduce(losses)
         joint += losses
     spacing = ensemble.grid.spacing
-    return per_tone, per_tone.sum(axis=1) * spacing, (joint * spacing).max(axis=0)
+    return per_tone, per_tone.sum(axis=1) * spacing, reduce(joint * spacing)
 
 
 class TestOneDrawServesEveryWordLength:
@@ -242,22 +262,28 @@ class TestOneDrawServesEveryWordLength:
         reports = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
         self._check(reports, small_ensemble, small_budget, cfg, d_values)
 
-    @pytest.mark.parametrize("p", [1, 3, 5, 10])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
     def test_every_block_of_word_lengths(self, p):
-        # p sets how many word lengths share a kernel pass (1, 1, 2 and 4 here;
-        # p = 1 keeps them outside U), and 7 word lengths leave a partial block
+        # p sets how many word lengths share a kernel pass without E1; the
+        # ranges fill one pass exactly and spill into a second by one word
+        # length, under each statistic, and with zero errors every loss ties at 0
         rng = np.random.default_rng(p)
         ensemble = random_dominant_tone(rng, p, 0.3)
         budget = LinkBudget(-60.0, -140.0, 10.7, ensemble.grid)
+        fill = monte_carlo._Workspace(1, p, MAX_BITS, csi=False).block
+        statistics = [{}, {"statistic": "mean"}, {"statistic": "quantile", "q": 0.9}]
         for e1_samples in (None, 1000):
-            cfg = _config(1, n=50, seed=p, e1_samples=e1_samples)
-            d_values = range(3, 10)
-            reports = run_trials_sweep(ensemble, budget, cfg, d_values)
-            self._check(reports, ensemble, budget, cfg, d_values)
-            per_tone, _, _, _ = monte_carlo._sweep_tones(
-                ensemble, budget, cfg, d_values, band_joint=False
-            )
-            assert np.array_equal(per_tone, [rep.per_tone for rep in reports])
+            for kwargs in [*statistics, {"zero": True}]:
+                cfg = _config(1, n=50, seed=p, e1_samples=e1_samples, **kwargs)
+                for d_values in (range(3, 3 + fill), range(3, 4 + fill)):
+                    reports = run_trials_sweep(ensemble, budget, cfg, d_values)
+                    self._check(reports, ensemble, budget, cfg, d_values)
+                    per_tone, _, _, _ = monte_carlo._sweep_tones(
+                        ensemble, budget, cfg, d_values, band_joint=False
+                    )
+                    assert np.array_equal(per_tone, [rep.per_tone for rep in reports])
+                    if kwargs.get("zero") and e1_samples is None:
+                        assert not np.any([rep.per_tone for rep in reports])
 
     @pytest.mark.parametrize("e1_samples", [None, 1000], ids=["None", "csi1"])
     def test_two_threads_match_one(self, small_ensemble, small_budget, monkeypatch, e1_samples):
@@ -367,9 +393,9 @@ class TestMoreThreadsThanTones:
         made = []
         make_workspace = monte_carlo._Workspace
 
-        def workspace(n, p, block):
+        def workspace(n, *args, **kwargs):
             made.append(n)
-            return make_workspace(n, p, block)
+            return make_workspace(n, *args, **kwargs)
 
         monkeypatch.setattr(monte_carlo, "_Workspace", workspace)
 
@@ -416,7 +442,7 @@ class TestMoreThreadsThanTones:
         real_ratio = monte_carlo.interference_ratio
 
         def ratio(snr, cross, *args, **kwargs):
-            if cross.shape[0] == 52 and np.array_equal(snr, small_budget.snr(small_ensemble)[3]):
+            if cross.shape[0] == 52 and _is_tone(snr, small_budget.snr(small_ensemble)[3]):
                 raise NumericalError("tone 3 broke")
             return real_ratio(snr, cross, *args, **kwargs)
 
@@ -837,7 +863,8 @@ class TestScanStopsEarly:
     def test_kernel_passes_on_the_reference_scenario(self, monkeypatch, threads):
         # every tone is certified for 1 % at d = 17, and tone 0 (Q = I, 80 dB
         # SNR) misses it at d = 1..16 on every trial slice, so the search
-        # draws tone 0 alone, once, in four kernel blocks of word lengths
+        # draws tone 0 alone, once, in two kernel passes: 12 word lengths fit
+        # in the workspace of 10 users, and 4 are left
         monkeypatch.setenv("XTALK_THREADS", threads)
         scen = Scenario()
         ensemble = scen.ensemble()
@@ -848,15 +875,15 @@ class TestScanStopsEarly:
         real_ratio = monte_carlo.interference_ratio
 
         def ratio(snr, cross, re, im, scale=1.0, out=None):
-            calls.append((np.array_equal(snr, snr0), int(-np.log2(np.max(scale)))))
+            calls.append((_is_tone(snr, snr0), int(-np.log2(np.max(scale))), cross.shape[0]))
             return real_ratio(snr, cross, re, im, scale, out)
 
         monkeypatch.setattr(monte_carlo, "interference_ratio", ratio)
         assert min_bits_empirical(ensemble, budget, cfg, 0.01) == 17
-        slices = len(monte_carlo._trial_slices(cfg.n_trials, int(threads))) - 1
-        # one kernel call per slice and block, on tone 0 only
-        assert set(calls) == {(True, 1), (True, 5), (True, 9), (True, 13)}
-        assert len(calls) == 4 * slices
+        bounds = monte_carlo._trial_slices(cfg.n_trials, int(threads))
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        # one kernel call per slice and pass, on tone 0 only
+        assert sorted(calls) == sorted((True, d, n) for d in (1, 13) for n in sizes)
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_reference_scenario_matches_the_full_table(self, monkeypatch, threads):
@@ -909,11 +936,11 @@ class TestScanStopsEarly:
 
         def ratio(snr, cross, re, im, scale=1.0, out=None):
             a, q = real_ratio(snr, cross, re, im, scale, out)
-            drawn.update(k for k, row in enumerate(snrs) if np.array_equal(snr, row))
-            if cross.shape[0] == first and np.array_equal(snr, snrs[2]):
+            drawn.update(k for k, row in enumerate(snrs) if _is_tone(snr, row))
+            if cross.shape[0] == first and _is_tone(snr, snrs[2]):
                 time.sleep(0.2)
                 q[...] = np.nan
-            if cross.shape[0] == last and np.array_equal(snr, snrs[6]):
+            if cross.shape[0] == last and _is_tone(snr, snrs[6]):
                 raise NumericalError("tone 6 broke")
             return a, q
 
@@ -960,7 +987,7 @@ class TestScanStopsEarly:
         real_ratio = monte_carlo.interference_ratio
 
         def ratio(snr, cross, re, im, scale=1.0, out=None):
-            if np.array_equal(snr, snr_k) and np.any(np.isin(scale, broken)):
+            if _is_tone(snr, snr_k) and np.any(np.isin(scale, broken)):
                 raise NumericalError(f"tone {tone} overflowed")
             return real_ratio(snr, cross, re, im, scale, out)
 
