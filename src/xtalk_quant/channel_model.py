@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +45,12 @@ CHANNEL_FORMAT_VERSION = 1
 # plan comes near it, while a (tones, p, p) complex stack at p = 10 stays near
 # 100 MB.  A larger count is refused before any per-tone array is formed.
 MAX_TONES = 2**16
+# Largest tone decimation: 2**32 DMT spacings (18.5 THz) leave one tone in any
+# band already, and a decimation past about 1e304 has no float spacing at all.
+MAX_DECIMATION = 2**32
+# Most pairs in a binder: one tone's p x p matrix is 64 GiB at 2**16 pairs,
+# and the draws are sized by p * p before any tone is formed.
+MAX_USERS = 2**16
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,8 @@ class ToneGrid:
     @classmethod
     def vdsl_band(cls, decimation: int = 1, f_end: float = 30e6) -> "ToneGrid":
         """0..f_end grid at the standard DMT spacing, optionally decimated."""
-        if decimation < 1:
-            raise InvalidParams("decimation must be >= 1")
+        if not 1 <= decimation <= MAX_DECIMATION:
+            raise InvalidParams(f"decimation must lie in 1..{MAX_DECIMATION}")
         return cls(0.0, f_end, DMT_SPACING_HZ * decimation)
 
     @classmethod
@@ -119,8 +125,8 @@ class WernerParams:
             raise InvalidParams("non-finite Werner parameter")
         if self.alpha <= 0 or self.loop_length_m <= 0:
             raise InvalidParams("alpha and loop_length_m must be positive")
-        if self.p < 2:
-            raise InvalidParams("need at least two pairs")
+        if not 2 <= self.p <= MAX_USERS:
+            raise InvalidParams(f"need 2..{MAX_USERS} pairs, got {self.p}")
         if self.k_mean_slope <= 0 or self.k_sigma_log < 0:
             raise InvalidParams("bad coupling-gain distribution parameters")
 
@@ -180,13 +186,16 @@ class ChannelEnsemble:
     ``H`` is a read-only copy of the stack it is given and ``D`` a read-only
     view of its diagonals; ``r`` is derived from it on first use, and Q by
     ``row_normalized`` for the tones asked.  A single tone is an ensemble over a one-tone grid.
+    Synthesis and loading hand over the complex C-ordered stack they built with
+    ``_adopt``, which makes it read-only in place instead of copying it.
     """
 
     grid: ToneGrid
     H: np.ndarray
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
-        H = np.array(self.H, dtype=complex, order="C")
+    def __post_init__(self, _adopt):
+        H = self.H if _adopt else np.array(self.H, dtype=complex, order="C")
         if H.ndim != 3 or H.shape[1] != H.shape[2]:
             raise InvalidParams(f"channel stack must have shape (tones, p, p), got {H.shape}")
         if H.shape[0] != self.grid.count:
@@ -275,7 +284,7 @@ def synthesize_channel(
         np.exp(H, out=H)
         H *= mag
     del mag
-    return ChannelEnsemble(grid=grid, H=H)
+    return ChannelEnsemble(grid=grid, H=H, _adopt=True)
 
 
 def calibrate_k_mean_slope(
@@ -407,7 +416,7 @@ def load_channel(path) -> ChannelEnsemble:
     # .view pairs the floats exactly as complex(re, im) does
     H = np.stack(records).view(complex).reshape(n, p, p)
     del records  # the per-tone lists, freed before the tone checks run
-    return ChannelEnsemble(grid=grid, H=H)
+    return ChannelEnsemble(grid=grid, H=H, _adopt=True)
 
 
 _HEADER_TYPES = {

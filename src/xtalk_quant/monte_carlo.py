@@ -57,11 +57,10 @@ running that are not certified on it, and drops every d that misses there.
 An error is raised only by a draw at word lengths still in the running (on
 the reference scenario at 1 % the one draw is tone 0 at d = 1..16).
 
-A CSI trial whose Q + E1 is singular, or whose condition number exceeds
-``precoding.COND_LIMIT``, is resampled from its own (tone, trial) stream.
-||M||_F ||inv(M)||_F bounds the condition number from above and is read off
-the inverse already formed, so only the trials it flags pay for an exact
-condition number.
+A CSI trial whose Q + E1 the package's one condition guard refuses
+(``precoding.guarded_inverse``: one batched inverse per tone, an SVD only
+for the trials its Frobenius bound flags) is resampled from its own (tone,
+trial) stream.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ import numpy as np
 from . import streams
 from .channel_model import ChannelEnsemble
 from .errors import InvalidParams, SingularChannel, TargetUnreachable
-from .precoding import COND_LIMIT, E2_UNIFORM, PerturbationSpec, condition_numbers, word_length
+from .precoding import E2_UNIFORM, PerturbationSpec, guarded_inverse, word_length
 from .rate_analysis import LinkBudget, interference_ratio, interference_terms, loss_tail, rate_bits
 from .rate_analysis import loss_arrays, worst_case_loss  # noqa: F401  (bench patches loss_arrays)
 
@@ -86,6 +85,7 @@ QUANTILE = "quantile"
 
 RETRY_CAP = 5  # fresh E1 draws per singular or ill-conditioned trial before giving up
 MIN_SLICE = 8  # fewest trials worth a worker: a smaller n_trials runs on one
+MAX_TRIALS = 2**32  # most trials per tone: a (2, n, p, p) complex workspace is 512 GiB at p = 2
 CERT_MARGIN = 1e-9  # loss/rate a certified tone keeps below the target; the kernel errs ~1e-14
 _UNIT_SCALE = np.ones((1, 1, 1))  # CSI trials scale Delta before the kernel, one d per pass
 
@@ -101,8 +101,8 @@ class TrialConfig:
     zero_errors: bool = False
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise InvalidParams("n_trials must be >= 1")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            raise InvalidParams(f"n_trials must lie in 1..{MAX_TRIALS}")
         if self.spec.e2_model != E2_UNIFORM:
             raise InvalidParams(f"trials draw {E2_UNIFORM!r} errors, not {self.spec.e2_model!r}")
         if self.statistic not in (WORST_CASE, MEAN, QUANTILE):
@@ -342,28 +342,14 @@ def _invert_with_resampling(
     failures: list,
 ) -> np.ndarray:
     """inv(Q + E1) per trial of E1, whose rows are trials t0, t0 + 1, ...; a
-    trial whose Q + E1 is singular or has a condition number above
-    ``COND_LIMIT`` gets fresh E1 draws from its own (tone, trial) stream (in
-    place, so the caller's delta uses the same matrices), up to ``RETRY_CAP``
-    of them.  Failures and errors name the trial by its global index."""
-    m = q_mat[None, :, :] + e1
-    try:
-        out = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        out, redo = np.empty_like(e1), range(e1.shape[0])
-    else:
-        redo = _ill_conditioned(m, out)
-    for t in redo:
+    trial that ``guarded_inverse`` refuses gets fresh E1 draws from its own
+    (tone, trial) stream (in place, so the caller's delta uses the same
+    matrices), up to ``RETRY_CAP`` of them.  Failures and errors name the
+    trial by its global index."""
+    out, bad = guarded_inverse(q_mat[None, :, :] + e1)
+    for t in bad.tolist():
         resampler = streams.stream(seed, streams.MC_E1_RESAMPLE, tone, t0 + t)
         for attempt in range(RETRY_CAP + 1):
-            m_t = q_mat + e1[t]
-            try:
-                out[t] = np.linalg.inv(m_t)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                if not _ill_conditioned(m_t[None], out[t : t + 1]).size:
-                    break
             failures.append((tone, t0 + t, attempt))
             if attempt == RETRY_CAP:
                 raise SingularChannel(
@@ -372,17 +358,11 @@ def _invert_with_resampling(
                     tone=tone,
                 )
             e1[t] = streams.csi_error(resampler, snr, n_samples)
+            retry, still_bad = guarded_inverse(q_mat[None, :, :] + e1[t : t + 1])
+            out[t] = retry[0]
+            if not still_bad.size:
+                break
     return out
-
-
-def _ill_conditioned(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
-    """Indices of the trials whose condition number exceeds ``COND_LIMIT``.
-    ||M||_F ||inv(M)||_F >= cond_2(M), so only the trials it flags pay for
-    the exact ``condition_numbers``."""
-    planes = (x.reshape(len(x), -1).view(float) for x in (m, m_inv))
-    norm2 = [np.einsum("ti,ti->t", x, x) for x in planes]  # squared Frobenius norms
-    flagged = np.flatnonzero(~(norm2[0] * norm2[1] <= COND_LIMIT**2))  # nan is flagged too
-    return flagged[~(condition_numbers(m[flagged]) <= COND_LIMIT)]
 
 
 def min_bits_empirical(

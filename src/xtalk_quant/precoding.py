@@ -13,9 +13,11 @@ equivalent channel D (I + Delta) with
 
 Everything here is pure and works on whole tone stacks: the channel is a
 ``ChannelEnsemble`` and matrices are (tones, p, p) arrays, each tone computed
-independently.  Every stack solved here, H for the ideal precoder and
-I + D^{-1}F + E1 for the estimated one, first passes one condition guard: a
-tone whose condition number exceeds ``COND_LIMIT`` raises ``SingularChannel``.
+independently.  H for the ideal precoder and I + D^{-1}F + E1 for the
+estimated one pass the package's one condition guard, ``guarded_inverse``
+(the trial engine's too): a tone whose condition number exceeds
+``COND_LIMIT`` raises ``SingularChannel``.  It costs one batched inverse, and
+an SVD only on the tones that ||M||_F ||inv(M)||_F flags.
 Batching over trials lives in :mod:`xtalk_quant.monte_carlo`.
 """
 
@@ -33,6 +35,7 @@ COND_LIMIT = 1e12
 IDENTITY_CHECK_TOL = 1e-10
 BUNDLE_BLOCK = 256  # tones per make_bundle block: its temporaries grow with the block, not the grid
 MAX_BITS = 64  # longest word length any command takes: past the double mantissa's 53 bits already
+MAX_CSI_SAMPLES = 2**64  # training symbols per estimate: a 64-bit count (past 1e308, no float)
 
 E2_DETERMINISTIC = "deterministic_rounding"
 E2_UNIFORM = "uniform_random"
@@ -64,8 +67,8 @@ class PerturbationSpec:
         word_length(self.d_bits, "d_bits")
         if self.e2_model not in (E2_DETERMINISTIC, E2_UNIFORM):
             raise InvalidParams(f"unknown e2 model {self.e2_model!r}")
-        if self.e1_samples is not None and self.e1_samples < 1:
-            raise InvalidParams("e1_samples must be >= 1 when set")
+        if self.e1_samples is not None and not 1 <= self.e1_samples <= MAX_CSI_SAMPLES:
+            raise InvalidParams(f"e1_samples must be >= 1 and at most {MAX_CSI_SAMPLES} when set")
 
     @property
     def step(self) -> float:
@@ -80,37 +83,56 @@ class QuantizedPrecoder:
     scale: np.ndarray
 
 
-def condition_numbers(m: np.ndarray) -> np.ndarray:
-    """2-norm condition number of every matrix of the (n, p, p) stack ``m``;
-    a non-finite matrix counts as cond = inf."""
-    finite = np.isfinite(m).all(axis=(1, 2))
-    cond = np.full(finite.shape, np.inf)
-    cond[finite] = np.linalg.cond(m if finite.all() else m[finite])  # SVD refuses nan and inf
-    return cond
+def _cond(m: np.ndarray) -> float:
+    """2-norm condition number of the matrix ``m``; inf if it is not finite."""
+    return np.linalg.cond(m) if np.isfinite(m).all() else np.inf  # the SVD refuses nan and inf
+
+
+def guarded_inverse(m: np.ndarray) -> tuple:
+    """inv(M) of every matrix of the (n, p, p) stack ``m``, and the indices of
+    those refused: singular to LAPACK, or a condition number above
+    ``COND_LIMIT``.  ||M||_F ||inv(M)||_F >= cond_2(M) is read off the
+    inverse, so only the matrices it flags pay for an SVD.  If LAPACK
+    refuses the batch, the matrices are inverted one at a time."""
+    bad = np.zeros(len(m), dtype=bool)
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(m, np.nan)
+        for t in range(len(m)):
+            try:
+                inv[t] = np.linalg.inv(m[t])
+            except np.linalg.LinAlgError:
+                bad[t] = True
+    planes = (x.reshape(len(x), -1).view(float) for x in (m, inv))
+    norm2 = [np.einsum("ti,ti->t", x, x) for x in planes]  # squared Frobenius norms
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny or huge scale: 0 * inf flags
+        flagged = np.flatnonzero(~(norm2[0] * norm2[1] <= COND_LIMIT**2))  # nan is flagged too
+    for t in flagged:
+        bad[t] = bad[t] or not _cond(m[t]) <= COND_LIMIT
+    return inv, np.flatnonzero(bad)
 
 
 def _conditioned(channel: ChannelEnsemble, m: np.ndarray, name: str, first: int = 0) -> np.ndarray:
-    """``m``, the (tones, p, p) stack ``name`` about to be solved for the
-    tones from ``first`` on, once every tone's condition number is at most
-    ``COND_LIMIT``; the first tone that is not (a singular or non-finite one
-    counts as cond = inf) raises."""
-    cond = condition_numbers(m)
-    bad = np.flatnonzero(~(cond <= COND_LIMIT))  # also catches nan
+    """The ``guarded_inverse`` of ``m``, the (tones, p, p) stack ``name`` for
+    the tones from ``first`` on; the first tone it refuses raises."""
+    inv, bad = guarded_inverse(m)
     if bad.size:
         k = int(bad[0])
         raise SingularChannel(
-            f"{name} condition estimate {cond[k]:.3e} exceeds {COND_LIMIT:.1e} "
-            f"at f={channel.grid.freq(first + k)} Hz",
+            f"{name} condition estimate {_cond(m[k]):.3e} exceeds "
+            f"{COND_LIMIT:.1e} at f={channel.grid.freq(first + k)} Hz",
             tone=first + k,
         )
-    return m
+    return inv
 
 
 def ideal_precoder(channel: ChannelEnsemble, tones: slice = slice(None)) -> np.ndarray:
     """Solve H P = diag(D) on every tone, or on the block ``tones``, with one
     refinement step; refuse tones whose condition number exceeds
     ``COND_LIMIT`` (the first one found raises)."""
-    H = _conditioned(channel, channel.H[tones], "channel", _first(channel, tones))
+    H = channel.H[tones]
+    _conditioned(channel, H, "channel", _first(channel, tones))
     rhs = np.zeros_like(H)
     idx = np.arange(channel.p)
     rhs[:, idx, idx] = channel.D[tones]
@@ -226,7 +248,7 @@ def make_bundle(
     and errors use the absolute tone; the first block with a failing tone
     raises, at the first stage that fails there.
     """
-    n, p = channel.grid.count, channel.p
+    n = channel.grid.count
     if spec.e1_samples is not None and snr is None:
         raise InvalidParams("snr required for the estimation-error model")
     delta = np.empty(channel.H.shape, dtype=complex)
@@ -243,9 +265,7 @@ def make_bundle(
             ])
             estimated = channel.row_normalized(tones)
             estimated += e1
-            p_estimated = np.linalg.solve(
-                _conditioned(channel, estimated, "estimated channel", k0), np.eye(p)
-            )
+            p_estimated = _conditioned(channel, estimated, "estimated channel", k0)
         e2 = quantize_precoder(p_estimated, spec, normalize=normalize, first=k0).e2
         build_delta(channel, p_estimated, e1, e2, tones, out=delta[tones])
     return delta

@@ -210,7 +210,8 @@ def interference_ratio(
     np.square(q, out=q)
     q += np.square(np.multiply(im, scale, out=tmp), out=tmp)
     q /= np.add(a, 1.0, out=tmp)
-    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+    # min and max propagate nan, and between them reach any inf: no bool temporaries
+    if not np.isfinite((a.min(), a.max(), q.min(), q.max())).all():
         raise NumericalError("non-finite interference statistics")
     return a, q
 

@@ -15,6 +15,7 @@ from .channel_model import (
     DEFAULT_K_MEAN_SLOPE,
     DEFAULT_K_SIGMA_LOG,
     DMT_SPACING_HZ,
+    MAX_DECIMATION,
     ChannelEnsemble,
     ToneGrid,
     WernerParams,
@@ -82,8 +83,8 @@ class Scenario:
         word_length(self.d_bits, "scenario key 'd_bits'")  # also where a command ignores it
         if self.e2_model not in (E2_DETERMINISTIC, E2_UNIFORM):
             raise InvalidParams(f"unknown e2 model {self.e2_model!r}")
-        if self.decimation < 1:
-            raise InvalidParams("decimation must be >= 1")
+        if not 1 <= self.decimation <= MAX_DECIMATION:
+            raise InvalidParams(f"decimation must lie in 1..{MAX_DECIMATION}")
         if self.seed < 0:  # the Philox streams take a non-negative seed
             raise InvalidParams(f"scenario key 'seed' must be >= 0, got {self.seed}")
 

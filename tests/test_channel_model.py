@@ -122,6 +122,20 @@ class TestSynthesis:
             tracemalloc.stop()
         assert peak < 1.05 * ens.H.nbytes, (peak, ens.H.nbytes)
 
+    @pytest.mark.parametrize("phases", ["uniform", "zero"])
+    def test_synthesis_hands_its_stack_over(self, phases):
+        # the 30a plan (3479 tones, p = 10): the stack and its float magnitudes,
+        # never a second complex stack (a copy at the handoff read 2.07 stacks)
+        grid = ToneGrid.vdsl_band(decimation=2)
+        tracemalloc.start()
+        try:
+            ens = synthesize_channel(reference_params(), grid, 7, phases=phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * ens.H.nbytes, (peak, ens.H.nbytes)
+        assert not ens.H.flags.writeable
+
     def test_snapshots_view_the_stack(self, small_ensemble):
         for k, snap in enumerate(small_ensemble.snapshots):
             assert snap.freq == small_ensemble.grid.freq(k)

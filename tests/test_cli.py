@@ -718,6 +718,29 @@ class TestExitCodes:
         prefix = {2: _CONFIG, 3: _NUMERICAL, 4: _BOUND}[code][1]
         assert err.startswith(f"{prefix}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--decimation", str(10**400)],
+            ["bound", "--decimation", str(10**400)],
+            ["synth-channel", "--out", "{out}", "--decimation", str(10**400)],
+            ["simulate", "--csi-samples", str(10**400)],
+            ["simulate", "--n-trials", str(10**22)],
+            ["analyze", "--users", str(10**13)],
+            ["design-bits", "--target-tone", "0.1", "--users", str(10**13)],
+        ],
+        ids=["analyze-decimation", "bound-decimation", "synth-decimation", "csi-samples",
+             "n-trials", "analyze-users", "design-bits-users"],
+    )
+    def test_unrepresentable_integer_is_a_typed_exit(self, tmp_path, capsys, fast_args, argv):
+        # past a float (1e400) or an array dimension (1e22 trials, 1e26 gains):
+        # untyped OverflowError and ValueError tracebacks, exit 1
+        command, *flags = (a.format(out=tmp_path / "chan.json") for a in argv)
+        assert run([command, *fast_args, *flags]) == 2
+        assert not (tmp_path / "chan.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"{_CONFIG[1]}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("d_bits", ["0", "65", "1024"])
     @pytest.mark.parametrize(
         "argv",
@@ -817,6 +840,12 @@ class TestCliProperty:
     @example(SWEEP + ["--gap=1e+308", "--lengths=10.0", "--target-relative=0.5"])
     # 2**1024 overflowed in the quantizer: an untyped OverflowError
     @example(["analyze", "--decimation=4096", "--n-trials=16", "--users=2", "--d-bits=1024"])
+    # integers no float or array dimension holds: untyped OverflowError and ValueError
+    @example(["analyze", f"--decimation={10**400}", "--n-trials=16"])
+    @example(["simulate", "--decimation=4096", "--n-trials=16", f"--csi-samples={10**400}"])
+    @example(["simulate", "--decimation=4096", f"--n-trials={10**22}"])
+    @example(["design-bits", "--decimation=4096", "--n-trials=16", f"--users={10**13}",
+              "--target-tone=0.1"])
     def test_exit_code_and_report(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

@@ -21,6 +21,7 @@ from xtalk_quant.precoding import (
     MAX_BITS,
     PerturbationSpec,
     build_delta,
+    guarded_inverse,
     ideal_precoder,
     make_bundle,
     quantize_precoder,
@@ -74,6 +75,36 @@ class TestIdealPrecoder:
         P = ideal_precoder(small_ensemble)
         for k, snap in enumerate(small_ensemble.snapshots):
             assert np.array_equal(P[k], ideal_precoder(one_tone(snap.freq, snap.H))[0])
+
+
+class TestGuardedInverse:
+    """The one condition guard behind every inverse the package forms."""
+
+    def _stack(self):
+        well = random_dominant_tone(np.random.default_rng(3), 4, 0.3).H[0]
+        return np.stack([
+            well,
+            np.diag([1.0, 1.0, 1.0, 1e-14]).astype(complex),  # LAPACK inverts it; cond 1e14
+            np.zeros((4, 4), dtype=complex),  # LAPACK refuses it
+            np.full((4, 4), np.nan, dtype=complex),
+            1e-200 * well,  # the Frobenius product underflows and overflows: 0 * inf
+            1e200 * well,
+        ])
+
+    def test_refuses_what_the_exact_condition_number_refuses(self):
+        m = self._stack()
+        inv, bad = guarded_inverse(m)
+        assert bad.tolist() == [1, 2, 3]
+        for t in (0, 4, 5):  # LAPACK refused the batch: one matrix at a time
+            assert inv[t].tobytes() == np.linalg.inv(m[t]).tobytes()
+        conds = [np.linalg.cond(x) if np.isfinite(x).all() else np.inf for x in m]
+        assert [t for t, c in enumerate(conds) if not c <= COND_LIMIT] == bad.tolist()
+
+    def test_batch_equals_a_solve_for_the_identity(self, small_ensemble):
+        m = small_ensemble.row_normalized()
+        inv, bad = guarded_inverse(m)
+        assert bad.size == 0
+        assert inv.tobytes() == np.linalg.solve(m, np.eye(small_ensemble.p)).tobytes()
 
 
 class TestQuantizer:

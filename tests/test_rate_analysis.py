@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid
-from xtalk_quant.errors import InvalidBudget, InvalidParams
-from xtalk_quant.rate_analysis import LinkBudget, build_report, loss_exact
+from xtalk_quant.errors import InvalidBudget, InvalidParams, NumericalError
+from xtalk_quant.rate_analysis import LinkBudget, build_report, interference_ratio, loss_exact
 
 from conftest import one_tone, random_dominant_tone
 
@@ -208,3 +208,35 @@ class TestBand:
         for band in (rep.band_rate, rep.band_loss, rep.eta):
             assert band.shape == (small_ensemble.p,)
         assert np.all(rep.eta == 0.0)
+
+
+class TestInterferenceRatioFinite:
+    """The kernel refuses a NaN, +inf or -inf in a or in q wherever it sits."""
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize(
+        "planted, where, value",
+        [
+            ({"cross": NAN}, "a", NAN),
+            ({"cross": INF}, "a", INF),
+            ({"cross": -INF}, "a", -INF),
+            ({"re": NAN}, "q", NAN),
+            ({"re": INF}, "q", INF),
+            ({"cross": -2.0, "re": INF}, "q", -INF),  # a + 1 = -1
+        ],
+        ids=["a-nan", "a-inf", "a-neg-inf", "q-nan", "q-inf", "q-neg-inf"],
+    )
+    def test_non_finite_statistic_raises(self, planted, where, value):
+        terms = {"cross": np.full((2, 3), 0.1), "re": np.full((2, 3), 0.01), "im": np.zeros((2, 3))}
+        snr = np.ones((2, 3))
+        interference_ratio(snr, **terms)  # finite: no error
+        for name, v in planted.items():
+            terms[name][1, 2] = v
+        # the statistics the kernel forms: the planted value lands in ``where``
+        a = terms["cross"] * snr
+        q = (np.square(1.0 + terms["re"]) + np.square(terms["im"])) / (a + 1.0)
+        got = {"a": a, "q": q}[where][1, 2]
+        assert got == value or (np.isnan(got) and np.isnan(value))
+        with pytest.raises(NumericalError, match="non-finite"):
+            interference_ratio(snr, **terms)

@@ -201,16 +201,22 @@ class TestBoundChain:
                 # at tone 0 (Q = I) R_i = sqrt(2) 2^-d is the ceiling itself, up to an ulp
                 assert np.all(general <= main * (1.0 + 1e-12)), (d, i)
 
-    @pytest.mark.parametrize("d", [10, 14, 18])
-    def test_above_analyze(self, reference, d):
-        # deterministic rounding keeps E2 in [-sigma 2^(-d-1), sigma 2^(-d-1)],
-        # sigma the tone's block scale
-        _, ensemble, budget = reference
+    @pytest.mark.parametrize("length", [300.0, 1200.0])
+    @pytest.mark.parametrize("d", [8, 10, 14, 20])
+    def test_above_analyze(self, length, d):
+        # the cross-path oracle: deterministic rounding keeps E2 in
+        # [-sigma 2^(-d-1), sigma 2^(-d-1)], sigma the tone's block scale, so
+        # analyze's exact loss stays below the supremum at that half-width on
+        # every tone and user of the 109-tone grid
+        scen = Scenario(loop_length_m=length)
+        ensemble = scen.ensemble()
+        budget = scen.budget(ensemble.grid)
         spec = PerturbationSpec(d, E2_DETERMINISTIC)
         scale = quantize_precoder(ideal_precoder(ensemble), spec, normalize=True).scale
         report = build_report(budget, ensemble, make_bundle(ensemble, spec, normalize=True))
         sup = worst_case_loss(budget, ensemble, scale * 2.0 ** (-d - 1))
         assert np.all(report.loss <= sup)
+        assert np.max(report.loss / sup) > 0.5  # not vacuous: 0.73 to 0.92 on these channels
 
 
 class TestShapesAndMemory:
