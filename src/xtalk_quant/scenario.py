@@ -23,8 +23,8 @@ from .channel_model import (
     synthesize_channel,
 )
 from .errors import InvalidParams
-from .monte_carlo import TrialConfig, WORST_CASE
-from .precoding import E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec, word_length
+from .monte_carlo import MAX_TRIALS, TrialConfig, WORST_CASE
+from .precoding import E2_DETERMINISTIC, E2_UNIFORM, MAX_CSI_SAMPLES, PerturbationSpec, word_length
 from .rate_analysis import LinkBudget
 
 SCENARIO_FORMAT_VERSION = 1
@@ -87,6 +87,12 @@ class Scenario:
             raise InvalidParams(f"decimation must lie in 1..{MAX_DECIMATION}")
         if self.seed < 0:  # the Philox streams take a non-negative seed
             raise InvalidParams(f"scenario key 'seed' must be >= 0, got {self.seed}")
+        # ceilings also where a command ignores the key, so no header hashes a
+        # count no command could run; the floors stay with TrialConfig, PerturbationSpec
+        if self.n_trials > MAX_TRIALS:
+            raise InvalidParams(f"scenario key 'n_trials' must be at most {MAX_TRIALS}")
+        if self.csi_samples is not None and self.csi_samples > MAX_CSI_SAMPLES:
+            raise InvalidParams(f"scenario key 'csi_samples' must be at most {MAX_CSI_SAMPLES}")
 
     # -- construction helpers -------------------------------------------------
 

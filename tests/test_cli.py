@@ -708,6 +708,15 @@ class TestExitCodes:
             (["simulate", "--noise", "1e308", "--decimation", "1024"], 2),
             # a tone count past the ceiling, refused before any array is formed
             (["bound", "--band", "1e300"], 2),
+            # integers no float (1e400) or array dimension (1e22 trials, 1e26
+            # gains) holds: untyped OverflowError and ValueError, exit 1
+            pytest.param(["analyze", "--decimation", str(10**400)], 2, id="analyze-decimation"),
+            pytest.param(["bound", "--decimation", str(10**400)], 2, id="bound-decimation"),
+            pytest.param(["simulate", "--csi-samples", str(10**400)], 2, id="csi-samples"),
+            pytest.param(["simulate", "--n-trials", str(10**22)], 2, id="n-trials"),
+            pytest.param(["analyze", "--users", str(10**13)], 2, id="analyze-users"),
+            pytest.param(["design-bits", "--target-tone", "0.1", "--users", str(10**13)], 2,
+                         id="design-bits-users"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
     )
@@ -717,29 +726,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         prefix = {2: _CONFIG, 3: _NUMERICAL, 4: _BOUND}[code][1]
         assert err.startswith(f"{prefix}: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["analyze", "--decimation", str(10**400)],
-            ["bound", "--decimation", str(10**400)],
-            ["synth-channel", "--out", "{out}", "--decimation", str(10**400)],
-            ["simulate", "--csi-samples", str(10**400)],
-            ["simulate", "--n-trials", str(10**22)],
-            ["analyze", "--users", str(10**13)],
-            ["design-bits", "--target-tone", "0.1", "--users", str(10**13)],
-        ],
-        ids=["analyze-decimation", "bound-decimation", "synth-decimation", "csi-samples",
-             "n-trials", "analyze-users", "design-bits-users"],
-    )
-    def test_unrepresentable_integer_is_a_typed_exit(self, tmp_path, capsys, fast_args, argv):
-        # past a float (1e400) or an array dimension (1e22 trials, 1e26 gains):
-        # untyped OverflowError and ValueError tracebacks, exit 1
-        command, *flags = (a.format(out=tmp_path / "chan.json") for a in argv)
-        assert run([command, *fast_args, *flags]) == 2
-        assert not (tmp_path / "chan.json").exists()
-        err = capsys.readouterr().err
-        assert err.startswith(f"{_CONFIG[1]}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("d_bits", ["0", "65", "1024"])
     @pytest.mark.parametrize(
@@ -758,6 +744,34 @@ class TestExitCodes:
         assert run([*argv, *fast_args, "--d-bits", d_bits]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{_CONFIG[1]}: ") and "'d_bits'" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_trials", 10**22), ("csi_samples", 10**400), ("decimation", 10**400)],
+        ids=["n_trials", "csi_samples", "decimation"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--which", "main", "--d-min", "10", "--d-max", "12"],
+            ["design-bits", "--target-relative", "0.01"],
+            ["sweep", "--lengths", "300", "--target-relative", "0.01"],
+            ["synth-channel", "--out", "{out}"],
+        ],
+        ids=["bound", "design-bits", "sweep", "synth-channel"],
+    )
+    def test_count_ceiling_refused_by_commands_that_do_not_read_it(
+        self, tmp_path, capsys, argv, key, value
+    ):
+        # the scenario refuses a count past its ceiling whichever command
+        # loads it, so no header hashes a value no command could run
+        cfg = tmp_path / "scen.json"
+        cfg.write_text(json.dumps({"users": 4, "decimation": 208, "seed": 5, key: value}))
+        out = tmp_path / "chan.json"
+        assert run([*(a.format(out=out) for a in argv), "--config", str(cfg)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"{_CONFIG[1]}: ") and key in err and err.count("\n") == 1
 
     def test_unreadable_file_is_a_config_error(self, tmp_path, capsys):
         assert run(["inspect-channel", "--in", str(tmp_path / "missing.json")]) == 2

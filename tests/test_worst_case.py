@@ -202,7 +202,7 @@ class TestBoundChain:
                 assert np.all(general <= main * (1.0 + 1e-12)), (d, i)
 
     @pytest.mark.parametrize("length", [300.0, 1200.0])
-    @pytest.mark.parametrize("d", [8, 10, 14, 20])
+    @pytest.mark.parametrize("d", [8, 10, 14, 18, 20])
     def test_above_analyze(self, length, d):
         # the cross-path oracle: deterministic rounding keeps E2 in
         # [-sigma 2^(-d-1), sigma 2^(-d-1)], sigma the tone's block scale, so
