@@ -51,6 +51,7 @@ MAX_DECIMATION = 2**32
 # Most pairs in a binder: one tone's p x p matrix is 64 GiB at 2**16 pairs,
 # and the draws are sized by p * p before any tone is formed.
 MAX_USERS = 2**16
+PHASE_MODES = ("uniform", "zero")  # synthesis: entry phases drawn per tone, or all zero
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,13 @@ class ToneGrid:
         return self.count * self.spacing
 
     @classmethod
-    def vdsl_band(cls, decimation: int = 1, f_end: float = 30e6) -> "ToneGrid":
-        """0..f_end grid at the standard DMT spacing, optionally decimated."""
+    def vdsl_band(
+        cls, decimation: int = 1, f_end: float = 30e6, f_start: float = 0.0
+    ) -> "ToneGrid":
+        """f_start..f_end grid at the standard DMT spacing, optionally decimated."""
         if not 1 <= decimation <= MAX_DECIMATION:
             raise InvalidParams(f"decimation must lie in 1..{MAX_DECIMATION}")
-        return cls(0.0, f_end, DMT_SPACING_HZ * decimation)
+        return cls(f_start, f_end, DMT_SPACING_HZ * decimation)
 
     @classmethod
     def single_tone(cls, freq: float) -> "ToneGrid":
@@ -244,6 +247,12 @@ class ChannelEnsemble:
         )
 
 
+def check_phase_mode(phases: str) -> None:
+    """Refuse, with ``InvalidParams``, a phase mode not in ``PHASE_MODES``."""
+    if phases not in PHASE_MODES:
+        raise InvalidParams(f"unknown phase mode {phases!r}")
+
+
 def synthesize_channel(
     params: WernerParams,
     grid: ToneGrid,
@@ -257,8 +266,7 @@ def synthesize_channel(
     tone (``phases="uniform"``) or fixed to zero (``phases="zero"``).
     Deterministic for a fixed seed and independent of evaluation order.
     """
-    if phases not in ("uniform", "zero"):
-        raise InvalidParams(f"unknown phase mode {phases!r}")
+    check_phase_mode(phases)
     p = params.p
     sigma = params.k_sigma_log
     mean_k = params.k_mean_slope * params.loop_length_m

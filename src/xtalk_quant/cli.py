@@ -28,7 +28,7 @@ from .analytic_bounds import (
     delta_entry_bound,
     min_admissible_bits,
 )
-from .channel_model import fit_alpha, fit_row_dominance, load_channel, save_channel
+from .channel_model import PHASE_MODES, fit_alpha, fit_row_dominance, load_channel, save_channel
 from .design import bits_for_relative_loss, bits_for_tone_loss, sweep_bits_vs_loop_length
 from .errors import (
     BitDepthTooSmall,
@@ -131,7 +131,7 @@ def cmd_inspect_channel(args) -> int:
 
 def cmd_analyze(args) -> int:
     scen = _load_scenario(args)
-    spec = scen.perturbation()  # its word length is checked before the channel is formed
+    spec = scen.perturbation()
     ensemble = scen.ensemble()
     budget = scen.budget(ensemble.grid)
     snr = budget.snr(ensemble) if spec.e1_samples else None
@@ -334,7 +334,7 @@ def _add_common(sp, out_required: bool = False) -> None:
         "--length", dest="loop_length_m", metavar="LENGTH", type=float, help="loop length in meters"
     )
     sp.add_argument("--band", dest="f_end", metavar="BAND", type=float, help="top band edge in Hz")
-    sp.add_argument("--phases", choices=["uniform", "zero"])
+    sp.add_argument("--phases", choices=PHASE_MODES)
     sp.add_argument("--channel-file", dest="channel_file", help="load instead of synthesizing")
 
 

@@ -114,8 +114,8 @@ def bits_for_tone_loss(p: int, r, snr, t: float, rho: float = 1.0) -> BitsResult
     (branch chosen by 2^t - 1 <= B^2/(4A) for the local quadratic A = u,
     B = 2^(t+1) v), reported as ``d_analytic``.
     """
-    if not 0.0 < t < 1023.0:  # 2^(t+1) below must stay a float
-        raise InvalidParams(f"per-tone loss target must lie in (0, 1023) bits/s/Hz, got {t}")
+    if not (0.0 < t < 1023.0 and 2.0**t > 1.0):  # 2^(t+1) below stays a float, 2^t - 1 > 0
+        raise InvalidParams(f"per-tone loss target must lie in (0, 1023) with 2^t > 1, got {t}")
     r, snr = np.broadcast_arrays(np.atleast_1d(r), np.atleast_1d(snr))
     if r.size == 0:
         raise InvalidParams("need at least one tone")
@@ -138,11 +138,15 @@ def bits_for_tone_loss(p: int, r, snr, t: float, rho: float = 1.0) -> BitsResult
     u = gamma_factor(p, r_k, 0, rho) * snr_k
     v = delta_entry_bound(r_k, 0)
     b_local = 2.0 ** (t + 1.0) * v
-    if 2.0**t - 1.0 <= b_local * b_local / (4.0 * u):
+    t_lin = 2.0**t - 1.0  # the local quadratic's T
+    if u == 0.0 or t_lin <= b_local * b_local / (4.0 * u):
         d_analytic = math.log2(1.25 * b_local / (t * LN2))
     else:
         d_analytic = 0.5 * math.log2(6.25 * u / (t * LN2))
-    d_exact = solve_quadratic_budget(QuadraticBudget(A=u, B_coef=b_local, T=2.0**t - 1.0)).d_exact
+    if u == 0.0:  # one pair: no quadratic term, and the root is its A -> 0 limit
+        d_exact = math.log2(b_local / t_lin)
+    else:
+        d_exact = solve_quadratic_budget(QuadraticBudget(A=u, B_coef=b_local, T=t_lin)).d_exact
     return BitsResult(
         d_bits=d,
         d_analytic=d_analytic,

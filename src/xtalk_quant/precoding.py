@@ -69,6 +69,8 @@ class PerturbationSpec:
             raise InvalidParams(f"unknown e2 model {self.e2_model!r}")
         if self.e1_samples is not None and not 1 <= self.e1_samples <= MAX_CSI_SAMPLES:
             raise InvalidParams(f"e1_samples must be >= 1 and at most {MAX_CSI_SAMPLES} when set")
+        if self.seed < 0:  # the Philox streams take a non-negative seed
+            raise InvalidParams(f"seed must be >= 0, got {self.seed}")
 
     @property
     def step(self) -> float:

@@ -32,7 +32,9 @@ from .channel_model import ChannelEnsemble, ToneGrid
 from .errors import InvalidBudget, InvalidParams, NumericalError
 from .units import LN2, db_to_linear
 
-WORST_CASE_BLOCK = 32  # (tone, width) pairs per worst_case_loss block: temporaries O(block p^2)
+# bytes of worst_case_loss's largest temporary per block: below glibc's initial
+# mmap threshold, so no block's temporaries are mapped and unmapped afresh
+WORST_CASE_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -273,8 +275,9 @@ def worst_case_loss(
     array gives (p, tones), and a (k, 1) or (k, tones) array gives
     (k, p, tones).  Each tone's polygon is built once at unit half-width
     (R scales by h, dist(-1, hZ) = h dist(-1/h, Z)) and the tones are taken
-    in blocks of about ``WORST_CASE_BLOCK`` (tone, half-width) pairs, Q too, so
-    the temporaries grow with neither the tone count nor the number of widths.
+    in blocks of as many tones as keep the largest temporary under
+    ``WORST_CASE_BYTES`` (at least one), Q too, so the temporaries grow with
+    neither the tone count nor the number of widths.
     """
     n_tones, p = ensemble.grid.count, ensemble.p
     widths = np.asarray(half_width, dtype=float)
@@ -284,7 +287,9 @@ def worst_case_loss(
     psd = budget.psd_linear(p)
     spread = (psd.sum() - psd) / psd  # sum_{j != i} P_j / P_i
     out = np.empty((*widths.shape[:-1], p, n_tones))
-    block = max(1, WORST_CASE_BLOCK // widths[..., 0].size)
+    # per tone: (widths, p, 2p) floats, or the (p, 2p + 1) complex chain
+    tone_bytes = max(widths[..., 0].size, 2) * p * (2 * p + 1) * 8
+    block = max(1, (WORST_CASE_BYTES - 1) // tone_bytes)
     for k0 in range(0, n_tones, block):
         tones = slice(k0, k0 + block)
         h = widths[..., tones, None]

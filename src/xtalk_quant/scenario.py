@@ -9,22 +9,21 @@ amplitude aggregate 0.0019 at 300 m).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .channel_model import (
     DEFAULT_K_MEAN_SLOPE,
     DEFAULT_K_SIGMA_LOG,
-    DMT_SPACING_HZ,
-    MAX_DECIMATION,
     ChannelEnsemble,
     ToneGrid,
     WernerParams,
+    check_phase_mode,
     load_channel,
     synthesize_channel,
 )
 from .errors import InvalidParams
-from .monte_carlo import MAX_TRIALS, TrialConfig, WORST_CASE
-from .precoding import E2_DETERMINISTIC, E2_UNIFORM, MAX_CSI_SAMPLES, PerturbationSpec, word_length
+from .monte_carlo import TrialConfig, WORST_CASE
+from .precoding import E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec
 from .rate_analysis import LinkBudget
 
 SCENARIO_FORMAT_VERSION = 1
@@ -45,7 +44,8 @@ def _fits(value, annotation: str) -> bool:
 
 @dataclass
 class Scenario:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.  Each key is checked once, by the
+    object that reads it; creation builds them all, so every command refuses every invalid key."""
 
     # channel: synthesized unless channel_file is set
     channel_file: str | None = None
@@ -80,24 +80,15 @@ class Scenario:
             value = getattr(self, f.name)
             if not _fits(value, f.type):
                 raise InvalidParams(f"scenario key {f.name!r} must be {f.type}, got {value!r}")
-        word_length(self.d_bits, "scenario key 'd_bits'")  # also where a command ignores it
-        if self.e2_model not in (E2_DETERMINISTIC, E2_UNIFORM):
-            raise InvalidParams(f"unknown e2 model {self.e2_model!r}")
-        if not 1 <= self.decimation <= MAX_DECIMATION:
-            raise InvalidParams(f"decimation must lie in 1..{MAX_DECIMATION}")
-        if self.seed < 0:  # the Philox streams take a non-negative seed
-            raise InvalidParams(f"scenario key 'seed' must be >= 0, got {self.seed}")
-        # ceilings also where a command ignores the key, so no header hashes a
-        # count no command could run; the floors stay with TrialConfig, PerturbationSpec
-        if self.n_trials > MAX_TRIALS:
-            raise InvalidParams(f"scenario key 'n_trials' must be at most {MAX_TRIALS}")
-        if self.csi_samples is not None and self.csi_samples > MAX_CSI_SAMPLES:
-            raise InvalidParams(f"scenario key 'csi_samples' must be at most {MAX_CSI_SAMPLES}")
+        check_phase_mode(self.phases)
+        self.werner_params()
+        self.budget()  # and grid()
+        self.trial_config()  # and perturbation()
 
     # -- construction helpers -------------------------------------------------
 
     def grid(self) -> ToneGrid:
-        return ToneGrid(self.f_start, self.f_end, DMT_SPACING_HZ * self.decimation)
+        return ToneGrid.vdsl_band(self.decimation, self.f_end, self.f_start)
 
     def werner_params(self) -> WernerParams:
         return WernerParams(
@@ -132,14 +123,10 @@ class Scenario:
     def trial_config(self, d_bits: int | None = None, e2_model: str = E2_UNIFORM) -> TrialConfig:
         """Trials draw uniform quantization errors whatever ``self.e2_model``
         (analyze's setting) says."""
+        spec = replace(self.perturbation(), e2_model=e2_model)
         return TrialConfig(
             n_trials=self.n_trials,
-            spec=PerturbationSpec(
-                d_bits=self.d_bits if d_bits is None else d_bits,
-                e2_model=e2_model,
-                e1_samples=self.csi_samples,
-                seed=self.seed,
-            ),
+            spec=spec if d_bits is None else replace(spec, d_bits=d_bits),
             statistic=self.statistic,
             quantile_q=self.quantile_q,
         )

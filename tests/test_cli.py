@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from xtalk_quant import __version__, cli
 from xtalk_quant.analytic_bounds import bound_main_per_tone
+from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid, save_channel
 from xtalk_quant.cli import run
 from xtalk_quant.errors import BitDepthTooSmall, XtalkError
 from xtalk_quant.scenario import Scenario
@@ -408,14 +409,18 @@ class TestSimulate:
     def test_zero_csi_samples_exit_2(self, tmp_path, capsys, command):
         # both commands read csi_samples as PerturbationSpec.e1_samples, which refuses 0
         scen = tmp_path / "scen.json"
-        Scenario(users=4, decimation=208, seed=5, n_trials=3, csi_samples=0).save(scen)
+        scen.write_text(json.dumps(
+            {"users": 4, "decimation": 208, "seed": 5, "n_trials": 3, "csi_samples": 0}
+        ))
         assert run([command, "--config", str(scen), "--out", str(tmp_path / "r.tsv")]) == 2
         assert "e1_samples must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
     def test_quantile_q_with_the_worst_case_statistic_exit_2(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
-        Scenario(users=4, decimation=208, seed=5, n_trials=20, quantile_q=0.5).save(scen)
+        scen.write_text(json.dumps(
+            {"users": 4, "decimation": 208, "seed": 5, "n_trials": 20, "quantile_q": 0.5}
+        ))
         out = tmp_path / "r.tsv"
         argv = ["simulate", "--config", str(scen), "--d-range", "10:10", "--out", str(out)]
         assert run(argv) == 2
@@ -590,8 +595,9 @@ class TestScenarioFile:
 
 
 class TestMalformedScenario:
-    """A scenario value of the wrong JSON type (or a negative seed) is a
-    config error naming the key (exit 2), not a traceback."""
+    """A scenario value of the wrong JSON type is a config error naming the
+    key (exit 2), not a traceback; so is a negative seed, refused by
+    PerturbationSpec."""
 
     @pytest.fixture()
     def config(self, tmp_path):
@@ -603,21 +609,21 @@ class TestMalformedScenario:
         return write
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, message",
         [
-            ("users", "10"),
-            ("decimation", "2"),
-            ("seed", 1.5),
-            ("users", True),
-            ("d_bits", None),
-            ("seed", -1),
+            ("users", "10", "scenario key 'users'"),
+            ("decimation", "2", "scenario key 'decimation'"),
+            ("seed", 1.5, "scenario key 'seed'"),
+            ("users", True, "scenario key 'users'"),
+            ("d_bits", None, "scenario key 'd_bits'"),
+            ("seed", -1, "seed must be >= 0"),
         ],
     )
-    def test_malformed_value_exit_2(self, tmp_path, capsys, config, key, value):
+    def test_malformed_value_exit_2(self, tmp_path, capsys, config, key, value, message):
         out = tmp_path / "report.tsv"
         assert run(["analyze", "--config", config(**{key: value}), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and repr(key) in err
+        assert err.startswith("config error:") and message in err
 
     PER_USER_PSD = [-60.0, -61.0, -62.0, -63.0]
 
@@ -727,55 +733,127 @@ class TestExitCodes:
         prefix = {2: _CONFIG, 3: _NUMERICAL, 4: _BOUND}[code][1]
         assert err.startswith(f"{prefix}: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("d_bits", ["0", "65", "1024"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bound", "--which", "main", "--d-min", "10", "--d-max", "12"],
-            ["design-bits", "--target-relative", "0.01"],
-            ["sweep", "--lengths", "300", "--target-relative", "0.01"],
-        ],
-        ids=["bound", "design-bits", "sweep"],
-    )
-    def test_word_length_refused_by_commands_that_do_not_read_it(
-        self, capsys, fast_args, argv, d_bits
-    ):
-        # these commands ignore d_bits; they once exited 0 and hashed the value
-        assert run([*argv, *fast_args, "--d-bits", d_bits]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"{_CONFIG[1]}: ") and "'d_bits'" in err
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("n_trials", 10**22), ("csi_samples", 10**400), ("decimation", 10**400)],
-        ids=["n_trials", "csi_samples", "decimation"],
-    )
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bound", "--which", "main", "--d-min", "10", "--d-max", "12"],
-            ["design-bits", "--target-relative", "0.01"],
-            ["sweep", "--lengths", "300", "--target-relative", "0.01"],
-            ["synth-channel", "--out", "{out}"],
-        ],
-        ids=["bound", "design-bits", "sweep", "synth-channel"],
-    )
-    def test_count_ceiling_refused_by_commands_that_do_not_read_it(
-        self, tmp_path, capsys, argv, key, value
-    ):
-        # the scenario refuses a count past its ceiling whichever command
-        # loads it, so no header hashes a value no command could run
-        cfg = tmp_path / "scen.json"
-        cfg.write_text(json.dumps({"users": 4, "decimation": 208, "seed": 5, key: value}))
-        out = tmp_path / "chan.json"
-        assert run([*(a.format(out=out) for a in argv), "--config", str(cfg)]) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith(f"{_CONFIG[1]}: ") and key in err and err.count("\n") == 1
-
     def test_unreadable_file_is_a_config_error(self, tmp_path, capsys):
         assert run(["inspect-channel", "--in", str(tmp_path / "missing.json")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+# Each scenario-loading command, with the flags it needs.
+_SCENARIO_COMMANDS = {
+    "synth-channel": ["synth-channel"],
+    "analyze": ["analyze"],
+    "bound": ["bound", "--which", "main", "--d-min", "10", "--d-max", "12"],
+    "design-bits-relative": ["design-bits", "--target-relative", "0.01"],
+    "design-bits-tone": ["design-bits", "--target-tone", "0.1"],
+    "simulate": ["simulate"],
+    "sweep": ["sweep", "--lengths", "300", "--target-relative", "0.01"],
+}
+
+# (key, bad value, the refusal's text): every key the scenario builds an object from
+_BAD_KEYS = [
+    ("alpha", -1.0, "alpha and loop_length_m must be positive"),
+    ("loop_length_m", 0.0, "alpha and loop_length_m must be positive"),
+    ("users", 1, "need 2..65536 pairs, got 1"),
+    ("users", 10**13, "need 2..65536 pairs"),
+    ("k_mean_slope", 0.0, "bad coupling-gain distribution"),
+    ("k_sigma_log", -1.0, "bad coupling-gain distribution"),
+    ("phases", "bogus", "unknown phase mode 'bogus'"),
+    ("f_start", -1.0, "bad tone grid"),
+    ("f_end", 1e300, "tone grid of more than 65536 tones"),
+    ("decimation", 0, "decimation must lie in 1..4294967296"),
+    ("decimation", 10**400, "decimation must lie in 1..4294967296"),
+    ("seed", -1, "seed must be >= 0"),
+    ("psd_dbm_hz", 1e308, "per-user PSD is not a finite, positive linear power"),
+    ("noise_dbm_hz", 1e308, "noise PSD is not a finite, positive linear power"),
+    ("gamma_db", -1.0, "Shannon gap must be finite and >= 0 dB"),
+    ("d_bits", 0, "d_bits must lie in 1..64"),
+    ("d_bits", 65, "d_bits must lie in 1..64"),
+    ("d_bits", 1024, "d_bits must lie in 1..64"),
+    ("e2_model", "bogus", "unknown e2 model 'bogus'"),
+    ("csi_samples", 0, "e1_samples must be >= 1"),
+    ("csi_samples", 10**400, "e1_samples must be >= 1 and at most 18446744073709551616"),
+    ("n_trials", 0, "n_trials must lie in 1..4294967296"),
+    ("n_trials", 10**22, "n_trials must lie in 1..4294967296"),
+    ("statistic", "bogus", "unknown statistic 'bogus'"),
+    ("quantile_q", 0.5, "quantile_q is read only by the 'quantile' statistic"),
+]
+
+
+class TestEveryKeyEveryCommand:
+    """Every command refuses every invalid scenario key, also one it does not
+    read (its report would hash the key), with or without --channel-file:
+    exit 2, one stderr line naming the refusal, and no report."""
+
+    @pytest.fixture(scope="class")
+    def channel_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("chan") / "chan.json"
+        assert run(["synth-channel", "--users", "4", "--decimation", "208", "--seed", "5",
+                    "--out", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("measured", [False, True], ids=["synthesized", "channel-file"])
+    @pytest.mark.parametrize("command", list(_SCENARIO_COMMANDS))
+    @pytest.mark.parametrize("key, value, message", _BAD_KEYS, ids=[
+        f"{k}=10**{len(str(v)) - 1}" if isinstance(v, int) and v > 10**6 else f"{k}={v}"
+        for k, v, _ in _BAD_KEYS
+    ])
+    def test_exit_2_and_no_report(
+        self, tmp_path, capsys, channel_file, key, value, message, command, measured
+    ):
+        cfg = tmp_path / "scen.json"
+        cfg.write_text(json.dumps({"users": 4, "decimation": 208, "seed": 5, key: value}))
+        out = tmp_path / "out"
+        argv = [*_SCENARIO_COMMANDS[command], "--config", str(cfg), "--out", str(out)]
+        if measured:
+            argv += ["--channel-file", channel_file]
+        capsys.readouterr()  # the class fixture's synth-channel output
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{_CONFIG[1]}: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestOnePairChannel:
+    """A one-pair channel file (p = 1: no crosstalk, so the precoder is the
+    identity) through every command: each exits 0, 2, 3 or 4, lets no warning
+    escape, and prints one stderr line when it fails."""
+
+    @pytest.fixture(scope="class")
+    def channel_file(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("one_pair") / "p1.json")
+        grid = ToneGrid.vdsl_band(decimation=208)
+        H = np.exp(-0.0019 * np.sqrt(grid.freqs)).astype(complex)[:, None, None]
+        save_channel(ChannelEnsemble(grid, H), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["inspect-channel", "--in"], 0),
+            (["analyze", "--channel-file"], 0),
+            (["analyze", "--normalize", "--channel-file"], 0),
+            (["simulate", "--n-trials", "20", "--d-range", "8:10", "--channel-file"], 0),
+            (["bound", "--which", "main", "--channel-file"], 0),
+            # the closed-form band bounds fit a pair count of at least 2
+            (["bound", "--which", "all", "--channel-file"], 2),
+            # u = 0 at p = 1 once divided by zero: a RuntimeWarning, then exit 2
+            (["design-bits", "--target-tone", "0.1", "--channel-file"], 0),
+            (["design-bits", "--target-relative", "0.01", "--channel-file"], 2),
+            (["sweep", "--lengths", "300,600", "--target-relative", "0.01", "--channel-file"], 2),
+        ],
+        ids=lambda v: " ".join(v[:-1]) if isinstance(v, list) else str(v),
+    )
+    def test_exit_code(self, channel_file, argv, code):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, {"XTALK_THREADS": "1"}), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, channel_file]) == code, err.getvalue()
+        if code == 0:
+            assert out.getvalue() and not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE)
+        else:
+            assert err.getvalue().count("\n") == 1
 
 
 _EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-300, 1e308]

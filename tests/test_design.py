@@ -90,6 +90,25 @@ class TestBitsForToneLoss:
         assert res.d_bits == 11
         assert res.bound_value <= res.target
 
+    def test_one_pair_has_no_quadratic_term(self):
+        # p = 1: u = 0, so the budget is B 2^-d alone; the root is the A -> 0
+        # limit log2(B/T) and the closed form takes the linear branch
+        t = 0.1
+        b, t_lin = 2.0 ** (t + 1.0) * math.sqrt(2), 2.0**t - 1.0
+        res = bits_for_tone_loss(1, 0.0, 1e6, t)
+        assert res.d_exact == math.log2(b / t_lin)
+        assert res.d_exact == pytest.approx(
+            solve_quadratic_budget(QuadraticBudget(1e-300, b, t_lin)).d_exact, rel=1e-12
+        )
+        assert res.d_analytic == math.log2(1.25 * b / (t * math.log(2)))
+        assert res.bound_value <= t
+
+    def test_target_below_float_resolution_refused(self):
+        # 2^t rounds to 1, so 2^t - 1 is 0 and no root exists, at any pair count
+        for p in (1, 2):
+            with pytest.raises(InvalidParams, match="2\\^t > 1"):
+                bits_for_tone_loss(p, 0.0, 1e6, 1e-17)
+
     def test_huge_target_hits_floor(self):
         r = 2.0
         res = bits_for_tone_loss(10, r, 1e4, 50.0)
