@@ -21,11 +21,13 @@ SNR decay constant.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -381,50 +383,63 @@ def load_channel(path) -> ChannelEnsemble:
 
     The text is read ``LOAD_CHUNK`` characters at a time into a window that
     drops what the parse has consumed.  The top-level object is walked one
-    field at a time and each ``tones`` record becomes a float array as soon
-    as it is decoded, so the load holds one window, one record's lists and
-    the per-record arrays, never the whole text or the whole parsed document.
+    field at a time, and once the header has given ``p`` and ``tone_count``
+    (``save_channel`` writes them first) each ``tones`` record is written into
+    one preallocated float stack as soon as it is decoded.  So the load holds
+    one window, one record's lists and that stack, never the whole text, the
+    whole parsed document or a second stack.  A file whose records come
+    before the header, or whose header changes after them, is read a second
+    time with the final header; a pipe's bytes are held for that.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = _read_document(fh)
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("a channel file holds one JSON object")
-
-    for key in (*_HEADER_TYPES, "tones"):
-        if key not in doc:
-            raise ParseError(f"missing header field {key!r}")
-    # JSON integers and numbers only: int() and float() would read "4", 4.7 and true
-    for key, types in _HEADER_TYPES.items():
-        if type(doc[key]) not in types:
-            kind = "number" if float in types else "integer"
-            raise ParseError(f"header field {key!r} must be a JSON {kind}, got {doc[key]!r}")
-    if doc["format_version"] != CHANNEL_FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {doc['format_version']!r}")
-    p, n = doc["p"], doc["tone_count"]
-    try:
-        f_start, spacing = float(doc["f_start"]), float(doc["spacing"])
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ParseError(f"bad header field: {exc}") from exc
-    if p < 1 or n < 1:
-        raise ParseError("p and tone_count must be positive")
-    records = doc.pop("tones")
-    if not isinstance(records, list) or len(records) != n:
+    with open(path, "r", encoding="utf-8") as fh:
+        if not fh.seekable():  # a pipe: its bytes are held, so that it can be read twice
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8")
+        doc = _parse(fh)
+        for key in (*_HEADER_TYPES, "tones"):
+            if key not in doc:
+                raise ParseError(f"missing header field {key!r}")
+        # JSON integers and numbers only: int() and float() would read "4", 4.7 and true
+        for key, types in _HEADER_TYPES.items():
+            if type(doc[key]) not in types:
+                kind = "number" if float in types else "integer"
+                raise ParseError(f"header field {key!r} must be a JSON {kind}, got {doc[key]!r}")
+        if doc["format_version"] != CHANNEL_FORMAT_VERSION:
+            raise ParseError(f"unsupported format_version {doc['format_version']!r}")
+        p, n = doc["p"], doc["tone_count"]
+        try:
+            f_start, spacing = float(doc["f_start"]), float(doc["spacing"])
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ParseError(f"bad header field: {exc}") from exc
+        if p < 1 or n < 1:
+            raise ParseError("p and tone_count must be positive")
+        tones = doc.pop("tones")
+        if isinstance(tones, _Tones) and tones.shape != (n, p):
+            tones = _parse(fh, (n, p))["tones"]
+    if not isinstance(tones, _Tones) or tones.length != n:
         raise ParseError(f"tone_count={n} but the tones field is not a list of {n} records")
     grid = ToneGrid(f_start, f_start + (n - 1) * spacing + 0.5 * spacing, spacing)
     if grid.count != n:
         raise ParseError("grid reconstruction mismatch")
-    for k, rec in enumerate(records):
-        if rec is None or rec.shape != (p * p, 2):
-            if k:  # an earlier tone may hold a bad value or a zero diagonal
-                _check_tones(np.stack(records[:k]).view(complex).reshape(k, p, p), grid)
-            raise ParseError(f"tone {k}: expected {p * p} [re, im] number pairs", tone=k)
+    k = tones.good
+    if k < n:
+        if k:  # an earlier tone may hold a bad value or a zero diagonal
+            _check_tones(tones.stack[:k].view(complex).reshape(k, p, p), grid)
+        raise ParseError(f"tone {k}: expected {p * p} [re, im] number pairs", tone=k)
     # .view pairs the floats exactly as complex(re, im) does
-    H = np.stack(records).view(complex).reshape(n, p, p)
-    del records  # the per-tone lists, freed before the tone checks run
-    return ChannelEnsemble(grid=grid, H=H, _adopt=True)
+    return ChannelEnsemble(grid=grid, H=tones.stack.view(complex).reshape(n, p, p), _adopt=True)
+
+
+def _parse(fh, shape: tuple | None = None) -> dict:
+    """The top-level object of the seekable text file ``fh``, read from its
+    start, with its ``tones`` array read by ``_records`` under ``shape`` =
+    (tone_count, p), or under the header read before it if none is given."""
+    try:
+        doc = _read_document(fh, shape)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ParseError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("a channel file holds one JSON object")
+    return doc
 
 
 _HEADER_TYPES = {
@@ -450,6 +465,8 @@ class _Window:
     """
 
     def __init__(self, fh):
+        self.size = fh.seek(0, io.SEEK_END)  # bytes: at least the characters
+        fh.seek(0)
         self.fh, self.text, self.offset, self.eof = fh, "", 0, False
         self.longest = 0  # the longest value decoded so far
 
@@ -517,7 +534,7 @@ class _Window:
         return ValueError(f"{msg}: line {line} column {pos - last_newline} (char {pos})")
 
 
-def _read_document(fh) -> object:
+def _read_document(fh, shape: tuple | None) -> object:
     """The document in ``fh``: an object is read by ``_fields``; anything else
     (an empty or non-object document) is left whole to json, which names a
     syntax error first and never returns an object."""
@@ -525,12 +542,13 @@ def _read_document(fh) -> object:
     win.match(_OPENING, 0)  # nothing is consumed yet: the window is the file's start
     if not _KEYED_OBJECT.match(win.text):
         return json.loads(win.text + fh.read())
-    return _fields(win)
+    return _fields(win, shape)
 
 
-def _fields(win: _Window) -> dict:
+def _fields(win: _Window, shape: tuple | None) -> dict:
     """The fields of the object in ``win`` (a repeated key keeps its last
-    value, as in ``json.load``), with a ``tones`` array read by ``_records``."""
+    value, as in ``json.load``), with a ``tones`` array read by ``_records``
+    under ``shape``, else under the header fields read so far."""
     doc = {}
     mark, i = win.punct(0, "{")
     while mark != "}":
@@ -539,7 +557,8 @@ def _fields(win: _Window) -> dict:
             raise win.error("Expecting property name", i)
         _, i = win.punct(i, ":")
         if key == "tones" and win.text.startswith("[", i):
-            doc[key], i = _records(win, i)
+            doc.pop(key, None)  # an earlier tones array is dropped before this one is read
+            doc[key], i = _records(win, i, shape or _header_shape(doc))
         else:
             doc[key], _, i = win.value(i)
         mark, i = win.punct(i, ",}")
@@ -548,22 +567,53 @@ def _fields(win: _Window) -> dict:
     return doc
 
 
-def _records(win: _Window, i: int) -> tuple:
-    """The array at text[i] as one float array per record (None for a record
-    that is not all JSON numbers), each made as soon as its lists are decoded."""
-    records = []
+def _header_shape(doc: dict) -> tuple | None:
+    """(tone_count, p) if ``doc`` holds both as positive JSON integers."""
+    n, p = doc.get("tone_count"), doc.get("p")
+    if type(n) is int and type(p) is int and n >= 1 and p >= 1:
+        return n, p
+    return None
+
+
+class _Tones(NamedTuple):
+    """A ``tones`` array as ``_records`` read it: ``length`` records, of which
+    the first ``good`` are p*p [re, im] number pairs in ``stack[:good]``
+    (none without a ``shape``)."""
+
+    shape: tuple | None
+    stack: np.ndarray | None
+    length: int
+    good: int
+
+
+def _records(win: _Window, i: int, shape: tuple | None) -> tuple:
+    """The array at text[i] as ``_Tones``.  With ``shape`` = (tone_count, p),
+    each record is written into one preallocated (tone_count, p*p, 2) float
+    stack as soon as its lists are decoded, up to the first record that is
+    not all JSON numbers in that shape; records are counted in any case.  A
+    record takes at least 6 p^2 characters, so a file too short to hold
+    tone_count of them gets a stack of only as many as it can hold."""
+    n, p = shape or (0, 1)
+    rows = min(n, win.size // (6 * p * p))
+    stack = np.empty((rows, p * p, 2)) if rows else None
+    length = good = 0
     mark, i = win.punct(i, "[")
     if win.text.startswith("]", i):  # the empty array
         mark, i = win.punct(i, "]")
     while mark != "]":
         rec, start, i = win.value(i)
-        # np.asarray reads true and false as numbers; their "u" and "l" occur in
-        # no JSON number, NaN or Infinity, and one-letter searches are fast
-        text = win.text
-        boolean = text.find("u", start, i) >= 0 or text.find("l", start, i) >= 0
-        records.append(None if boolean else _number_pairs(rec))
+        if good == length < rows:
+            # np.asarray reads true and false as numbers; their "u" and "l" occur in
+            # no JSON number, NaN or Infinity, and one-letter searches are fast
+            text = win.text
+            boolean = text.find("u", start, i) >= 0 or text.find("l", start, i) >= 0
+            pairs = None if boolean else _number_pairs(rec)
+            if pairs is not None and pairs.shape == (p * p, 2):
+                stack[good] = pairs
+                good += 1
+        length += 1
         mark, i = win.punct(i, ",]")
-    return records, i
+    return _Tones(shape, stack, length, good), i
 
 
 def _number_pairs(records) -> np.ndarray | None:

@@ -69,8 +69,7 @@ class PerturbationSpec:
             raise InvalidParams(f"unknown e2 model {self.e2_model!r}")
         if self.e1_samples is not None and not 1 <= self.e1_samples <= MAX_CSI_SAMPLES:
             raise InvalidParams(f"e1_samples must be >= 1 and at most {MAX_CSI_SAMPLES} when set")
-        if self.seed < 0:  # the Philox streams take a non-negative seed
-            raise InvalidParams(f"seed must be >= 0, got {self.seed}")
+        streams.check_seed(self.seed)  # refused here, before any stream is drawn
 
     @property
     def step(self) -> float:

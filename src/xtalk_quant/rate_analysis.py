@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import precoding
 from .channel_model import ChannelEnsemble, ToneGrid
 from .errors import InvalidBudget, InvalidParams, NumericalError
 from .units import LN2, db_to_linear
@@ -240,14 +241,27 @@ def loss_exact(
 def build_report(
     budget: LinkBudget, ensemble: ChannelEnsemble, deltas: np.ndarray
 ) -> LossReport:
-    """Exact losses for all users over all tones; ``deltas`` is (tones, p, p)."""
+    """Exact losses for all users over all tones; ``deltas`` is (tones, p, p).
+
+    The kernel runs on ``precoding.BUNDLE_BLOCK`` tones at a time, the block
+    ``make_bundle`` walks, into preallocated (p, tones) columns, so its
+    temporaries grow with the block and not the grid.  It is elementwise per
+    tone, so every bit is the whole-stack call's; the band sums run over the
+    full columns.
+    """
     deltas = np.asarray(deltas, dtype=complex)
     if deltas.shape != ensemble.H.shape:
         raise InvalidBudget(f"Delta stack of shape {deltas.shape} for channels {ensemble.H.shape}")
-    p = ensemble.p
-    out = loss_arrays(budget.snr(ensemble), budget.gap, budget.psd_linear(p), deltas)
+    p, n = ensemble.p, ensemble.grid.count
+    psd = budget.psd_linear(p)
     # (p, tones), C-ordered: a user's band sum reads one contiguous row
-    cols = {key: np.ascontiguousarray(out[key].T) for key in ("rate", "loss", "a", "q", "k")}
+    cols = {key: np.empty((p, n)) for key in ("rate", "loss", "a", "q", "k")}
+    block = precoding.BUNDLE_BLOCK
+    for k0 in range(0, n, block):
+        tones = slice(k0, k0 + block)
+        out = loss_arrays(budget.snr(ensemble, tones), budget.gap, psd, deltas[tones])
+        for key, col in cols.items():
+            col[:, tones] = out[key].T
     spacing = ensemble.grid.spacing
     band_rate = cols["rate"].sum(axis=1) * spacing
     band_loss = cols["loss"].sum(axis=1) * spacing

@@ -82,7 +82,9 @@ class Scenario:
                 raise InvalidParams(f"scenario key {f.name!r} must be {f.type}, got {value!r}")
         check_phase_mode(self.phases)
         self.werner_params()
-        self.budget()  # and grid()
+        budget = self.budget()  # and grid()
+        if self.channel_file is None:  # the synthesized channel has ``users`` pairs
+            budget.psd_linear(self.users)
         self.trial_config()  # and perturbation()
 
     # -- construction helpers -------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParams
 from .units import SQRT2
 
 # Stream purposes: the first element of every key.
@@ -22,10 +23,19 @@ MC_E1 = 11           # trials: channel-estimation error, by tone
 MC_E1_RESAMPLE = 12  # trials: fresh E1 for a singular trial, by (tone, trial)
 
 
+def check_seed(seed: int) -> int:
+    """``seed``, once it is non-negative, as every stream's key must be;
+    refused with ``InvalidParams`` otherwise."""
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Philox generator for ``key`` = (purpose, index...) under ``seed``."""
+    """Philox generator for ``key`` = (purpose, index...) under ``seed``
+    (``check_seed``)."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
+        np.random.Philox(np.random.SeedSequence(entropy=check_seed(seed), spawn_key=key))
     )
 
 

@@ -813,6 +813,18 @@ class TestEveryKeyEveryCommand:
         assert message in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", list(_SCENARIO_COMMANDS))
+    def test_psd_list_for_other_users_refused_at_once(self, tmp_path, capsys, command):
+        # a synthesized channel has ``users`` pairs, so a PSD list of another
+        # length is refused before synthesis, by synth-channel too
+        cfg = tmp_path / "scen.json"
+        cfg.write_text(json.dumps({"users": 4, "decimation": 208, "psd_dbm_hz": [-60] * 3}))
+        out = tmp_path / "out"
+        assert run([*_SCENARIO_COMMANDS[command], "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{_CONFIG[1]}: 3 PSD entries for 4 users\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestOnePairChannel:
     """A one-pair channel file (p = 1: no crosstalk, so the precoder is the

@@ -17,6 +17,7 @@ from scipy.optimize import minimize
 
 from conftest import one_tone, random_dominant_tone, reference_params
 
+from xtalk_quant import precoding
 from xtalk_quant.analytic_bounds import bound_general_per_tone, bound_main_per_tone
 from xtalk_quant.channel_model import ToneGrid, synthesize_channel
 from xtalk_quant.errors import InvalidParams
@@ -201,22 +202,36 @@ class TestBoundChain:
                 # at tone 0 (Q = I) R_i = sqrt(2) 2^-d is the ceiling itself, up to an ulp
                 assert np.all(general <= main * (1.0 + 1e-12)), (d, i)
 
-    @pytest.mark.parametrize("length", [300.0, 1200.0])
-    @pytest.mark.parametrize("d", [8, 10, 14, 18, 20])
-    def test_above_analyze(self, length, d):
-        # the cross-path oracle: deterministic rounding keeps E2 in
-        # [-sigma 2^(-d-1), sigma 2^(-d-1)], sigma the tone's block scale, so
-        # analyze's exact loss stays below the supremum at that half-width on
-        # every tone and user of the 109-tone grid
-        scen = Scenario(loop_length_m=length)
+    @staticmethod
+    def _analyze_and_supremum(scen, d):
+        """analyze's exact loss under deterministic rounding at word length d,
+        and the supremum at each tone's deployed half-width: rounding keeps
+        E2 in [-sigma 2^(-d-1), sigma 2^(-d-1)], sigma the tone's block scale."""
         ensemble = scen.ensemble()
         budget = scen.budget(ensemble.grid)
         spec = PerturbationSpec(d, E2_DETERMINISTIC)
         scale = quantize_precoder(ideal_precoder(ensemble), spec, normalize=True).scale
         report = build_report(budget, ensemble, make_bundle(ensemble, spec, normalize=True))
-        sup = worst_case_loss(budget, ensemble, scale * 2.0 ** (-d - 1))
-        assert np.all(report.loss <= sup)
-        assert np.max(report.loss / sup) > 0.5  # not vacuous: 0.73 to 0.92 on these channels
+        return report.loss, worst_case_loss(budget, ensemble, scale * 2.0 ** (-d - 1))
+
+    @pytest.mark.parametrize("length", [300.0, 1200.0])
+    @pytest.mark.parametrize("d", [8, 10, 14, 18, 20])
+    def test_above_analyze(self, length, d):
+        # the cross-path oracle: analyze's exact loss stays below the
+        # supremum on every tone and user of the 109-tone grid
+        loss, sup = self._analyze_and_supremum(Scenario(loop_length_m=length), d)
+        assert np.all(loss <= sup)
+        assert np.max(loss / sup) > 0.5  # not vacuous: 0.73 to 0.92 on these channels
+
+    @pytest.mark.parametrize("d", [10, 14])
+    def test_above_analyze_on_the_30a_plan(self, d):
+        # the same oracle on the VDSL2 30a plan at 300 m, the paper's 14-bit
+        # case: 3479 tones, so analyze's report runs over 14 tone blocks
+        scen = Scenario(loop_length_m=300.0, decimation=2)
+        assert scen.grid().count == 3479 and -(-3479 // precoding.BUNDLE_BLOCK) == 14
+        loss, sup = self._analyze_and_supremum(scen, d)
+        assert np.all(loss <= sup)
+        assert np.max(loss / sup) > 0.5  # 0.89 at d = 10, 0.74 at d = 14
 
 
 class TestShapesAndMemory:
