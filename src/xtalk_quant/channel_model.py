@@ -25,6 +25,9 @@ import io
 import json
 import math
 import re
+import shutil
+import tempfile
+from contextlib import ExitStack
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -389,11 +392,15 @@ def load_channel(path) -> ChannelEnsemble:
     one window, one record's lists and that stack, never the whole text, the
     whole parsed document or a second stack.  A file whose records come
     before the header, or whose header changes after them, is read a second
-    time with the final header; a pipe's bytes are held for that.
+    time with the final header; a pipe is copied to a temporary file for that.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        if not fh.seekable():  # a pipe: its bytes are held, so that it can be read twice
-            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8")
+    with ExitStack() as files:
+        fh = files.enter_context(open(path, "r", encoding="utf-8"))
+        if not fh.seekable():  # a pipe: copied to a file, so that it can be read twice
+            tmp = files.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(fh.buffer, tmp)
+            tmp.seek(0)
+            fh = files.enter_context(io.TextIOWrapper(tmp, encoding="utf-8"))
         doc = _parse(fh)
         for key in (*_HEADER_TYPES, "tones"):
             if key not in doc:
@@ -405,16 +412,17 @@ def load_channel(path) -> ChannelEnsemble:
                 raise ParseError(f"header field {key!r} must be a JSON {kind}, got {doc[key]!r}")
         if doc["format_version"] != CHANNEL_FORMAT_VERSION:
             raise ParseError(f"unsupported format_version {doc['format_version']!r}")
-        p, n = doc["p"], doc["tone_count"]
         try:
             f_start, spacing = float(doc["f_start"]), float(doc["spacing"])
         except OverflowError as exc:  # an integer beyond the float range
             raise ParseError(f"bad header field: {exc}") from exc
-        if p < 1 or n < 1:
+        shape = _header_shape(doc)
+        if shape is None:
             raise ParseError("p and tone_count must be positive")
+        n, p = shape
         tones = doc.pop("tones")
-        if isinstance(tones, _Tones) and tones.shape != (n, p):
-            tones = _parse(fh, (n, p))["tones"]
+        if isinstance(tones, _Tones) and tones.shape != shape:
+            tones = _parse(fh, shape)["tones"]
     if not isinstance(tones, _Tones) or tones.length != n:
         raise ParseError(f"tone_count={n} but the tones field is not a list of {n} records")
     grid = ToneGrid(f_start, f_start + (n - 1) * spacing + 0.5 * spacing, spacing)
@@ -568,7 +576,9 @@ def _fields(win: _Window, shape: tuple | None) -> dict:
 
 
 def _header_shape(doc: dict) -> tuple | None:
-    """(tone_count, p) if ``doc`` holds both as positive JSON integers."""
+    """(tone_count, p) if ``doc`` holds both as positive JSON integers: the
+    one rule on them, which load_channel checks and ``_fields`` reads a
+    ``tones`` array under before the header is complete."""
     n, p = doc.get("tone_count"), doc.get("p")
     if type(n) is int and type(p) is int and n >= 1 and p >= 1:
         return n, p

@@ -52,10 +52,12 @@ REPORT_ROW_BLOCK = 512  # rows rendered per render_table call
 
 def _load_scenario(args) -> Scenario:
     """The --config scenario (else the default) with every flag given that
-    names a scenario field; the constructor validates the result."""
-    scen = Scenario.load(args.config) if args.config else Scenario()
+    names a scenario field.  The scenario is built once, from the merged keys,
+    so a rule that ties two keys (a PSD list's length to ``users``) sees the
+    flags too."""
+    doc = Scenario.read(args.config) if args.config else {}
     flags = {k: v for k, v in vars(args).items() if k in _SCENARIO_FIELDS and v is not None}
-    return replace(scen, **flags)
+    return Scenario.from_dict({**doc, **flags})
 
 
 def _write_report(args, scen: Scenario, tables, **meta) -> None:

@@ -157,8 +157,9 @@ class Scenario:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    @classmethod
-    def load(cls, path) -> "Scenario":
+    @staticmethod
+    def read(path) -> dict:
+        """The JSON object in a scenario file, not yet checked as a scenario."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -166,4 +167,8 @@ class Scenario:
             raise InvalidParams(f"scenario file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidParams("scenario file must hold a JSON object")
-        return cls.from_dict(doc)
+        return doc
+
+    @classmethod
+    def load(cls, path) -> "Scenario":
+        return cls.from_dict(cls.read(path))

@@ -825,6 +825,20 @@ class TestEveryKeyEveryCommand:
         assert captured.err == f"{_CONFIG[1]}: 3 PSD entries for 4 users\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--users", "--channel-file"])
+    def test_psd_list_checked_with_the_flags_applied(self, tmp_path, capsys, flag):
+        # the config alone would synthesize the default 10 users; the flag
+        # overrides that before the list's length is checked
+        chan = tmp_path / "chan4.json"
+        assert run(["synth-channel", "--users", "4", "--decimation", "208", "--out", str(chan)]) == 0
+        cfg = tmp_path / "scen.json"
+        cfg.write_text(json.dumps({"decimation": 208, "psd_dbm_hz": [-60] * 4}))
+        value = "4" if flag == "--users" else str(chan)
+        for argv in (["synth-channel", "--out", str(tmp_path / "again.json")],
+                     [*_SCENARIO_COMMANDS["bound"], "--out", str(tmp_path / "bound.tsv")]):
+            assert run([*argv, "--config", str(cfg), flag, value]) == 0, argv
+        capsys.readouterr()
+
 
 class TestOnePairChannel:
     """A one-pair channel file (p = 1: no crosstalk, so the precoder is the
