@@ -57,6 +57,10 @@ MAX_DECIMATION = 2**32
 # and the draws are sized by p * p before any tone is formed.
 MAX_USERS = 2**16
 PHASE_MODES = ("uniform", "zero")  # synthesis: entry phases drawn per tone, or all zero
+# Bytes a bounded walk holds per block: the tone blocks of every whole-grid
+# pass, and the characters of each refill of the load window.  Below glibc's
+# initial mmap threshold, so no block's temporaries are mapped and unmapped afresh.
+BLOCK_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -243,6 +247,14 @@ class ChannelEnsemble:
         F /= self.D[tones, :, None]
         return np.add(np.eye(self.p), F, out=F)
 
+    def tone_blocks(self, tone_bytes: int | None = None) -> list:
+        """Slices of consecutive tones covering every tone once, in order:
+        each holds as many tones as keep ``tone_bytes`` per tone (default: one
+        (p, p) complex matrix) under ``BLOCK_BYTES``, and at least one."""
+        n = self.grid.count
+        block = max(1, (BLOCK_BYTES - 1) // (tone_bytes or self.H[0].nbytes))
+        return [slice(k0, min(k0 + block, n)) for k0 in range(0, n, block)]
+
     @property
     def snapshots(self) -> tuple:
         """Per-tone views, for reading one tone at a time."""
@@ -384,13 +396,14 @@ def save_channel(ensemble: ChannelEnsemble, path) -> None:
 def load_channel(path) -> ChannelEnsemble:
     """Parse a channel file; errors carry the first offending tone index.
 
-    The text is read ``LOAD_CHUNK`` characters at a time into a window that
+    The text is read ``BLOCK_BYTES`` characters at a time into a window that
     drops what the parse has consumed.  The top-level object is walked one
     field at a time, and once the header has given ``p`` and ``tone_count``
     (``save_channel`` writes them first) each ``tones`` record is written into
     one preallocated float stack as soon as it is decoded.  So the load holds
     one window, one record's lists and that stack, never the whole text, the
-    whole parsed document or a second stack.  A file whose records come
+    whole parsed document or a second stack; a document that is not an
+    object is refused at its first character.  A file whose records come
     before the header, or whose header changes after them, is read a second
     time with the final header; a pipe is copied to a temporary file for that.
     """
@@ -401,7 +414,7 @@ def load_channel(path) -> ChannelEnsemble:
             shutil.copyfileobj(fh.buffer, tmp)
             tmp.seek(0)
             fh = files.enter_context(io.TextIOWrapper(tmp, encoding="utf-8"))
-        doc = _parse(fh)
+        doc = _fields(fh)
         for key in (*_HEADER_TYPES, "tones"):
             if key not in doc:
                 raise ParseError(f"missing header field {key!r}")
@@ -422,7 +435,7 @@ def load_channel(path) -> ChannelEnsemble:
         n, p = shape
         tones = doc.pop("tones")
         if isinstance(tones, _Tones) and tones.shape != shape:
-            tones = _parse(fh, shape)["tones"]
+            tones = _fields(fh, shape)["tones"]
     if not isinstance(tones, _Tones) or tones.length != n:
         raise ParseError(f"tone_count={n} but the tones field is not a list of {n} records")
     grid = ToneGrid(f_start, f_start + (n - 1) * spacing + 0.5 * spacing, spacing)
@@ -437,37 +450,22 @@ def load_channel(path) -> ChannelEnsemble:
     return ChannelEnsemble(grid=grid, H=tones.stack.view(complex).reshape(n, p, p), _adopt=True)
 
 
-def _parse(fh, shape: tuple | None = None) -> dict:
-    """The top-level object of the seekable text file ``fh``, read from its
-    start, with its ``tones`` array read by ``_records`` under ``shape`` =
-    (tone_count, p), or under the header read before it if none is given."""
-    try:
-        doc = _read_document(fh, shape)
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("a channel file holds one JSON object")
-    return doc
-
-
 _HEADER_TYPES = {
     "format_version": (int,), "p": (int,), "tone_count": (int,),
     "f_start": (int, float), "spacing": (int, float),
 }
-LOAD_CHUNK = 1 << 16  # characters read per refill of the load window
 _DECODER = json.JSONDecoder()
 _PUNCT = re.compile(r"[ \t\n\r]*(.?)[ \t\n\r]*")
-_OPENING = re.compile(r"[ \t\n\r]*\{?[ \t\n\r]*")
-_KEYED_OBJECT = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"')
 
 
 class _Window:
     """The part of a text file the parse has not consumed: ``text`` holds its
-    characters from ``offset`` on.  Indices passed in and handed back are
-    into the current ``text``; a refill drops the consumed part, so every
-    method returns indices into the window as it leaves it.
+    characters from ``offset`` on, refilled ``BLOCK_BYTES`` characters at a
+    time.  Indices passed in and handed back are into the current ``text``; a
+    refill drops the consumed part, so every method returns indices into the
+    window as it leaves it.
 
-    A value or a match that reaches the window's edge is decoded again after
+    A value or a blank run that reaches the window's edge is decoded again after
     a refill, since more text could extend it; a decode error is final only
     at the end of the file.
     """
@@ -480,22 +478,13 @@ class _Window:
 
     def refill(self, i: int) -> int:
         """Drop text[:i] and read at least as many characters as are kept,
-        so a value longer than ``LOAD_CHUNK`` takes a few refills, not one per
-        chunk; returns where text[i] now sits (0)."""
+        so a value longer than ``BLOCK_BYTES`` characters takes a few
+        refills, not one per block; returns where text[i] now sits (0)."""
         kept = self.text[i:]
-        more = self.fh.read(max(LOAD_CHUNK, len(kept)))
+        more = self.fh.read(max(BLOCK_BYTES, len(kept)))
         self.eof = not more
         self.text, self.offset = kept + more, self.offset + i
         return 0
-
-    def match(self, pattern: re.Pattern, i: int) -> re.Match:
-        """``pattern`` (one that matches the empty string) at text[i], once
-        the match stops short of the window's edge or the file has ended."""
-        while True:
-            m = pattern.match(self.text, i)
-            if m.end() < len(self.text) or self.eof:
-                return m
-            i = self.refill(i)
 
     def value(self, i: int) -> tuple:
         """The JSON value at text[i], with its start and end.  A number cut
@@ -518,11 +507,13 @@ class _Window:
                     return value, i, end
             i = self.refill(i)
 
-    def punct(self, i: int, allowed: str) -> tuple:
-        """The first non-blank character from text[i], one of ``allowed``, and
-        the index past it and the blanks after it."""
-        m = self.match(_PUNCT, i)
-        if not m[1] or m[1] not in allowed:
+    def punct(self, i: int, allowed: str | None = None) -> tuple:
+        """The first non-blank character from text[i] ("" at the end of the
+        file), one of ``allowed`` if that is given, and the index past it and
+        the blanks after it; the match is settled short of the window's edge."""
+        while (m := _PUNCT.match(self.text, i)).end() == len(self.text) and not self.eof:
+            i = self.refill(i)
+        if allowed is not None and (not m[1] or m[1] not in allowed):
             raise self.error(f"Expecting one of {allowed!r}", m.start(1))
         return m[1], m.end()
 
@@ -532,7 +523,7 @@ class _Window:
         pos, line, last_newline, done = self.offset + i, 1, -1, 0
         self.fh.seek(0)
         while done < pos:
-            part = self.fh.read(min(LOAD_CHUNK, pos - done))
+            part = self.fh.read(min(BLOCK_BYTES, pos - done))
             if not part:
                 break
             if "\n" in part:
@@ -542,36 +533,33 @@ class _Window:
         return ValueError(f"{msg}: line {line} column {pos - last_newline} (char {pos})")
 
 
-def _read_document(fh, shape: tuple | None) -> object:
-    """The document in ``fh``: an object is read by ``_fields``; anything else
-    (an empty or non-object document) is left whole to json, which names a
-    syntax error first and never returns an object."""
-    win = _Window(fh)
-    win.match(_OPENING, 0)  # nothing is consumed yet: the window is the file's start
-    if not _KEYED_OBJECT.match(win.text):
-        return json.loads(win.text + fh.read())
-    return _fields(win, shape)
-
-
-def _fields(win: _Window, shape: tuple | None) -> dict:
-    """The fields of the object in ``win`` (a repeated key keeps its last
-    value, as in ``json.load``), with a ``tones`` array read by ``_records``
-    under ``shape``, else under the header fields read so far."""
-    doc = {}
-    mark, i = win.punct(0, "{")
-    while mark != "}":
-        key, _, i = win.value(i)
-        if not isinstance(key, str):
-            raise win.error("Expecting property name", i)
-        _, i = win.punct(i, ":")
-        if key == "tones" and win.text.startswith("[", i):
-            doc.pop(key, None)  # an earlier tones array is dropped before this one is read
-            doc[key], i = _records(win, i, shape or _header_shape(doc))
-        else:
-            doc[key], _, i = win.value(i)
-        mark, i = win.punct(i, ",}")
-    if i != len(win.text):  # a non-blank character: the window is settled there
-        raise win.error("Extra data", i)
+def _fields(fh, shape: tuple | None = None) -> dict:
+    """The fields of the one object in the seekable text file ``fh``, read
+    from its start (a repeated key keeps its last value, as in ``json.load``),
+    with a ``tones`` array read by ``_records`` under ``shape`` = (tone_count,
+    p), else under the header fields read before it."""
+    win, doc = _Window(fh), {}
+    try:
+        mark, i = win.punct(0)
+        if mark != "{":
+            raise ParseError("a channel file holds one JSON object")
+        if win.text.startswith("}", i):  # the empty object
+            mark, i = win.punct(i, "}")
+        while mark != "}":
+            key, _, i = win.value(i)
+            if not isinstance(key, str):
+                raise win.error("Expecting property name", i)
+            _, i = win.punct(i, ":")
+            if key == "tones" and win.text.startswith("[", i):
+                doc.pop(key, None)  # an earlier tones array is dropped before this one is read
+                doc[key], i = _records(win, i, shape or _header_shape(doc))
+            else:
+                doc[key], _, i = win.value(i)
+            mark, i = win.punct(i, ",}")
+        if i != len(win.text):  # a non-blank character: the window is settled there
+            raise win.error("Extra data", i)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ParseError(f"not valid JSON: {exc}") from exc
     return doc
 
 

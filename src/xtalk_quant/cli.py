@@ -60,12 +60,17 @@ def _load_scenario(args) -> Scenario:
     return Scenario.from_dict({**doc, **flags})
 
 
+def _out(args):
+    """--out opened for writing, else stdout."""
+    return open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+
+
 def _write_report(args, scen: Scenario, tables, **meta) -> None:
     """Write each (kind, columns, rows) table, under the scenario's hash and
     ``meta``, to --out or else stdout, ``REPORT_ROW_BLOCK`` rows at a time:
     ``rows`` may be any iterable, and only one block of them is held."""
     meta["scenario_hash"] = scenario_hash(scen.to_dict())
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+    with _out(args) as fh:
         for kind, columns, rows in tables:
             rows = iter(rows)
             block = list(islice(rows, REPORT_ROW_BLOCK))
@@ -245,13 +250,15 @@ def cmd_design_bits(args) -> int:
     else:
         best = bits_for_relative_loss(_werner_bound_params(scen, ensemble), args.target_relative)
         target = f"relative band-loss target {best.target}"
-    print(f"d_min = {best.d_bits} bits ({target})")
-    print(
-        f"analytic d = {best.d_analytic:.4f}, exact root = {best.d_exact:.4f}, "
-        f"bound at d_min = {best.bound_value:.6g} <= {best.target}"
-    )
-    if best.floored:
-        print("note: word length pinned at the admissibility floor of the bound")
+    with _out(args) as fh:
+        print(f"d_min = {best.d_bits} bits ({target})", file=fh)
+        print(
+            f"analytic d = {best.d_analytic:.4f}, exact root = {best.d_exact:.4f}, "
+            f"bound at d_min = {best.bound_value:.6g} <= {best.target}",
+            file=fh,
+        )
+        if best.floored:
+            print("note: word length pinned at the admissibility floor of the bound", file=fh)
     return 0
 
 

@@ -33,7 +33,6 @@ from .errors import InvalidParams, NumericalError, RangeError, SingularChannel
 
 COND_LIMIT = 1e12
 IDENTITY_CHECK_TOL = 1e-10
-BUNDLE_BLOCK = 256  # tones per make_bundle block: its temporaries grow with the block, not the grid
 MAX_BITS = 64  # longest word length any command takes: past the double mantissa's 53 bits already
 MAX_CSI_SAMPLES = 2**64  # training symbols per estimate: a 64-bit count (past 1e308, no float)
 
@@ -243,31 +242,29 @@ def make_bundle(
     additive error split; tone k's E1 comes from stream (E1, k).  H and
     I + D^{-1}F + E1 are both held to ``COND_LIMIT``.
 
-    The tones are taken ``BUNDLE_BLOCK`` at a time: each block is solved,
+    The tones are taken in ``channel.tone_blocks()``: each block is solved,
     quantized and checked on its own and written into one preallocated
     Delta, so besides Delta only one block's precoders are held.  Streams
     and errors use the absolute tone; the first block with a failing tone
     raises, at the first stage that fails there.
     """
-    n = channel.grid.count
     if spec.e1_samples is not None and snr is None:
         raise InvalidParams("snr required for the estimation-error model")
     delta = np.empty(channel.H.shape, dtype=complex)
-    for k0 in range(0, n, BUNDLE_BLOCK):
-        tones = slice(k0, min(k0 + BUNDLE_BLOCK, n))
+    for tones in channel.tone_blocks():
         if spec.e1_samples is None:
             e1 = None
             p_estimated = ideal_precoder(channel, tones)
         else:
-            _conditioned(channel, channel.H[tones], "channel", k0)
+            _conditioned(channel, channel.H[tones], "channel", tones.start)
             e1 = np.stack([
                 streams.csi_error(streams.stream(spec.seed, streams.E1, k), snr[k], spec.e1_samples)
                 for k in range(tones.start, tones.stop)
             ])
             estimated = channel.row_normalized(tones)
             estimated += e1
-            p_estimated = _conditioned(channel, estimated, "estimated channel", k0)
-        e2 = quantize_precoder(p_estimated, spec, normalize=normalize, first=k0).e2
+            p_estimated = _conditioned(channel, estimated, "estimated channel", tones.start)
+        e2 = quantize_precoder(p_estimated, spec, normalize=normalize, first=tones.start).e2
         build_delta(channel, p_estimated, e1, e2, tones, out=delta[tones])
     return delta
 

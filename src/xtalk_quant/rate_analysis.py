@@ -28,14 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import precoding
 from .channel_model import ChannelEnsemble, ToneGrid
 from .errors import InvalidBudget, InvalidParams, NumericalError
 from .units import LN2, db_to_linear
-
-# bytes of worst_case_loss's largest temporary per block: below glibc's initial
-# mmap threshold, so no block's temporaries are mapped and unmapped afresh
-WORST_CASE_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -243,11 +238,10 @@ def build_report(
 ) -> LossReport:
     """Exact losses for all users over all tones; ``deltas`` is (tones, p, p).
 
-    The kernel runs on ``precoding.BUNDLE_BLOCK`` tones at a time, the block
-    ``make_bundle`` walks, into preallocated (p, tones) columns, so its
-    temporaries grow with the block and not the grid.  It is elementwise per
-    tone, so every bit is the whole-stack call's; the band sums run over the
-    full columns.
+    The kernel runs on ``ensemble.tone_blocks()``, the blocks ``make_bundle``
+    walks, into preallocated (p, tones) columns, so its temporaries grow with
+    the block and not the grid.  It is elementwise per tone, so every bit is
+    the whole-stack call's; the band sums run over the full columns.
     """
     deltas = np.asarray(deltas, dtype=complex)
     if deltas.shape != ensemble.H.shape:
@@ -256,9 +250,7 @@ def build_report(
     psd = budget.psd_linear(p)
     # (p, tones), C-ordered: a user's band sum reads one contiguous row
     cols = {key: np.empty((p, n)) for key in ("rate", "loss", "a", "q", "k")}
-    block = precoding.BUNDLE_BLOCK
-    for k0 in range(0, n, block):
-        tones = slice(k0, k0 + block)
+    for tones in ensemble.tone_blocks():
         out = loss_arrays(budget.snr(ensemble, tones), budget.gap, psd, deltas[tones])
         for key, col in cols.items():
             col[:, tones] = out[key].T
@@ -289,9 +281,9 @@ def worst_case_loss(
     array gives (p, tones), and a (k, 1) or (k, tones) array gives
     (k, p, tones).  Each tone's polygon is built once at unit half-width
     (R scales by h, dist(-1, hZ) = h dist(-1/h, Z)) and the tones are taken
-    in blocks of as many tones as keep the largest temporary under
-    ``WORST_CASE_BYTES`` (at least one), Q too, so the temporaries grow with
-    neither the tone count nor the number of widths.
+    in ``ensemble.tone_blocks``, sized by the largest temporary per tone, Q
+    too, so the temporaries grow with neither the tone count nor the number
+    of widths.
     """
     n_tones, p = ensemble.grid.count, ensemble.p
     widths = np.asarray(half_width, dtype=float)
@@ -303,9 +295,7 @@ def worst_case_loss(
     out = np.empty((*widths.shape[:-1], p, n_tones))
     # per tone: (widths, p, 2p) floats, or the (p, 2p + 1) complex chain
     tone_bytes = max(widths[..., 0].size, 2) * p * (2 * p + 1) * 8
-    block = max(1, (WORST_CASE_BYTES - 1) // tone_bytes)
-    for k0 in range(0, n_tones, block):
-        tones = slice(k0, k0 + block)
+    for tones in ensemble.tone_blocks(tone_bytes):
         h = widths[..., tones, None]
         radius, dist = _zonotope_reach(ensemble.row_normalized(tones), -1.0 / h)
         snr = budget.snr(ensemble, tones)

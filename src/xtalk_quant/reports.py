@@ -10,8 +10,6 @@ import hashlib
 import json
 from typing import Iterable, Sequence
 
-import numpy as np
-
 REPORT_FORMAT_VERSION = 1
 
 
@@ -19,14 +17,6 @@ def scenario_hash(payload) -> str:
     """Stable short hash of a JSON-serializable scenario description."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
 
 
 def render_table(
@@ -39,7 +29,8 @@ def render_table(
 ) -> str:
     """The table's text, every line ending in a newline; without ``header``
     only the rows', so a table rendered in blocks of rows, the header with
-    the first, joins to the text of one call."""
+    the first, joins to the text of one call.  A cell is written with str:
+    a float's repr, a numpy float64 alike."""
     lines = []
     if header:
         lines += [
@@ -49,5 +40,5 @@ def render_table(
         ]
         lines += [f"# {key}={meta[key]}" for key in sorted(meta)]
         lines.append("\t".join(columns))
-    lines += ["\t".join(_fmt(v) for v in row) for row in rows]
+    lines += ["\t".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n" if lines else ""

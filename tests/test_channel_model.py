@@ -130,6 +130,27 @@ class TestSynthesis:
             tracemalloc.stop()
         assert peak < 1.05 * ens.H.nbytes, (peak, ens.H.nbytes)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        p=st.integers(1, 8),
+        tone_bytes=st.one_of(st.none(), st.integers(1, 2**18)),
+    )
+    def test_tone_blocks_cover_every_tone_once(self, n, p, tone_bytes):
+        # consecutive slices, in order; each block is as full as the budget
+        # allows, a single tone past it, and only the last one is short
+        grid = ToneGrid(1e6, 1e6 + n - 0.5, 1.0)
+        ens = ChannelEnsemble(grid, np.broadcast_to(np.eye(p), (n, p, p)))
+        per_tone = tone_bytes or 16 * p * p
+        blocks = ens.tone_blocks(tone_bytes)
+        assert [k for b in blocks for k in range(b.start, b.stop)] == list(range(n))
+        budget = channel_model.BLOCK_BYTES
+        for b in blocks:
+            size = b.stop - b.start
+            assert size == 1 or size * per_tone < budget, (b, per_tone)
+        for b in blocks[:-1]:
+            assert (b.stop - b.start + 1) * per_tone >= budget, (b, per_tone)
+
     @pytest.mark.parametrize("phases", ["uniform", "zero"])
     def test_synthesis_hands_its_stack_over(self, phases):
         # the 30a plan (3479 tones, p = 10): the stack and its float magnitudes,
@@ -546,11 +567,11 @@ class TestChannelFiles:
         }
         paths = []
         for name, data in files.items():
-            assert len(data) < channel_model.LOAD_CHUNK  # so ``want`` reads each in one window
+            assert len(data) < channel_model.BLOCK_BYTES  # so ``want`` reads each in one window
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_bytes(data)
         want = [self._outcome(path) for path in paths]
-        monkeypatch.setattr(channel_model, "LOAD_CHUNK", chunk)
+        monkeypatch.setattr(channel_model, "BLOCK_BYTES", chunk)
         for path, expected in zip(paths, want):
             assert self._outcome(path) == expected, path.name
         assert want[0][1] == small_ensemble.H.tobytes()
@@ -568,7 +589,7 @@ class TestChannelFiles:
         path = tmp_path / "one.json"
         path.write_text(text)
         for chunk in range(1, len(text) + 1):
-            monkeypatch.setattr(channel_model, "LOAD_CHUNK", chunk)
+            monkeypatch.setattr(channel_model, "BLOCK_BYTES", chunk)
             ens = load_channel(path)
             assert (ens.grid.f_start, ens.grid.spacing) == (1500.0, 2.5), chunk
 
@@ -585,7 +606,7 @@ class TestChannelFiles:
         with pytest.raises(json.JSONDecodeError) as want:
             json.loads(text)
         where = str(want.value)[len(want.value.msg):]  # ": line L column C (char N)"
-        monkeypatch.setattr(channel_model, "LOAD_CHUNK", 64)
+        monkeypatch.setattr(channel_model, "BLOCK_BYTES", 64)
         with pytest.raises(ParseError) as err:
             load_channel(tmp_path / "chan.json")
         assert str(err.value).endswith(where), (str(err.value), where)
@@ -607,12 +628,32 @@ class TestChannelFiles:
             tracemalloc.stop()
         assert back.grid.count == 2000 and text > 3 * stack
         # The text passes through one window and each record goes straight
-        # into the one preallocated stack the ensemble adopts (1.11 stacks).
+        # into the one preallocated stack the ensemble adopts (1.22 stacks,
+        # with the window at 2**17 characters).
         # A loader that stacks per-record arrays peaks near 2.2 stacks, one
         # that holds the whole text above 3, and one that keeps the whole
         # parsed document (a list per number pair) near 4x the text.
-        window = channel_model.LOAD_CHUNK
+        window = channel_model.BLOCK_BYTES
         assert peak < 1.3 * stack + window, (peak, text, stack)
+
+    def test_non_object_document_is_refused_at_its_first_character(self, tmp_path):
+        # a saved 2000-tone, p = 10 file wrapped in [...]: refused once its
+        # first window is read, not after json has parsed the whole text
+        from xtalk_quant.cli import run
+
+        grid = ToneGrid(0.0, 1999 * 4312.5, 4312.5)
+        path = tmp_path / "wrapped.json"
+        save_channel(synthesize_channel(reference_params(p=10), grid, 3), path)
+        path.write_text("[" + path.read_text() + "]")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="a channel file holds one JSON object"):
+                load_channel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert run(["inspect-channel", "--in", str(path)]) == 2
 
     @pytest.mark.parametrize("p, n, tones", [(3000, 60000, [[[1.0, 0.0]]]), (3000, 2, [1, 2])])
     def test_header_sizes_no_stack_beyond_the_file(self, tmp_path, p, n, tones):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,6 +20,7 @@ from xtalk_quant.analytic_bounds import bound_main_per_tone
 from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid, save_channel
 from xtalk_quant.cli import run
 from xtalk_quant.errors import BitDepthTooSmall, XtalkError
+from xtalk_quant.reports import render_table
 from xtalk_quant.scenario import Scenario
 
 
@@ -186,6 +188,27 @@ class TestReportBlocks:
         assert out.read_text() == want
         sizes = [min(self.BLOCK, count - k) for k in range(0, count, self.BLOCK)] or [0]
         assert calls == [(n, k == 0) for k, n in enumerate(sizes)] + [(1, True)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072009e-308)  # the largest subnormal
+def test_a_float_cell_is_its_repr(x):
+    # a cell is written with str, which for a Python float and a numpy
+    # float64 alike is the float's repr: lossless, and the goldens' format
+    for v in (x, np.float64(x)):
+        assert render_table("k", {}, ["c"], [(v,)], "0", header=False) == repr(float(x)) + "\n"
+
+
+@given(st.integers(-(2**63), 2**63 - 1))
+def test_an_int_cell_is_its_str(n):
+    for v in (n, np.int64(n)):
+        assert render_table("k", {}, ["c"], [(v,)], "0", header=False) == str(n) + "\n"
 
 
 class TestBound:
@@ -505,6 +528,18 @@ class TestReportGoldens:
         assert run(full) == 0
         got = out.read_bytes() if source == "out" else capsys.readouterr().out.encode()
         assert got == (GOLDEN_DIR / golden).read_bytes()
+
+    DESIGN = [case[:2] for case in CASES if case[1][0] == "design-bits"]
+
+    @pytest.mark.parametrize("golden, argv", DESIGN, ids=[case[0] for case in DESIGN])
+    def test_design_bits_writes_its_lines_to_out(self, tmp_path, fast_args, capsys, golden, argv):
+        # with --out the lines go to the file, not to stdout, as every report does
+        out = tmp_path / golden
+        capsys.readouterr()
+        argv = [arg for arg in argv if arg != "{fast}"]
+        assert run([*argv, "--out", str(out), *fast_args]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 class TestBatchedBounds:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xtalk_quant import design, precoding, streams
+from xtalk_quant import channel_model, design, precoding, streams
 from xtalk_quant.analytic_bounds import delta_entry_bound
 from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid, synthesize_channel
 from xtalk_quant.errors import (
@@ -413,7 +413,12 @@ class TestBatchedPathMatchesPerTone:
             assert np.array_equal(getattr(report, key), col), key
 
 
-BLOCK = precoding.BUNDLE_BLOCK
+BLOCK = 256  # tones a block holds in TestBundleBlocks, with BLOCK_BYTES patched to fit them
+
+
+def _blocks_of(monkeypatch, ensemble, tones):
+    """Patch ``BLOCK_BYTES`` so that ``ensemble``'s tone blocks hold ``tones`` tones each."""
+    monkeypatch.setattr(channel_model, "BLOCK_BYTES", tones * ensemble.H[0].nbytes + 1)
 
 
 def _reference_tones(n):
@@ -447,8 +452,8 @@ def _bundle_outcome(ensemble, spec, normalize):
 
 
 class TestBundleBlocks:
-    """make_bundle takes the tones ``BUNDLE_BLOCK`` at a time; blocks keep
-    every Delta bit, stream key and error of the whole-stack call."""
+    """make_bundle takes the tones in ``tone_blocks()``; blocks keep every
+    Delta bit, stream key and error of the whole-stack call."""
 
     SPECS = {
         "deterministic": PerturbationSpec(d_bits=14),
@@ -466,11 +471,10 @@ class TestBundleBlocks:
         self, monkeypatch, tones, spec, normalize, n
     ):
         ensemble, spec = tones(n), self.SPECS[spec]
-        got = _bundle_outcome(ensemble, spec, normalize)
-        monkeypatch.setattr(precoding, "BUNDLE_BLOCK", 1)
-        assert _bundle_outcome(ensemble, spec, normalize) == got
-        monkeypatch.setattr(precoding, "BUNDLE_BLOCK", n)
-        assert _bundle_outcome(ensemble, spec, normalize) == got
+        got = _bundle_outcome(ensemble, spec, normalize)  # the default BLOCK_BYTES
+        for block in (BLOCK, 1, n):
+            _blocks_of(monkeypatch, ensemble, block)
+            assert _bundle_outcome(ensemble, spec, normalize) == got, block
         if normalize or tones is _in_box_tones:
             assert isinstance(got, bytes)
         else:  # the first reference tone outside the box, in the first block
@@ -494,8 +498,9 @@ class TestBundleBlocks:
             H[bad] = random_dominant_tone(np.random.default_rng(5), 2, 0.4).H[0]
             monkeypatch.setattr(precoding, "IDENTITY_CHECK_TOL", 1e-300)
         ensemble = ChannelEnsemble(ToneGrid(1e6, 1e6 + n - 0.5, 1.0), H)
+        _blocks_of(monkeypatch, ensemble, BLOCK)
         blocked = _bundle_outcome(ensemble, spec, normalize)
-        monkeypatch.setattr(precoding, "BUNDLE_BLOCK", n)  # one block: the whole-stack call
+        _blocks_of(monkeypatch, ensemble, n)  # one block: the whole-stack call
         assert blocked == _bundle_outcome(ensemble, spec, normalize)
         assert blocked[1] == bad, blocked
 
@@ -504,8 +509,8 @@ class TestBundleBlocks:
         "tones", [_reference_tones, _in_box_tones], ids=["reference", "in_box"]
     )
     def test_report_blocks_equal_the_whole_stack(self, monkeypatch, tones, spec):
-        # build_report takes the tones BUNDLE_BLOCK at a time too: three
-        # blocks, the last one ragged, give every bit of one whole-stack block
+        # build_report takes the tones in tone_blocks() too: three blocks,
+        # the last one ragged, give every bit of one whole-stack block
         n = 2 * BLOCK + 3
         ensemble, spec = tones(n), self.SPECS[spec]
         budget = LinkBudget(-60.0, -140.0, 10.7, ensemble.grid)
@@ -515,8 +520,9 @@ class TestBundleBlocks:
             report = build_report(budget, ensemble, delta)
             return {key: value.tobytes() for key, value in vars(report).items()}
 
+        _blocks_of(monkeypatch, ensemble, BLOCK)
         blocked = report_bytes()
-        monkeypatch.setattr(precoding, "BUNDLE_BLOCK", n)
+        _blocks_of(monkeypatch, ensemble, n)
         assert report_bytes() == blocked
 
     @pytest.mark.parametrize("spec", ["deterministic", "uniform_csi"])

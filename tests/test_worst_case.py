@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from conftest import one_tone, random_dominant_tone, reference_params
 
-from xtalk_quant import precoding
+from xtalk_quant import channel_model
 from xtalk_quant.analytic_bounds import bound_general_per_tone, bound_main_per_tone
 from xtalk_quant.channel_model import ToneGrid, synthesize_channel
 from xtalk_quant.errors import InvalidParams
@@ -226,9 +226,11 @@ class TestBoundChain:
     @pytest.mark.parametrize("d", [10, 14])
     def test_above_analyze_on_the_30a_plan(self, d):
         # the same oracle on the VDSL2 30a plan at 300 m, the paper's 14-bit
-        # case: 3479 tones, so analyze's report runs over 14 tone blocks
+        # case: 3479 tones, so analyze's report runs over 43 tone blocks of
+        # 81 tones, each tone's (10, 10) complex matrix taking 1600 bytes
         scen = Scenario(loop_length_m=300.0, decimation=2)
-        assert scen.grid().count == 3479 and -(-3479 // precoding.BUNDLE_BLOCK) == 14
+        block = (channel_model.BLOCK_BYTES - 1) // 1600
+        assert scen.grid().count == 3479 and block == 81 and -(-3479 // block) == 43
         loss, sup = self._analyze_and_supremum(scen, d)
         assert np.all(loss <= sup)
         assert np.max(loss / sup) > 0.5  # 0.89 at d = 10, 0.74 at d = 14
@@ -282,6 +284,19 @@ class TestShapesAndMemory:
             tracemalloc.stop()
         assert out.shape == (32, 10, 3479)
         assert peak - out.nbytes <= 2**20
+
+    def test_one_tone_blocks_equal_one_block(self, reference, monkeypatch):
+        # the blocks change no bit: one tone a block (BLOCK_BYTES = 1) and one
+        # block of every tone give the default's bytes, at one half-width,
+        # per-tone half-widths and a stack of them
+        _, ensemble, budget = reference
+        n = ensemble.grid.count
+        widths = [2.0**-14, np.linspace(2.0**-12, 2.0**-16, n), np.array([[2.0**-9], [2.0**-20]])]
+        want = [worst_case_loss(budget, ensemble, h).tobytes() for h in widths]
+        for block_bytes in (1, 2**62):
+            monkeypatch.setattr(channel_model, "BLOCK_BYTES", block_bytes)
+            got = [worst_case_loss(budget, ensemble, h).tobytes() for h in widths]
+            assert got == want, block_bytes
 
     def test_minus_one_inside_loses_the_whole_rate(self, reference):
         # at h = 2 each Z_i holds the square of half-width 2 |Q_ii| = 2 around
