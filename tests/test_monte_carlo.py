@@ -8,13 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dominant_tone, reference_params
 
 from xtalk_quant.analytic_bounds import bound_main_per_tone
-from xtalk_quant.channel_model import ToneGrid, synthesize_channel
+from xtalk_quant.channel_model import ChannelEnsemble, ToneGrid, synthesize_channel
 from xtalk_quant.errors import (
     InvalidParams,
     NumericalError,
@@ -38,7 +38,12 @@ from xtalk_quant.precoding import (
     MAX_BITS,
     PerturbationSpec,
 )
-from xtalk_quant.rate_analysis import LinkBudget, loss_arrays, worst_case_loss
+from xtalk_quant.rate_analysis import (
+    LinkBudget,
+    loss_arrays,
+    min_bits_worst_case,
+    worst_case_loss,
+)
 from xtalk_quant.reports import render_table
 from xtalk_quant.scenario import Scenario
 from xtalk_quant.units import LN2
@@ -1031,6 +1036,58 @@ class TestScanStopsEarly:
         with pytest.raises(NumericalError):
             run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 33))
         assert min_bits_empirical(small_ensemble, small_budget, cfg, 0.02) == answer
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(2, 6),
+        n_random=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        per_user_psd=st.booleans(),
+        hopeless=st.booleans(),
+        log_target=st.floats(-8.0, 0.0),
+        d_max=st.sampled_from([1, 8, 20, 32]),
+    )
+    # every d meets 100 % on tone 0 alone; no d certifies the hopeless tone
+    @example(p=3, n_random=0, seed=0, per_user_psd=False, hopeless=False, log_target=0.0, d_max=32)
+    @example(p=4, n_random=2, seed=1, per_user_psd=True, hopeless=True, log_target=-2.0, d_max=32)
+    def test_bisected_first_is_the_full_table(
+        self, p, n_random, seed, per_user_psd, hopeless, log_target, d_max
+    ):
+        # min_bits_worst_case's first certified d per tone, found by
+        # bisection, flags exactly the (d, tone) the full table of suprema
+        # does.  Tone 0 has Q = I; the hopeless tone's coupling of 2^33 puts
+        # -1 in every h Z_i down to h = 2^-32, so its loss is its rate at
+        # every d; the rest are random dominant tones at varied SNR
+        rng = np.random.default_rng(seed)
+        hs = [np.diag(np.exp(2j * np.pi * rng.uniform(size=p)))]
+        if hopeless:
+            hs.append(np.eye(p) + 2.0**33 * (np.ones((p, p)) - np.eye(p)))
+        for _ in range(n_random):
+            tone = random_dominant_tone(rng, p, 10.0 ** rng.uniform(-4.0, -0.05))
+            hs.append(10.0 ** rng.uniform(-3.0, 0.0, (p, 1)) * tone.H[0])
+        grid = ToneGrid(1e6, 1e6 + len(hs) - 0.5, 1.0)
+        ensemble = ChannelEnsemble(grid, np.array(hs))
+        psd = list(rng.uniform(-70.0, -50.0, p)) if per_user_psd else -60.0
+        budget = LinkBudget(psd, -140.0, 10.7, grid)
+        target = 10.0**log_target
+        first = min_bits_worst_case(budget, ensemble, target - CERT_MARGIN, d_max)
+        assert first.shape == (grid.count,)
+        assert np.all((1 <= first) & (first <= d_max + 1))
+        for d in range(1, d_max + 1):
+            assert np.array_equal(d >= first, self._certified(ensemble, budget, d, target)), d
+        if hopeless:
+            assert first[1] == d_max + 1
+        if target == 1.0:
+            assert first[0] == 1  # Q = I: dist(-1, h Z_i) = 1 - h
+
+    def test_bisected_first_is_the_full_table_on_the_30a_plan(self):
+        scen = Scenario(decimation=2)
+        ensemble = scen.ensemble()
+        budget = scen.budget(ensemble.grid)
+        first = min_bits_worst_case(budget, ensemble, 0.01 - CERT_MARGIN, 32)
+        assert ensemble.grid.count == 3479 and first.max() == 17
+        for d in range(1, 33):
+            assert np.array_equal(d >= first, self._certified(ensemble, budget, d, 0.01)), d
 
 
 def _bisect_table(worst, target):

@@ -30,7 +30,13 @@ from xtalk_quant.precoding import (
     make_bundle,
     quantize_precoder,
 )
-from xtalk_quant.rate_analysis import LinkBudget, build_report, loss_arrays, worst_case_loss
+from xtalk_quant.rate_analysis import (
+    LinkBudget,
+    build_report,
+    loss_arrays,
+    min_bits_worst_case,
+    worst_case_loss,
+)
 from xtalk_quant.scenario import Scenario
 from xtalk_quant.units import LN2
 
@@ -254,6 +260,13 @@ class TestShapesAndMemory:
         with pytest.raises(InvalidParams):
             worst_case_loss(budget, ensemble, h)
 
+    @pytest.mark.parametrize("d_max", [0, -1])
+    def test_certificate_needs_a_word_length(self, reference, d_max):
+        # with no bisection step every tone would read certified at d = 1
+        _, ensemble, budget = reference
+        with pytest.raises(InvalidParams):
+            min_bits_worst_case(budget, ensemble, 0.01, d_max)
+
     def test_peak_does_not_grow_with_the_tone_count(self):
         # the 30a plan: 3479 tones; beyond its (p, tones) result the traced
         # peak stays under a fixed 1 MB, whatever the tone count
@@ -297,6 +310,43 @@ class TestShapesAndMemory:
             monkeypatch.setattr(channel_model, "BLOCK_BYTES", block_bytes)
             got = [worst_case_loss(budget, ensemble, h).tobytes() for h in widths]
             assert got == want, block_bytes
+
+    def test_certificate_peak_grows_with_neither_the_tones_nor_d_max(self, reference):
+        # min_bits_empirical's certificate bisects in blocks of 39 tones at
+        # p = 10 on any grid and at any d_max: beyond its (tones,) result
+        # the traced peak is the same, within 64 KiB, on the reference grid
+        # (109 tones) and the 30a plan (3479) at d_max = 8 and 32, and under 1 MB
+        _, ensemble, budget = reference
+        grid = ToneGrid.vdsl_band(decimation=2)
+        plan = synthesize_channel(reference_params(), grid, 5)
+        cases = [(budget, ensemble), (LinkBudget(-60.0, -140.0, 10.7, grid), plan)]
+        peaks = []
+        for bud, ens in cases:
+            for d_max in (8, 32):
+                tracemalloc.start()
+                try:
+                    first = min_bits_worst_case(bud, ens, 0.01 - CERT_MARGIN, d_max)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - first.nbytes)
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks) <= 2**20, peaks
+        assert max(peaks) - min(peaks) <= 2**16, peaks
+
+    def test_certificate_blocks_equal_one_block(self, reference, monkeypatch):
+        # the polygon is built once per block apart from its evaluation, and
+        # neither the certificate nor worst_case_loss at its half-widths
+        # changes a bit between one tone a block and one block of every tone
+        _, ensemble, budget = reference
+
+        def run():
+            first = min_bits_worst_case(budget, ensemble, 0.01 - CERT_MARGIN, 32)
+            widths = 2.0 ** -np.minimum(first, 32)
+            return first.tobytes(), worst_case_loss(budget, ensemble, widths).tobytes()
+
+        want = run()
+        for block_bytes in (1, 2**62):
+            monkeypatch.setattr(channel_model, "BLOCK_BYTES", block_bytes)
+            assert run() == want, block_bytes
 
     def test_minus_one_inside_loses_the_whole_rate(self, reference):
         # at h = 2 each Z_i holds the square of half-width 2 |Q_ii| = 2 around
