@@ -227,12 +227,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_design_bits(args) -> int:
-    scen = _load_scenario(args)
-    ensemble = scen.ensemble()
     if (args.target_tone is None) == (args.target_relative is None):
         raise InvalidParams("pass exactly one of --target-tone or --target-relative")
     if args.target_relative is not None and args.freq is not None:
         raise InvalidParams("--freq applies to --target-tone only; --target-relative is a band target")
+    scen = _load_scenario(args)
+    ensemble = scen.ensemble()
 
     if args.target_tone is not None:
         r, snr, rho = _tone_inputs(scen, ensemble)
@@ -299,7 +299,7 @@ def cmd_simulate(args) -> int:
         args,
         scen,
         [("simulation", columns, rows)],
-        statistic=scen.statistic,
+        statistic="worst_case",
         n_trials=scen.n_trials,
         csi_samples=scen.csi_samples or 0,
     )
@@ -307,13 +307,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scen = _load_scenario(args)
-    ensemble = scen.ensemble()
-    template = _werner_bound_params(scen, ensemble)
     try:
         lengths = [float(x) for x in args.lengths.split(",")]
     except ValueError as exc:
         raise InvalidParams(f"--lengths must be comma-separated meters: {args.lengths!r}") from exc
+    scen = _load_scenario(args)
+    ensemble = scen.ensemble()
+    template = _werner_bound_params(scen, ensemble)
     sweep = sweep_bits_vs_loop_length(lengths, template, args.target_relative, scen.loop_length_m)
     rows = [tuple("" if v is None else v for v in astuple(row)) for row in sweep]
     columns = ["length_m", "d_min_bits", "bound_at_d", "c_floor", "error"]

@@ -2,14 +2,15 @@
 
 Per tone, ``n_trials`` error matrices E2 are drawn with i.i.d. real/imag
 components uniform on [-2^-d, 2^-d] (so complex entries stay within the
-2^(-d+1/2) disk), the exact per-user loss is evaluated for each draw, and a
-statistic (worst case, mean, or a quantile) is reduced per (user, tone).
+2^(-d+1/2) disk), the exact per-user loss is evaluated for each draw, and
+its worst case over the draws is kept per (user, tone): the paper's claim is
+an upper bound, so no other statistic is formed.
 
 Band figures come in two flavors:
 
-* ``band_per_bin``: integrate the per-bin statistic (worst case per bin, then
-  rectangle-rule sum) - the "maximal loss" convention;
-* ``band_joint``: per-trial band integral first, statistic across trials.
+* ``band_per_bin``: integrate the per-bin worst case (rectangle-rule sum) -
+  the "maximal loss" convention;
+* ``band_joint``: per-trial band integral first, worst case across trials.
 
 Randomness is counter-based (:mod:`xtalk_quant.streams`): each (purpose,
 tone) pair, and each resampled (tone, trial), owns a Philox stream keyed by
@@ -28,7 +29,8 @@ The workers split each tone's trials, not the tones: worker c owns trial
 slice [t0_c, t1_c) of every tone and walks the tones in order, with no
 barrier between tones.  There are at most ``XTALK_THREADS`` slices (the
 usable cores when it is unset) of about ``MIN_SLICE`` trials or more, each
-starting on a multiple of 4.  A worker draws only its own trials
+starting on a multiple of 4; ``XTALK_THREADS`` above ``MAX_THREADS`` is
+refused.  A worker draws only its own trials
 (``streams.uniform_complex`` skips the others') into its own workspace
 (``_Workspace``), reused on every tone and word length, so quantization-only
 trials allocate no (n, p, p) array per tone.  Without E1 one pass of the
@@ -41,14 +43,12 @@ in them.  Every trial's loss is formed; each slice keeps
 its own worst case, the slices combine by an exact max, and each worker adds
 its tones to its own columns of ``band_joint`` in tone order, so every result
 is the same bits at any ``XTALK_THREADS``.  So is every error: the one raised
-is the lowest tone's, the first slice's on a tie, as one slice meets it.  The
-mean and quantile statistics run as one slice: the mean sums the trials in
-order, and the quantile needs all of them.
+is the lowest tone's, the first slice's on a tie, as one slice meets it.
 
 ``min_bits_empirical`` needs only the first word length that meets its
 target on every tone.  Quantization-only trials draw E2 = 2^-d U inside the
 box that ``rate_analysis.worst_case_loss`` maximizes over exactly, so no
-trial's loss, and no statistic of them, exceeds that supremum; a tone is
+trial's loss, and so no worst case, exceeds that supremum; a tone is
 certified at d when its supremum meets the target with ``CERT_MARGIN`` to
 spare.  The boxes are nested, so the exact supremum only grows with the
 half-width, and a tone certified at d is certified at every larger d (the
@@ -86,12 +86,9 @@ from .rate_analysis import LinkBudget, interference_ratio, interference_terms, l
 from .rate_analysis import loss_arrays  # noqa: F401  (bench patches loss_arrays)
 from .rate_analysis import min_bits_worst_case
 
-WORST_CASE = "worst_case"
-MEAN = "mean"
-QUANTILE = "quantile"
-
 RETRY_CAP = 5  # fresh E1 draws per singular or ill-conditioned trial before giving up
 MIN_SLICE = 8  # fewest trials worth a worker: a smaller n_trials runs on one
+MAX_THREADS = 1024  # most XTALK_THREADS: each slice is one OS thread
 MAX_TRIALS = 2**32  # most trials per tone: a (2, n, p, p) complex workspace is 512 GiB at p = 2
 CERT_MARGIN = 1e-9  # loss/rate a certified tone keeps below the target; the kernel errs ~1e-14
 _UNIT_SCALE = np.ones((1, 1, 1))  # CSI trials scale Delta before the kernel, one d per pass
@@ -99,12 +96,10 @@ _UNIT_SCALE = np.ones((1, 1, 1))  # CSI trials scale Delta before the kernel, on
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """How many draws, which error spec, which statistic."""
+    """How many draws, of which errors (all zero with ``zero_errors``)."""
 
     n_trials: int
     spec: PerturbationSpec
-    statistic: str = WORST_CASE
-    quantile_q: float | None = None
     zero_errors: bool = False
 
     def __post_init__(self):
@@ -112,18 +107,11 @@ class TrialConfig:
             raise InvalidParams(f"n_trials must lie in 1..{MAX_TRIALS}")
         if self.spec.e2_model != E2_UNIFORM:
             raise InvalidParams(f"trials draw {E2_UNIFORM!r} errors, not {self.spec.e2_model!r}")
-        if self.statistic not in (WORST_CASE, MEAN, QUANTILE):
-            raise InvalidParams(f"unknown statistic {self.statistic!r}")
-        if self.statistic == QUANTILE:
-            if self.quantile_q is None or not 0.0 < self.quantile_q < 1.0:
-                raise InvalidParams("quantile statistic needs q in (0, 1)")
-        elif self.quantile_q is not None:
-            raise InvalidParams(f"quantile_q is read only by the {QUANTILE!r} statistic")
 
 
 @dataclass
 class TrialReport:
-    """Reduced losses; arrays are (p, tones) or (p,)."""
+    """Worst-case losses over the trials; arrays are (p, tones) or (p,)."""
 
     d_bits: int
     per_tone: np.ndarray
@@ -135,7 +123,7 @@ class TrialReport:
 
     @property
     def eta_band(self) -> np.ndarray:
-        """Relative band loss using the per-bin statistic."""
+        """Relative band loss using the per-bin worst case."""
         return self.band_per_bin / self.band_rate
 
     @property
@@ -143,25 +131,16 @@ class TrialReport:
         return self.per_tone / self.rate_per_tone
 
 
-def _reduce(losses: np.ndarray, config: TrialConfig, axis: int = 0) -> np.ndarray:
-    """The configured statistic over the trial ``axis`` of ``losses``."""
-    if config.statistic == WORST_CASE:
-        return losses.max(axis=axis)
-    if config.statistic == MEAN:
-        return losses.mean(axis=axis)
-    return np.quantile(losses, config.quantile_q, axis=axis)
-
-
 def _engine_threads() -> int:
-    """Worker threads of the trial engine: ``XTALK_THREADS``, or the usable
-    cores when it is unset."""
+    """Worker threads of the trial engine: ``XTALK_THREADS`` (at most
+    ``MAX_THREADS``), or the usable cores when it is unset."""
     raw = os.environ.get("XTALK_THREADS")
     if raw is None:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if not raw.isdecimal() or int(raw) < 1:
-        raise InvalidParams(f"XTALK_THREADS must be a positive integer, got {raw!r}")
+    if not raw.isdecimal() or not 1 <= int(raw) <= MAX_THREADS:
+        raise InvalidParams(f"XTALK_THREADS must be an integer in 1..{MAX_THREADS}, got {raw!r}")
     return int(raw)
 
 
@@ -234,7 +213,7 @@ def run_trials_sweep(
             per_tone=per_tone[i],
             rate_per_tone=rate,
             band_per_bin=per_tone[i].sum(axis=1) * spacing,
-            band_joint=_reduce(joint[i] * spacing, config),
+            band_joint=(joint[i] * spacing).max(axis=0),
             band_rate=band_rate,
             trial_failures=list(failures),
         )
@@ -252,13 +231,13 @@ def _sweep_tones(
 ) -> tuple:
     """The trial engine behind ``run_trials_sweep`` and ``min_bits_empirical``.
 
-    Returns the per-tone statistic (len(d_values), p, tones), the rate
+    Returns the per-tone worst case (len(d_values), p, tones), the rate
     (p, tones), with ``band_joint`` the per-trial losses summed over tones
     (len(d_values), n_trials, p) and else None, and the resampled trials,
     sorted by (tone, trial, attempt).
 
     With ``tones`` (ascending tone indices) only those tones are drawn, and
-    the statistic and the rate hold only their columns.  A tone's stream is
+    the worst case and the rate hold only their columns.  A tone's stream is
     keyed by its index, so its draws do not depend on which tones are given.
     """
     p = ensemble.p
@@ -272,15 +251,12 @@ def _sweep_tones(
     rate_all = rate_bits(esnr_all)
     tone_rows = np.stack((snr_all, esnr_all, rate_all), axis=1)[:, :, None]  # (tones, 3, 1, p)
     joint = np.zeros((len(d_values), n, p)) if band_joint else None
-    threads = _engine_threads()
-    if config.statistic != WORST_CASE:
-        threads = 1  # one slice: see the module docstring
-    bounds = _trial_slices(n, threads)
+    bounds = _trial_slices(n, _engine_threads())
     at = [0] * (len(bounds) - 1)  # the tone each slice is on, to place its error
 
     def run_slice(w: int, t0: int, t1: int) -> tuple:
         """Every tone's trials t0..t1-1, in tone order: per (d, user, tone)
-        the statistic of the slice, and ``band_joint``'s columns t0..t1-1."""
+        the worst case of the slice, and ``band_joint``'s columns t0..t1-1."""
         ws = _Workspace(t1 - t0, p, len(d_values), csi=e1_samples is not None)
         scale_blocks = np.split(scales, range(ws.block, len(scales), ws.block))
         part = np.empty((len(d_values), p, len(tones)))
@@ -317,12 +293,9 @@ def _sweep_tones(
                 loss = loss_tail(rate_rows, esnr_rows, q, out=q)
                 if band_joint:
                     joint[i : i + k_d, t0:t1] += loss
-                if config.statistic == WORST_CASE:  # max along contiguous trials: exact
-                    by_user = a.reshape(k_d, p, -1)
-                    np.copyto(by_user, loss.transpose(0, 2, 1))
-                    by_user.max(axis=-1, out=part[i : i + k_d, :, c])
-                else:
-                    part[i : i + k_d, :, c] = _reduce(loss, config, axis=1)
+                by_user = a.reshape(k_d, p, -1)  # max along contiguous trials: exact
+                np.copyto(by_user, loss.transpose(0, 2, 1))
+                by_user.max(axis=-1, out=part[i : i + k_d, :, c])
                 i += k_d
         return part, failures
 
@@ -332,7 +305,6 @@ def _sweep_tones(
     if errors:
         raise runs[min(errors)[1]].exception()
     slices = [run.result() for run in runs]
-    # a lone mean or quantile passes through
     per_tone = functools.reduce(np.maximum, [part for part, _ in slices])
     rate = np.ascontiguousarray(rate_all.T)
     return per_tone, rate, joint, sorted(f for _, failures in slices for f in failures)
@@ -379,8 +351,8 @@ def min_bits_empirical(
     target_eta: float,
     d_max: int = 32,
 ) -> int:
-    """Smallest word length in 1..``d_max`` whose per-tone relative loss
-    statistic meets ``target_eta``: the first passing d of
+    """Smallest word length in 1..``d_max`` whose per-tone relative worst-case
+    loss meets ``target_eta``: the first passing d of
     ``run_trials_sweep``'s full table.
 
     Without estimation error, a tone is certified at d when its exact worst
@@ -418,7 +390,4 @@ def min_bits_empirical(
         return running[0]
     if top <= d_max:
         return top
-    statistic = {WORST_CASE: "worst-case", MEAN: "mean"}.get(
-        config.statistic, f"{config.quantile_q}-quantile"
-    )
-    raise TargetUnreachable(f"{statistic} relative loss still above {target_eta} at d={d_max}")
+    raise TargetUnreachable(f"worst-case relative loss still above {target_eta} at d={d_max}")

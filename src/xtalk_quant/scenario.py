@@ -22,7 +22,7 @@ from .channel_model import (
     synthesize_channel,
 )
 from .errors import InvalidParams
-from .monte_carlo import TrialConfig, WORST_CASE
+from .monte_carlo import TrialConfig
 from .precoding import E2_DETERMINISTIC, E2_UNIFORM, PerturbationSpec
 from .rate_analysis import LinkBudget
 
@@ -72,8 +72,6 @@ class Scenario:
 
     # trials
     n_trials: int = 1000
-    statistic: str = WORST_CASE
-    quantile_q: float | None = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -129,8 +127,6 @@ class Scenario:
         return TrialConfig(
             n_trials=self.n_trials,
             spec=spec if d_bits is None else replace(spec, d_bits=d_bits),
-            statistic=self.statistic,
-            quantile_q=self.quantile_q,
         )
 
     # -- (de)serialization -----------------------------------------------------

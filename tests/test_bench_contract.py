@@ -65,7 +65,7 @@ def test_min_bits_empirical_does_not_call_run_trials(monkeypatch):
         raise AssertionError("min_bits_empirical called monte_carlo.run_trials")
 
     monkeypatch.setattr(monte_carlo, "run_trials", run_trials)
-    for kwargs in ({}, {"statistic": "mean"}, {"csi_samples": 10**6}):
+    for kwargs in ({}, {"csi_samples": 10**6}):
         scen = Scenario(users=4, decimation=208, seed=5, n_trials=20, **kwargs)
         ensemble = scen.ensemble()
         budget = scen.budget(ensemble.grid)

@@ -49,12 +49,10 @@ from xtalk_quant.scenario import Scenario
 from xtalk_quant.units import LN2
 
 
-def _config(d, n=200, seed=42, statistic="worst_case", q=None, zero=False, e1_samples=None):
+def _config(d, n=200, seed=42, zero=False, e1_samples=None):
     return TrialConfig(
         n_trials=n,
         spec=PerturbationSpec(d_bits=d, e2_model=E2_UNIFORM, e1_samples=e1_samples, seed=seed),
-        statistic=statistic,
-        quantile_q=q,
         zero_errors=zero,
     )
 
@@ -87,12 +85,6 @@ class TestTrialConfig:
         spec = Scenario(e2_model=E2_DETERMINISTIC, csi_samples=1000).trial_config().spec
         assert (spec.e2_model, spec.e1_samples) == (E2_UNIFORM, 1000)
 
-    @pytest.mark.parametrize("statistic", ["worst_case", "mean"])
-    def test_quantile_q_without_the_quantile_statistic_refused(self, statistic):
-        # no statistic but the quantile reads q, so a q given with another is refused
-        with pytest.raises(InvalidParams, match="quantile_q"):
-            _config(12, statistic=statistic, q=0.5)
-
 
 def _past_the_ceiling():
     """Word lengths 60..65, then a failure if read any further."""
@@ -117,15 +109,6 @@ class TestRunTrials:
         assert np.all(rep.per_tone == 0.0)
         assert np.all(rep.band_per_bin == 0.0)
         assert np.all(rep.band_joint == 0.0)
-
-    def test_statistic_coherence(self, small_ensemble, small_budget):
-        worst = run_trials(small_ensemble, small_budget, _config(10, n=400))
-        q99 = run_trials(
-            small_ensemble, small_budget, _config(10, n=400, statistic="quantile", q=0.99)
-        )
-        mean = run_trials(small_ensemble, small_budget, _config(10, n=400, statistic="mean"))
-        assert np.all(worst.per_tone >= q99.per_tone - 1e-15)
-        assert np.all(q99.per_tone >= mean.per_tone - 1e-15)
 
     def test_seed_determinism_bytes(self, small_ensemble, small_budget):
         cfg7, cfg8 = _config(11, seed=7), _config(11, seed=8)
@@ -152,7 +135,6 @@ class TestRunTrials:
             out.update(worst=worst, worst_rate=rate)
             for label, cfg in [
                 ("worst", _config(1, n=100, seed=7)),  # slices share band_joint's accumulator
-                ("mean", _config(1, n=100, seed=7, statistic="mean")),
                 ("csi", _config(1, n=100, seed=7, e1_samples=1000)),
             ]:
                 for rep in run_trials_sweep(ens, budget, cfg, (8, 12, 16)):
@@ -212,15 +194,10 @@ def _draw_e1(seed, tone, n, snr, n_samples):
 def _reference_one_word_length(ensemble, budget, config, d):
     """The engine's original per-word-length path, kept as the oracle: draw the
     uniforms again (zero with ``zero_errors``), form Q @ (2^-d U) (minus
-    E1 inv(Q + E1) with CSI error), then the full loss kernel; the configured
-    statistic per tone and across band trials."""
+    E1 inv(Q + E1) with CSI error), then the full loss kernel; the worst case
+    per tone and across band trials."""
     p, n, seed = ensemble.p, config.n_trials, config.spec.seed
     e1_samples = config.spec.e1_samples
-    reduce = {
-        "worst_case": lambda x: x.max(axis=0),
-        "mean": lambda x: x.mean(axis=0),
-        "quantile": lambda x: np.quantile(x, config.quantile_q, axis=0),
-    }[config.statistic]
     psd = budget.psd_linear(p)
     per_tone = np.empty((p, ensemble.grid.count))
     joint = np.zeros((n, p))
@@ -236,10 +213,10 @@ def _reference_one_word_length(ensemble, budget, config, d):
             e1 = _draw_e1(seed, k, n, snr, e1_samples)
             delta = delta - e1 @ np.linalg.inv(q_mat[None, :, :] + e1)
         losses = loss_arrays(snr, budget.gap, psd, delta)["loss"]
-        per_tone[:, k] = reduce(losses)
+        per_tone[:, k] = losses.max(axis=0)
         joint += losses
     spacing = ensemble.grid.spacing
-    return per_tone, per_tone.sum(axis=1) * spacing, reduce(joint * spacing)
+    return per_tone, per_tone.sum(axis=1) * spacing, (joint * spacing).max(axis=0)
 
 
 class TestOneDrawServesEveryWordLength:
@@ -271,14 +248,13 @@ class TestOneDrawServesEveryWordLength:
     def test_every_block_of_word_lengths(self, p):
         # p sets how many word lengths share a kernel pass without E1; the
         # ranges fill one pass exactly and spill into a second by one word
-        # length, under each statistic, and with zero errors every loss ties at 0
+        # length, and with zero errors every loss ties at 0
         rng = np.random.default_rng(p)
         ensemble = random_dominant_tone(rng, p, 0.3)
         budget = LinkBudget(-60.0, -140.0, 10.7, ensemble.grid)
         fill = monte_carlo._Workspace(1, p, MAX_BITS, csi=False).block
-        statistics = [{}, {"statistic": "mean"}, {"statistic": "quantile", "q": 0.9}]
         for e1_samples in (None, 1000):
-            for kwargs in [*statistics, {"zero": True}]:
+            for kwargs in [{}, {"zero": True}]:
                 cfg = _config(1, n=50, seed=p, e1_samples=e1_samples, **kwargs)
                 for d_values in (range(3, 3 + fill), range(3, 4 + fill)):
                     reports = run_trials_sweep(ensemble, budget, cfg, d_values)
@@ -345,16 +321,6 @@ class TestSearchPathMatchesTheSweep:
         budget = LinkBudget(psd_dbm, -140.0, 10.7, ensemble.grid)
         self._check(ensemble, budget, _config(1, n=60, seed=seed))
 
-    @pytest.mark.parametrize("statistic, q", [("mean", None), ("quantile", 0.9)])
-    def test_other_statistics_scan_the_sweep(self, small_ensemble, small_budget, statistic, q):
-        # MEAN and QUANTILE keep the per-trial losses; the result is the first
-        # d of run_trials_sweep's table that meets the target
-        cfg = _config(8, n=100, statistic=statistic, q=q)
-        reports = run_trials_sweep(small_ensemble, small_budget, cfg, range(1, 33))
-        for target in (0.1, 0.02, 0.005, 1e-3):
-            first = next(r.d_bits for r in reports if np.max(r.eta_per_tone) <= target)
-            assert min_bits_empirical(small_ensemble, small_budget, cfg, target) == first
-
 
 class TestToneSubset:
     """A tone's stream is keyed by its index, so drawing a subset of the tones
@@ -363,8 +329,8 @@ class TestToneSubset:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"statistic": "mean"}, {"e1_samples": 1000}],
-        ids=["worst", "mean", "csi"],
+        [{}, {"e1_samples": 1000}],
+        ids=["worst", "csi"],
     )
     def test_subset_draws_the_full_sweeps_bits(self, monkeypatch, threads, kwargs):
         monkeypatch.setenv("XTALK_THREADS", threads)
@@ -386,7 +352,7 @@ class TestMoreThreadsThanTones:
     """``XTALK_THREADS`` above the tone count: the workers split each tone's
     trials, not the tones, so a worst-case sweep makes one workspace per trial
     slice, the slices' trials add up to ``n_trials``, and 1, 3 or 8 threads
-    give the same bits.  The mean runs as one slice."""
+    give the same bits."""
 
     N = 60
 
@@ -404,8 +370,8 @@ class TestMoreThreadsThanTones:
 
         monkeypatch.setattr(monte_carlo, "_Workspace", workspace)
 
-        def check_workspaces(threads: int, one_slice: bool):
-            slices = 1 if one_slice else min(threads, self.N // monte_carlo.MIN_SLICE)
+        def check_workspaces(threads: int):
+            slices = min(threads, self.N // monte_carlo.MIN_SLICE)
             assert len(made) == slices
             assert sum(made) == self.N
             made.clear()
@@ -413,15 +379,15 @@ class TestMoreThreadsThanTones:
         def sweeps(threads: str) -> list:
             monkeypatch.setenv("XTALK_THREADS", threads)
             out = []
-            for kwargs in ({}, {"e1_samples": 1000}, {"statistic": "mean"}):
+            for kwargs in ({}, {"e1_samples": 1000}):
                 cfg = _config(1, n=self.N, **kwargs)
                 for rep in run_trials_sweep(ensemble, budget, cfg, (6, 10, 14)):
                     out += [rep.per_tone, rep.rate_per_tone, rep.band_per_bin, rep.band_joint]
-                check_workspaces(int(threads), one_slice="statistic" in kwargs)
+                check_workspaces(int(threads))
             out += monte_carlo._sweep_tones(
                 ensemble, budget, _config(1, n=self.N), range(1, 33), band_joint=False
             )[:2]
-            check_workspaces(int(threads), one_slice=False)
+            check_workspaces(int(threads))
             return out
 
         one = sweeps("1")
@@ -480,6 +446,14 @@ class TestEngineThreads:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert monte_carlo._engine_threads() == 4
 
+    def test_set_value_capped(self, monkeypatch):
+        # read, not run: no test starts MAX_THREADS threads
+        monkeypatch.setenv("XTALK_THREADS", str(monte_carlo.MAX_THREADS))
+        assert monte_carlo._engine_threads() == monte_carlo.MAX_THREADS
+        monkeypatch.setenv("XTALK_THREADS", str(monte_carlo.MAX_THREADS + 1))
+        with pytest.raises(InvalidParams, match=f"1..{monte_carlo.MAX_THREADS}"):
+            monte_carlo._engine_threads()
+
 
 class TestWorkspaceMemory:
     """The engine's traced peak is one workspace (U and Q U, complex (n, p, p),
@@ -499,7 +473,7 @@ class TestWorkspaceMemory:
         finally:
             tracemalloc.stop()
         n, p, n_d = self.N, self.P, len(self.D_VALUES)
-        # per-tone statistic and rate, and the per-trial band accumulator
+        # per-tone worst case and rate, and the per-trial band accumulator
         outputs = 8 * (n_d * p * n_tones + p * n_tones + n_d * n * p)
         return peak - outputs
 
@@ -751,21 +725,10 @@ class TestMinBitsEmpirical:
                 small_ensemble, small_budget, _config(8, n=50), 1e-9, d_max=6
             )
 
-    @pytest.mark.parametrize(
-        "statistic, q, name",
-        [
-            ("worst_case", None, "worst-case"),
-            ("mean", None, "mean"),
-            ("quantile", 0.9, "0.9-quantile"),
-        ],
-    )
-    def test_unreachable_target_names_the_statistic(
-        self, small_ensemble, small_budget, statistic, q, name
-    ):
-        cfg = _config(8, n=50, statistic=statistic, q=q)
-        message = re.escape(f"{name} relative loss still above 1e-09 at d=6")
+    def test_unreachable_target_names_the_statistic(self, small_ensemble, small_budget):
+        message = re.escape("worst-case relative loss still above 1e-09 at d=6")
         with pytest.raises(TargetUnreachable, match=f"^{message}$"):
-            min_bits_empirical(small_ensemble, small_budget, cfg, 1e-9, d_max=6)
+            min_bits_empirical(small_ensemble, small_budget, _config(8, n=50), 1e-9, d_max=6)
 
     def test_result_is_minimal(self, small_ensemble, small_budget):
         cfg = _config(8, n=100)
@@ -814,7 +777,7 @@ class TestMinBitsEmpirical:
         table = [0.5, 0.005, 0.5, 0.5, 0.5, 0.005, 0.005, 0.005]
 
         def sweep(ensemble, budget, config, d_values, band_joint, tones=None):
-            # per-tone statistic (d, users, tones) over a unit rate: eta is the
+            # per-tone worst case (d, users, tones) over a unit rate: eta is the
             # table on every tone; no tone of this ensemble is certified for
             # 0.01 below d = 8
             per_tone = np.array([[[table[d - 1]]] for d in d_values])
@@ -833,8 +796,8 @@ class TestScanStopsEarly:
     @pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"statistic": "mean"}, {"statistic": "quantile", "q": 0.9}, {"e1_samples": 1000}],
-        ids=["worst", "mean", "quantile", "csi"],
+        [{}, {"e1_samples": 1000}],
+        ids=["worst", "csi"],
     )
     def test_first_passing_d_of_the_full_table(
         self, small_ensemble, small_budget, monkeypatch, threads, kwargs
