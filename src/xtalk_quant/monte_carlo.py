@@ -139,7 +139,8 @@ def _engine_threads() -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if not raw.isdecimal() or not 1 <= int(raw) <= MAX_THREADS:
+    # refused by length first: int() raises ValueError past 4300 digits
+    if not (raw.isdecimal() and len(raw) <= len(str(MAX_THREADS)) and 1 <= int(raw) <= MAX_THREADS):
         raise InvalidParams(f"XTALK_THREADS must be an integer in 1..{MAX_THREADS}, got {raw!r}")
     return int(raw)
 

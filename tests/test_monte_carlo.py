@@ -450,9 +450,11 @@ class TestEngineThreads:
         # read, not run: no test starts MAX_THREADS threads
         monkeypatch.setenv("XTALK_THREADS", str(monte_carlo.MAX_THREADS))
         assert monte_carlo._engine_threads() == monte_carlo.MAX_THREADS
-        monkeypatch.setenv("XTALK_THREADS", str(monte_carlo.MAX_THREADS + 1))
-        with pytest.raises(InvalidParams, match=f"1..{monte_carlo.MAX_THREADS}"):
-            monte_carlo._engine_threads()
+        # past the cap, and past the 4300 digits int() converts (a ValueError once)
+        for value in (str(monte_carlo.MAX_THREADS + 1), "1" * 5000):
+            monkeypatch.setenv("XTALK_THREADS", value)
+            with pytest.raises(InvalidParams, match=f"1..{monte_carlo.MAX_THREADS}"):
+                monte_carlo._engine_threads()
 
 
 class TestWorkspaceMemory:
