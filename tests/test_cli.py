@@ -854,6 +854,22 @@ class TestEveryKeyEveryCommand:
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", list(_SCENARIO_COMMANDS))
+    def test_file_saved_with_the_statistic_keys_refused(self, tmp_path, capsys, command):
+        # a whole file as saved while the trial statistic was a choice: one
+        # refusal names both keys; without them the same file still loads
+        scen = Scenario(users=4, decimation=208, seed=5)
+        doc = {**scen.to_dict(), "statistic": "worst_case", "quantile_q": None}
+        cfg = tmp_path / "scen.json"
+        cfg.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        out = tmp_path / "out"
+        assert run([*_SCENARIO_COMMANDS[command], "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{_CONFIG[1]}: unknown scenario keys: ['quantile_q', 'statistic']\n"
+        assert captured.out == "" and not out.exists()
+        del doc["statistic"], doc["quantile_q"]
+        assert Scenario.from_dict(doc) == scen
+
+    @pytest.mark.parametrize("command", list(_SCENARIO_COMMANDS))
     def test_psd_list_for_other_users_refused_at_once(self, tmp_path, capsys, command):
         # a synthesized channel has ``users`` pairs, so a PSD list of another
         # length is refused before synthesis, by synth-channel too

@@ -277,6 +277,23 @@ class TestOneDrawServesEveryWordLength:
             for name in ("per_tone", "rate_per_tone", "band_per_bin", "band_joint", "band_rate"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (a.d_bits, name)
 
+    @pytest.mark.parametrize("e1_samples", [None, 1000], ids=["None", "csi1"])
+    @pytest.mark.parametrize("threads", ["2", "3", "5"])
+    @pytest.mark.parametrize("n", [41, 61])
+    def test_uneven_trial_slices_match_the_oracle(
+        self, small_ensemble, small_budget, monkeypatch, n, threads, e1_samples
+    ):
+        # every sweep splits each tone's trials; slices of unequal length,
+        # the last not a multiple of 4, combine by an exact max into the
+        # oracle's worst case over all n trials
+        monkeypatch.setenv("XTALK_THREADS", threads)
+        bounds = monte_carlo._trial_slices(n, int(threads))
+        assert len(bounds) - 1 == int(threads) and (bounds[-1] - bounds[-2]) % 4
+        cfg = _config(1, n=n, seed=n, e1_samples=e1_samples)
+        d_values = (6, 10, 14)
+        reports = run_trials_sweep(small_ensemble, small_budget, cfg, d_values)
+        self._check(reports, small_ensemble, small_budget, cfg, d_values)
+
 
 class TestSearchPathMatchesTheSweep:
     """The band_joint=False path that min_bits_empirical takes gives, for
